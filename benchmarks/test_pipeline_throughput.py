@@ -1,11 +1,12 @@
-"""Ingestion pipeline throughput and latency vs worker count.
+"""Ingestion pipeline throughput.
 
 The streaming pipeline (docs/PIPELINE.md) decouples adapter emission
 rates from fusion cost with bounded per-object queues, per-object
-batching and a worker pool.  This bench measures what that buys:
-readings/second through the full submit → flush → fuse → notify path,
-and the p50/p95 of the two latency spans the pipeline histograms
-(enqueue→fused, fused→notified), at 1, 4 and 8 workers.
+batching and one fusion thread.  This bench measures readings/second
+through the full submit → flush → fuse → notify path, best of
+``RUNS``, plus the exact mean and max of the enqueue→fused latency.
+The histogram percentiles are not printed: their power-of-two buckets
+resolve 15.62 ms from 31.25 ms and nothing in between.
 
 Results are written to benchmarks/results/pipeline_throughput.txt.
 """
@@ -14,8 +15,6 @@ from __future__ import annotations
 
 import time
 from typing import List
-
-import pytest
 
 from _support import write_result
 from repro.geometry import Point, Rect
@@ -30,7 +29,7 @@ from repro.service import LocationService
 from repro.sim import siebel_floor
 from repro.spatialdb import SpatialDatabase
 
-WORKER_COUNTS = [1, 4, 8]
+RUNS = 3
 OBJECTS = 10
 PER_OBJECT = 100
 
@@ -52,7 +51,7 @@ def _readings() -> List[PipelineReading]:
     return out
 
 
-def run_pipeline(workers: int) -> tuple:
+def run_pipeline() -> tuple:
     """One full run; returns (wall seconds, PipelineStats)."""
     world = siebel_floor()
     db = SpatialDatabase(world)
@@ -63,7 +62,7 @@ def run_pipeline(workers: int) -> tuple:
                       threshold=0.2)
     readings = _readings()
     pipeline = LocationPipeline(service, PipelineConfig(
-        workers=workers, max_batch=16, max_wait=0.01))
+        max_batch=16, max_wait=0.01))
     pipeline.start()
     start = time.perf_counter()
     try:
@@ -79,37 +78,23 @@ def run_pipeline(workers: int) -> tuple:
     return elapsed, stats
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_pipeline_throughput(benchmark, workers, results_dir):
-    benchmark.pedantic(lambda: run_pipeline(workers),
-                       rounds=3, iterations=1)
+def test_pipeline_throughput(benchmark, results_dir):
+    benchmark.pedantic(run_pipeline, rounds=RUNS, iterations=1)
 
 
 def test_pipeline_throughput_table(results_dir):
-    """The summary table: readings/sec and latency by worker count."""
+    """The summary table: best-of-RUNS readings/sec and latency."""
     total = OBJECTS * PER_OBJECT
+    elapsed, stats = min((run_pipeline() for _ in range(RUNS)),
+                         key=lambda run: run[0])
+    latency = stats.enqueue_to_fused
     lines = [
         "Ingestion pipeline throughput "
-        f"({OBJECTS} objects x {PER_OBJECT} readings)",
-        f"{'workers':>7}  {'readings/s':>10}  "
-        f"{'enq->fused p50':>14}  {'enq->fused p95':>14}  "
-        f"{'fused->notif p50':>16}  {'fused->notif p95':>16}",
+        f"({OBJECTS} objects x {PER_OBJECT} readings, one fusion thread, "
+        f"best of {RUNS})",
+        f"{'readings/s':>10}  {'enq->fused mean':>15}  "
+        f"{'enq->fused max':>14}",
+        f"{total / elapsed:>10.0f}  {latency.mean * 1e3:>13.2f}ms  "
+        f"{latency.max * 1e3:>12.2f}ms",
     ]
-    rates = {}
-    for workers in WORKER_COUNTS:
-        elapsed, stats = run_pipeline(workers)
-        rates[workers] = total / elapsed
-        lines.append(
-            f"{workers:>7}  {total / elapsed:>10.0f}  "
-            f"{stats.enqueue_to_fused.p50 * 1e3:>12.2f}ms  "
-            f"{stats.enqueue_to_fused.p95 * 1e3:>12.2f}ms  "
-            f"{stats.fused_to_notified.p50 * 1e3:>14.2f}ms  "
-            f"{stats.fused_to_notified.p95 * 1e3:>14.2f}ms")
-    lines.append(
-        f"4-vs-1 worker speedup: {rates[4] / rates[1]:.2f}x; "
-        f"8-vs-1: {rates[8] / rates[1]:.2f}x")
     write_result(results_dir, "pipeline_throughput", lines)
-    # Sanity, not a strict scaling assertion (CI boxes vary): more
-    # workers must never collapse throughput.
-    assert rates[4] > rates[1] * 0.5
-    assert rates[8] > rates[1] * 0.5

@@ -72,13 +72,8 @@ def run_durable_pipeline(mode: str,
     service = LocationService(db)
     UbisenseAdapter("Ubi-1", "SC/3", frame="").attach(db)
     readings = _readings()
-    # One worker: the throughput-optimal configuration per
-    # results/pipeline_throughput.txt (fusion is GIL-bound, so extra
-    # workers only add lock convoy).  Measuring durability at the
-    # degraded 4-worker point would conflate WAL cost with that
-    # pre-existing contention.
     pipeline = LocationPipeline(service, PipelineConfig(
-        workers=1, max_batch=16, max_wait=0.01))
+        max_batch=16, max_wait=0.01))
     pipeline.start()
     start = time.perf_counter()
     try:
@@ -197,7 +192,7 @@ def test_recovered_database_matches_benchmark_run():
         manager = DurabilityManager(db, wal_dir).attach()
         service = LocationService(db)
         UbisenseAdapter("Ubi-1", "SC/3", frame="").attach(db)
-        pipeline = LocationPipeline(service, PipelineConfig(workers=2))
+        pipeline = LocationPipeline(service, PipelineConfig())
         pipeline.start()
         try:
             for reading in _readings()[:200]:

@@ -38,7 +38,7 @@ def main() -> None:
     # --- server side: the middleware deployment --------------------
     scenario = Scenario(seed=19).standard_deployment()
     people = scenario.add_people(4)
-    pipeline = scenario.use_pipeline(workers=2)
+    pipeline = scenario.use_pipeline()
     naming = NamingService()
     reference = scenario.publish(naming=naming, listen_tcp=True)
     print(f"location service published at {reference}")

@@ -32,7 +32,7 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.sensors` — plug-and-play adapters for the paper's
   technologies.
 * :mod:`repro.pipeline` — the streaming ingestion pipeline: batched,
-  back-pressured reading intake with worker-pool fusion and a
+  back-pressured reading intake with one fusion thread and a
   dead-letter queue.
 * :mod:`repro.faults` — seeded, deterministic fault injection and the
   chaos-test invariants for the sensing→fusion→notify path.

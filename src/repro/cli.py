@@ -92,7 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--people", type=int, default=6)
     pipeline.add_argument("--seconds", type=float, default=300.0)
     pipeline.add_argument("--seed", type=int, default=7)
-    pipeline.add_argument("--workers", type=int, default=2)
     pipeline.add_argument("--policy", choices=OVERFLOW_POLICIES,
                           default=OVERFLOW_BLOCK)
     pipeline.add_argument("--batch", type=int, default=16,
@@ -199,7 +198,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         overflow_policy=args.policy,
         max_batch=args.batch,
         max_wait=args.max_wait,
-        workers=args.workers,
     )
     pipeline = scenario.use_pipeline(config=config)
     try:
@@ -229,7 +227,6 @@ def _run_sharded(args: argparse.Namespace) -> int:
         args.shards, wal_root=args.wal_dir,
         durability_mode=args.durability,
         pipeline={
-            "workers": args.workers,
             "max_batch": args.batch,
             "max_wait": args.max_wait,
             "overflow_policy": args.policy,

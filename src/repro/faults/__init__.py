@@ -3,7 +3,7 @@
 The paper's thesis is that middleware masks unreliable location
 technologies (Sections 3.2, 4.1); this package provides the systematic
 robustness evidence: seeded, composable fault plans that wrap the
-sensor-adapter sink hook, the pipeline worker flush and the ORB
+sensor-adapter sink hook, the pipeline flush and the ORB
 transport, plus the invariants that must hold under any of them and a
 chaos harness for randomized multi-object scenarios.  See
 ``docs/FAULTS.md`` for the injector catalogue and seeding rules.

@@ -28,7 +28,7 @@ def standard_plan(seed: int, clock, level: str = "severe") -> FaultPlan:
     * ``moderate`` — plus delivery delay, a flapping RF station and a
       skewed Ubisense host clock.
     * ``severe`` — plus reordering, coordinate corruption, a windowed
-      drop burst and worker-side flush faults.
+      drop burst and pipeline flush faults.
     """
     if level not in LEVELS:
         raise FaultInjectionError(
@@ -109,8 +109,7 @@ def run_chaos(seed: int, level: str = "severe", people: int = 4,
     scenario.add_people(people)
     if plan is None:
         plan = standard_plan(seed, scenario.clock, level)
-    pipeline = scenario.use_pipeline(workers=2, config=config,
-                                     fault_plan=plan)
+    pipeline = scenario.use_pipeline(config=config, fault_plan=plan)
     try:
         scenario.run(seconds, dt)  # each step pumps the plan
         plan.flush()

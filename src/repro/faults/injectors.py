@@ -15,8 +15,8 @@ injector
   :class:`~repro.faults.plan.FaultReport`.
 
 Sink injectors transform the reading stream between the adapters and
-the ingestion pipeline; flush injectors fire inside pipeline workers
-(decisions are stable hashes of the reading so worker interleaving
+the ingestion pipeline; flush injectors fire inside the pipeline's
+fusion thread (decisions are stable hashes of the reading so batching
 cannot change them); transport injectors gate ORB invocations.
 """
 
@@ -40,7 +40,7 @@ from repro.pipeline.intake import PipelineReading
 
 # Injector kinds: where in the sensing→fusion→notify path a fault bites.
 KIND_SINK = "sink"            # adapter → pipeline submission boundary
-KIND_FLUSH = "flush"          # pipeline worker → spatial database flush
+KIND_FLUSH = "flush"          # pipeline → spatial database flush
 KIND_TRANSPORT = "transport"  # ORB request/response boundary
 KIND_WAL = "wal"              # durability layer (WAL/snapshot/compaction)
 
@@ -48,9 +48,10 @@ KIND_WAL = "wal"              # durability layer (WAL/snapshot/compaction)
 def stable_fraction(*parts: object) -> float:
     """A deterministic uniform [0, 1) value for a key.
 
-    Worker-side decisions must not depend on thread interleaving, so
-    they hash the reading (plus seed and attempt number) instead of
-    drawing from a shared RNG whose draw order would race.
+    Flush-side decisions must not depend on batching or thread
+    interleaving, so they hash the reading (plus seed and attempt
+    number) instead of drawing from a shared RNG whose draw order
+    would race.
     """
     key = "|".join(str(p) for p in parts).encode("utf-8")
     digest = hashlib.blake2b(key, digest_size=8).digest()
@@ -359,11 +360,11 @@ class ClockSkewInjector(SinkInjector):
 
 class FlushFaultInjector(FaultInjector):
     """Raise a *transient* :class:`~repro.errors.SensorError` from the
-    pipeline worker's database flush (a metadata race, a wedged shard).
+    pipeline's database flush (a metadata race, a wedged shard).
 
     The decision is a stable hash of (seed, reading, attempt), so the
-    failure pattern is identical no matter which worker thread flushes
-    the reading or in what order: attempt 1 may fail while attempt 2
+    failure pattern is identical no matter which batch flushes the
+    reading or in what order: attempt 1 may fail while attempt 2
     succeeds, exercising the retry path deterministically; a reading
     whose every attempt hashes under ``rate`` exhausts its retries and
     is dead-lettered — accounting must still reconcile.
@@ -410,7 +411,7 @@ class WalCrashInjector(FaultInjector):
 
     After firing, every further check raises again and counts
     ``lost`` — the process is dead, so all subsequent durable
-    operations fail identically regardless of worker interleaving,
+    operations fail identically regardless of thread interleaving,
     which keeps the :class:`~repro.faults.plan.FaultReport` counters
     byte-identical across same-seed runs.
     """

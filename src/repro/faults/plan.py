@@ -9,7 +9,7 @@ builder API, and wraps the three ingestion layers:
   location adapters and any :class:`~repro.sensors.base.ReadingSink`
   (canonically the :class:`~repro.pipeline.LocationPipeline`);
 * :meth:`FaultPlan.attach_pipeline` — installs the plan's flush
-  injectors as the pipeline's worker-side ``flush_fault`` hook;
+  injectors as the pipeline's ``flush_fault`` hook;
 * :meth:`FaultPlan.wrap_transport` — a :class:`FaultyTransport` around
   any ORB transport's ``invoke``.
 
@@ -17,7 +17,7 @@ Determinism contract: with the producer side single-threaded (the
 simulation step loop), the same seed and injector stack yield the same
 injection *trace*, the same :class:`FaultReport`, and — because fusion
 is a pure function of the surviving readings — the same final location
-estimates.  Worker-side flush faults stay deterministic under thread
+estimates.  Flush faults stay deterministic under batching and thread
 interleaving because their decisions are stable hashes, not shared-RNG
 draws.
 """

@@ -102,7 +102,7 @@ class EventChannel:
     def _handle_failure(self, subscription_id: int, exc: Exception) -> None:
         if not self._swallow:
             raise exc
-        # Publishers run on arbitrary threads (pipeline workers);
+        # Publishers run on arbitrary threads (pipeline, ORB);
         # guard the shared failure log.
         with self._lock:
             self.delivery_failures.append((subscription_id, str(exc)))

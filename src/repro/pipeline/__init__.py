@@ -30,7 +30,6 @@ from repro.pipeline.stats import (
     PipelineStats,
     PipelineStatsRecorder,
 )
-from repro.pipeline.workers import WorkerPool
 
 __all__ = [
     "Batch",
@@ -52,6 +51,5 @@ __all__ = [
     "QueuedReading",
     "RetryPolicy",
     "TRANSIENT_ERRORS",
-    "WorkerPool",
     "call_with_retry",
 ]

@@ -10,9 +10,8 @@ batches from the intake using a time/count window:
 * once its oldest queued reading has waited ``max_wait`` seconds, or
 * immediately during a drain (``force_flush``).
 
-At most one batch per object is in flight at a time, so readings are
-flushed to the spatial database in arrival order and per-object fusion
-state never races between workers.
+One fusion thread consumes the batches, one at a time, so readings are
+flushed to the spatial database in arrival order.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Set
+from typing import Callable, List, Optional
 
 from repro.errors import PipelineError
 from repro.pipeline.intake import IntakeQueue, QueuedReading
@@ -48,6 +47,9 @@ class Batch:
 class Batcher:
     """Turns the intake's per-object queues into ready batches.
 
+    Single consumer: the caller takes a batch with :meth:`next_batch`
+    and hands it back with :meth:`complete` before asking for the next.
+
     Args:
         intake: the bounded intake to drain.
         max_batch: release a batch once an object has this many queued.
@@ -67,10 +69,11 @@ class Batcher:
         self.max_batch = max_batch
         self.max_wait = max_wait
         self.clock = clock if clock is not None else time.monotonic
-        self._lock = threading.Lock()
-        self._in_flight: Set[str] = set()
+        # Set before a batch leaves the intake, cleared by complete():
+        # drain observes either queued entries or a batch in flight,
+        # never a gap between the two.
+        self.in_flight = False
         self._force_flush = threading.Event()
-        self.batches_formed = 0
 
     # ------------------------------------------------------------------
     # Flush control (drain path)
@@ -89,17 +92,15 @@ class Batcher:
     # ------------------------------------------------------------------
 
     def _pick(self) -> tuple:
-        """The next ready object (honouring in-flight), plus the
-        earliest instant a queued-but-waiting object's ``max_wait``
-        window expires (``inf`` if nothing is waiting on time)."""
+        """The next ready object, plus the earliest instant a
+        queued-but-waiting object's ``max_wait`` window expires
+        (``inf`` if nothing is waiting on time)."""
         now = self.clock()
         flush = self._force_flush.is_set()
         best: Optional[str] = None
         best_oldest = float("inf")
         wake_at = float("inf")
         for object_id, (count, oldest) in self.intake.snapshot().items():
-            if object_id in self._in_flight:
-                continue
             ready = (flush or count >= self.max_batch
                      or now - oldest >= self.max_wait)
             if ready:
@@ -113,8 +114,7 @@ class Batcher:
     def next_batch(self, timeout: float = 0.05) -> Optional[Batch]:
         """The next ready batch, or ``None`` if none within ``timeout``.
 
-        The caller owns the returned batch's object until it calls
-        :meth:`complete` — no other worker will be handed that object.
+        The returned batch counts as in flight until :meth:`complete`.
         """
         deadline = self.clock() + timeout
         while True:
@@ -122,35 +122,25 @@ class Batcher:
             # a reading that arrives mid-scan cuts the wait short rather
             # than being slept through.
             version = self.intake.version()
-            with self._lock:
-                candidate, wake_at = self._pick()
-                if candidate is not None:
-                    # Claim before taking: drain observes either queued
-                    # entries or an in-flight object, never a gap.
-                    self._in_flight.add(candidate)
-                    entries = self.intake.take(candidate, self.max_batch)
-                    if not entries:
-                        self._in_flight.discard(candidate)
-                        continue
-                    self.batches_formed += 1
-                    return Batch(candidate, entries, self.clock())
+            candidate, wake_at = self._pick()
+            if candidate is not None:
+                self.in_flight = True
+                entries = self.intake.take(candidate, self.max_batch)
+                if not entries:
+                    self.in_flight = False
+                    continue
+                return Batch(candidate, entries, self.clock())
             now = self.clock()
             remaining = deadline - now
             if remaining <= 0.0:
                 return None
-            # Sleep until something changes (a put, a released object,
-            # a force-flush) or the earliest max_wait window expires —
-            # event-driven, so an idle or mid-window worker costs no
+            # Sleep until something changes (a put, a force-flush, a
+            # close) or the earliest max_wait window expires —
+            # event-driven, so an idle or mid-window consumer costs no
             # polling wakeups.
             tick = min(remaining, max(wake_at - now, 1e-4))
             self.intake.wait_for_change(version, tick)
 
-    def complete(self, object_id: str) -> None:
-        """Release an object so its next batch can be formed."""
-        with self._lock:
-            self._in_flight.discard(object_id)
-        self.intake.notify_consumers()
-
-    def in_flight_count(self) -> int:
-        with self._lock:
-            return len(self._in_flight)
+    def complete(self) -> None:
+        """Mark the batch from :meth:`next_batch` as fully processed."""
+        self.in_flight = False

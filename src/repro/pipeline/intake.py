@@ -3,7 +3,7 @@
 The seed reproduction writes every adapter reading straight into the
 spatial database, which couples sensing rates to fusion cost.  The
 intake tier decouples them: adapters ``put`` raw readings into bounded
-per-object queues; worker threads drain them in batches.  When a queue
+per-object queues; the fusion thread drains them in batches.  When a queue
 is full the configured overflow policy decides what happens:
 
 * ``block``       — the producer waits for space (lossless back-pressure);
@@ -41,8 +41,8 @@ class PipelineReading:
     """One raw adapter emission, not yet in the spatial database.
 
     Mirrors the arguments of
-    :meth:`repro.spatialdb.SpatialDatabase.insert_reading` so a worker
-    can flush it verbatim once its batch is drained.
+    :meth:`repro.spatialdb.SpatialDatabase.insert_reading` so the
+    fusion thread can flush it verbatim once its batch is drained.
     """
 
     sensor_id: str
@@ -325,15 +325,6 @@ class IntakeQueue:
         with self._lock:
             return sum(len(q.entries) for q in self._queues.values())
 
-    def wait_for_item(self, timeout: float) -> bool:
-        """Block until any reading is queued (or ``timeout`` elapses)."""
-        with self._lock:
-            if any(q.entries for q in self._queues.values()):
-                return True
-            if self._closed:
-                return False
-            return self._not_empty.wait(timeout)
-
     def version(self) -> int:
         """Monotonic change counter, bumped by every put, consumer
         notification, and close.  Consumers snapshot it before scanning
@@ -344,10 +335,10 @@ class IntakeQueue:
 
     def wait_for_change(self, version: int, timeout: float) -> bool:
         """Block until the change counter moves past ``version`` (or
-        ``timeout`` elapses).  Unlike :meth:`wait_for_item` this does
-        *not* return early just because readings are queued — queued
-        readings still inside their batching window are not progress,
-        and returning for them turns consumers into busy-pollers."""
+        ``timeout`` elapses).  It does *not* return early just because
+        readings are queued — queued readings still inside their
+        batching window are not progress, and returning for them turns
+        the consumer into a busy-poller."""
         with self._lock:
             if self._version != version:
                 return True
@@ -355,7 +346,8 @@ class IntakeQueue:
             return self._version != version
 
     def notify_consumers(self) -> None:
-        """Wake batcher waiters (an in-flight object was released)."""
+        """Wake the batcher's waiting consumer (readiness changed
+        without a put, e.g. a force-flush)."""
         with self._lock:
             self._version += 1
             self._not_empty.notify_all()

@@ -1,29 +1,32 @@
 """The pipeline facade: configuration, wiring and graceful shutdown.
 
-:class:`LocationPipeline` assembles the intake, batcher, worker pool,
+:class:`LocationPipeline` assembles the intake, batcher, fusion thread,
 retry policy and stats recorder into the asynchronous path between
 location adapters (paper Section 6) and the Location Service (Section
 4)::
 
-    adapter._emit ──▶ submit() ──▶ IntakeQueue ──▶ Batcher ──▶ WorkerPool
-                         │                                        │
-                         ▼                                        ▼
-                   DeadLetterQueue            flush → FusionEngine → notify
+    adapter._emit ──▶ submit() ──▶ IntakeQueue ──▶ Batcher ──▶ fusion
+                         │                                    thread
+                         ▼                                        │
+                   DeadLetterQueue                                ▼
+                                              flush → FusionEngine → notify
 
-Workers flush each batch into the spatial database with triggers
-suppressed (the pipeline replaces the per-insert trigger path), run one
-fusion pass per batch, and hand the :class:`~repro.core.FusionResult`
-to :meth:`LocationService.apply_fusion_result` for subscription
-evaluation — optionally fanning the events out over an existing
+The fusion thread flushes each batch into the spatial database with
+triggers suppressed (the pipeline replaces the per-insert trigger
+path), runs one fusion pass per batch, and hands the
+:class:`~repro.core.FusionResult` to
+:meth:`LocationService.apply_fusion_result` for subscription evaluation
+— optionally fanning the events out over an existing
 :class:`~repro.orb.EventChannel`.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.core import SensorSpec
 from repro.errors import IntakeOverflowError, PipelineError
@@ -40,7 +43,6 @@ from repro.pipeline.intake import (
 )
 from repro.pipeline.retry import TRANSIENT_ERRORS, RetryPolicy, call_with_retry
 from repro.pipeline.stats import PipelineStats, PipelineStatsRecorder
-from repro.pipeline.workers import WorkerPool
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from repro.orb.events import EventChannel
@@ -58,7 +60,6 @@ class PipelineConfig:
         overflow_policy: ``block`` / ``drop-oldest`` / ``reject``.
         max_batch: fuse at most this many readings per object per pass.
         max_wait: release a partial batch after this many seconds.
-        workers: worker-thread count.
         retry: backoff schedule for transient flush/notify failures.
         dead_letter_capacity: letters retained for inspection.
     """
@@ -67,7 +68,6 @@ class PipelineConfig:
     overflow_policy: str = OVERFLOW_BLOCK
     max_batch: int = 16
     max_wait: float = 0.05
-    workers: int = 2
     retry: RetryPolicy = RetryPolicy()
     dead_letter_capacity: int = 1024
 
@@ -82,7 +82,9 @@ class LocationPipeline:
 
     Adapters with ``sink=pipeline`` emit here instead of writing the
     database directly; :meth:`submit` is also the public entry point
-    for replayed traces and remote feeds.
+    for replayed traces and remote feeds.  One fusion thread per
+    pipeline drains the batches: under the GIL more threads only
+    convoy on the ingest lock, and scale-out is the shard fleet's job.
 
     Args:
         service: the Location Service whose database and subscriptions
@@ -110,25 +112,45 @@ class LocationPipeline:
                                   clock=self.clock)
         self.batcher = Batcher(self.intake, self.config.max_batch,
                                self.config.max_wait, clock=self.clock)
-        self.workers = WorkerPool(self.batcher, self._process_batch,
-                                  count=self.config.workers)
+        self._thread: Optional[threading.Thread] = None
+        self._stop = threading.Event()
+        # (object_id, repr(exc)) for every batch whose processing
+        # raised; the fusion thread records it and keeps going, because
+        # one malformed burst must not stall every other object.
+        self.errors: List[Tuple[str, str]] = []
         # Fault-injection seam: called as hook(reading, attempt) before
         # each flush attempt; raising a transient error exercises the
         # retry path (see repro.faults.FaultPlan.attach_pipeline).
         self.flush_fault: Optional[
             Callable[[PipelineReading, int], None]] = None
-        self._started = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def start(self) -> "LocationPipeline":
-        if self._started:
+        if self._thread is not None:
             raise PipelineError("pipeline already started")
-        self.workers.start()
-        self._started = True
+        self._stop.clear()
+        self._thread = threading.Thread(target=self._run,
+                                        name="pipeline-fusion",
+                                        daemon=True)
+        self._thread.start()
         return self
+
+    def _run(self) -> None:
+        """The fusion thread: next batch → process → complete."""
+        batcher = self.batcher
+        while not self._stop.is_set():
+            batch = batcher.next_batch(0.05)
+            if batch is None:
+                continue
+            try:
+                self._process_batch(batch)
+            except Exception as exc:  # noqa: BLE001 — keep draining
+                self.errors.append((batch.object_id, repr(exc)))
+            finally:
+                batcher.complete()
 
     def drain(self, timeout: float = 30.0) -> bool:
         """Flush every queued and in-flight reading; True when empty.
@@ -137,15 +159,15 @@ class LocationPipeline:
         ``max_wait`` window.  Producers still submitting concurrently
         can keep a drain from settling — quiesce them first.
         """
-        if not self._started and self.intake.total_pending() > 0:
+        if self._thread is None and self.intake.total_pending() > 0:
             raise PipelineError("cannot drain a pipeline that never "
-                                "started its workers")
+                                "started its fusion thread")
         self.batcher.force_flush(True)
         try:
             deadline = self.clock() + timeout
             while self.clock() < deadline:
                 if (self.intake.total_pending() == 0
-                        and self.batcher.in_flight_count() == 0):
+                        and not self.batcher.in_flight):
                     return True
                 time.sleep(0.002)
             return False
@@ -169,15 +191,18 @@ class LocationPipeline:
                 journal.maybe_snapshot()
 
     def stop(self, timeout: float = 10.0) -> bool:
-        """Graceful shutdown: drain in-flight batches, then stop workers.
+        """Graceful shutdown: drain, then stop the fusion thread.
 
         Returns whether the drain completed inside ``timeout``.  After
         ``stop`` the pipeline refuses further submissions.
         """
-        drained = self.drain(timeout) if self._started else True
-        self.intake.close()
-        self.workers.stop()
-        self._started = False
+        thread = self._thread
+        drained = self.drain(timeout) if thread is not None else True
+        self._stop.set()
+        self.intake.close()  # also wakes the fusion thread
+        if thread is not None:
+            thread.join(5.0)
+        self._thread = None
         return drained
 
     def __enter__(self) -> "LocationPipeline":
@@ -231,10 +256,10 @@ class LocationPipeline:
                 or not math.isfinite(reading.detection_time)
                 or reading.detection_time < 0.0):
             return f"invalid detection time {reading.detection_time!r}"
-        spec_row = self.service.db.sensor_specs.get(reading.sensor_id)
-        if spec_row is None:
+        entry = self.service.db.sensor_spec_map().get(reading.sensor_id)
+        if entry is None:
             return f"unknown sensor {reading.sensor_id!r}"
-        if not isinstance(spec_row["spec"], SensorSpec):
+        if not isinstance(entry[1], SensorSpec):
             return (f"sensor {reading.sensor_id!r} has no calibrated "
                     f"spec; readings cannot be fused")
         return None
@@ -249,7 +274,7 @@ class LocationPipeline:
         return self.dead_letters.add(reading, reason, self.clock())
 
     # ------------------------------------------------------------------
-    # Worker-side processing
+    # Fusion-thread processing
     # ------------------------------------------------------------------
 
     def _flush_entry(self, entry: QueuedReading) -> bool:
@@ -341,7 +366,7 @@ class LocationPipeline:
             notified = call_with_retry(apply, self.config.retry,
                                        on_retry=self._count_retry)
         except TRANSIENT_ERRORS:
-            raise  # retries exhausted: the worker records the failure
+            raise  # retries exhausted: _run records the failure
         except Exception as exc:  # noqa: BLE001 — not retryable
             self.stats_recorder.incr("notify_failures")
             self.dead_letters.add(flushed[0].reading,
@@ -376,4 +401,4 @@ class LocationPipeline:
 
     @property
     def started(self) -> bool:
-        return self._started
+        return self._thread is not None

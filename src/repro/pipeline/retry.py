@@ -1,6 +1,6 @@
 """Bounded retry with exponential backoff and jitter.
 
-Worker flush and notify touch two fallible edges: the spatial database
+Pipeline flush and notify touch two fallible edges: the spatial database
 (:class:`~repro.errors.SensorError` on bad metadata races) and the ORB
 (:class:`~repro.errors.OrbError` on transient transport failures).
 Both are retried with capped exponential backoff plus decorrelating
@@ -19,8 +19,8 @@ from repro.errors import OrbError, PipelineError, SensorError
 
 T = TypeVar("T")
 
-# The transient error classes worker flush/notify retries (the issue's
-# contract); everything else is assumed permanent.
+# The transient error classes pipeline flush/notify retries; everything
+# else is assumed permanent.
 TRANSIENT_ERRORS: Tuple[Type[BaseException], ...] = (SensorError, OrbError)
 
 

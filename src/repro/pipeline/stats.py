@@ -45,7 +45,7 @@ class LatencyHistogram:
 
     Percentiles report the upper bound of the bucket containing the
     requested rank, which over-estimates by at most one bucket width —
-    plenty for tuning batch windows and worker counts.
+    plenty for tuning batch windows.
     """
 
     def __init__(self, bounds: Tuple[float, ...] = _DEFAULT_BOUNDS) -> None:

@@ -141,7 +141,7 @@ class LocationAdapter:
         With a sink the adapter stops writing the spatial database
         synchronously; readings travel the batched, back-pressured
         path instead and land in the database when their batch is
-        flushed by a pipeline worker.
+        flushed by the pipeline's fusion thread.
         """
         self._sink = sink
 

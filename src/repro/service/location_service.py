@@ -118,7 +118,8 @@ class LocationService:
         self._fusion_cache: "OrderedDict[FusionKey, FusionResult]" = \
             OrderedDict()
         self._fusion_cache_capacity = fusion_cache_capacity
-        # Pipeline workers share this cache across threads.
+        # The pipeline thread, ORB query threads and sync writers share
+        # this cache.
         self._fusion_cache_lock = threading.RLock()
         self.fusion_cache_hits = 0
         self.fusion_cache_misses = 0
@@ -205,11 +206,12 @@ class LocationService:
 
     def _readings_for(self, object_id: str,
                       now: float) -> List[NormalizedReading]:
+        specs = self.db.sensor_spec_map()
         rows = self.db.readings_for(object_id, now)
         readings: List[NormalizedReading] = []
         for row in rows:
-            spec_row = self.db.sensor_specs.get(row["sensor_id"])
-            spec = spec_row["spec"] if spec_row else None
+            entry = specs.get(row["sensor_id"])
+            spec = entry[1] if entry is not None else None
             if not isinstance(spec, SensorSpec):
                 continue  # sensors without a full spec cannot be fused
             readings.append(NormalizedReading(
@@ -312,9 +314,9 @@ class LocationService:
                       at: float) -> Tuple[FusionResult, bool]:
         """Fuse through the content-addressed cache.
 
-        Returns ``(result, from_cache)``.  The pipeline's workers call
-        this directly with the readings they just flushed; pull queries
-        go through :meth:`fusion_result`.
+        Returns ``(result, from_cache)``.  The pipeline's fusion thread
+        calls this directly with the readings it just flushed; pull
+        queries go through :meth:`fusion_result`.
         """
         key: FusionKey = (object_id,
                           self._fusion_fingerprint(readings, at))
@@ -975,9 +977,9 @@ class LocationService:
                             channel: Optional[Any] = None) -> int:
         """Evaluate push subscriptions against an external fusion.
 
-        The ingestion pipeline's entry point: its workers insert
-        readings with database triggers suppressed, fuse once per
-        batch, and hand the :class:`FusionResult` here.  The result is
+        The ingestion pipeline's entry point: its fusion thread
+        inserts readings with database triggers suppressed, fuses once
+        per batch, and hands the :class:`FusionResult` here.  The result is
         memoized into the shared fusion cache (so follow-up pull
         queries at the same instant are free), every matching region
         subscription is evaluated exactly once, and proximity

@@ -69,7 +69,7 @@ class SemanticSubscriptionManager:
 
     All mutating entry points serialize on one lock: the engine's
     delta state assumes totally ordered epochs, and both the pipeline's
-    worker threads and the synchronous trigger path feed it.
+    fusion thread and the synchronous trigger path feed it.
     """
 
     def __init__(self, world: WorldModel,

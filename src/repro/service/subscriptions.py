@@ -301,7 +301,7 @@ class SubscriptionManager:
         subscription uses (raw confidence or bucket grade).
 
         The read-modify-write of ``subscription.inside`` happens under
-        the manager lock so pipeline workers and the synchronous path
+        the manager lock so the pipeline thread and the synchronous path
         cannot race on edge detection; ``notify`` runs outside the lock
         (consumers may re-enter the manager, e.g. to subscribe).
         """

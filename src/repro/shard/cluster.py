@@ -23,6 +23,7 @@ from repro.errors import ServiceError, TransportError
 from repro.model import WorldModel
 from repro.model.serialize import world_to_json
 from repro.orb import Orb
+from repro.pipeline import PipelineConfig
 from repro.shard.partitioner import HashPartitioner
 from repro.shard.router import ShardRouter
 from repro.shard.worker import SHARD_OBJECT_ID, shard_worker_main
@@ -70,6 +71,8 @@ class ShardCluster:
         self.wal_root = wal_root
         self.durability_mode = durability_mode
         self.pipeline_config = dict(pipeline or {})
+        # Fail here on an unknown key, not inside a spawned shard.
+        PipelineConfig(**self.pipeline_config)
         self.fusion_cache_capacity = fusion_cache_capacity
         self.region_affinity = region_affinity
         self.batch_size = batch_size

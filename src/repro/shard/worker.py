@@ -72,8 +72,8 @@ class ShardServant:
 
     * ``world_json`` — the full world model, serialized.
     * ``shard_index`` / ``num_shards`` — identity, for stats.
-    * ``pipeline`` — :class:`PipelineConfig` overrides
-      (``workers``, ``max_batch``, ``max_wait``, ``queue_capacity``,
+    * ``pipeline`` — :class:`PipelineConfig` keyword overrides
+      (``max_batch``, ``max_wait``, ``queue_capacity``,
       ``overflow_policy``).
     * ``fusion_cache_capacity`` — per-shard fusion memo size.
     * ``wal_dir`` — when set, attach a
@@ -156,16 +156,9 @@ class ShardServant:
             consumers = {record["subscription_id"]: self._event_consumer
                          for record in restored_subs}
             self.service.restore_subscriptions(restored_subs, consumers)
-        pipe_cfg = config.get("pipeline") or {}
         self.pipeline = LocationPipeline(
             self.service,
-            config=PipelineConfig(
-                workers=pipe_cfg.get("workers", 1),
-                max_batch=pipe_cfg.get("max_batch", 16),
-                max_wait=pipe_cfg.get("max_wait", 0.05),
-                queue_capacity=pipe_cfg.get("queue_capacity", 256),
-                overflow_policy=pipe_cfg.get("overflow_policy", "block"),
-            ),
+            config=PipelineConfig(**(config.get("pipeline") or {})),
         ).start()
         if self._semantic_feed_enabled:
             self.service.set_location_update_listener(self._semantic_feed)

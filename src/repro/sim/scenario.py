@@ -100,15 +100,14 @@ class Scenario:
             ids.append(person_id)
         return ids
 
-    def use_pipeline(self, workers: int = 2, config=None, channel=None,
-                     fault_plan=None):
+    def use_pipeline(self, config=None, channel=None, fault_plan=None):
         """Route every deployed adapter through an ingestion pipeline.
 
         Readings stop hitting the spatial database synchronously:
         adapters emit into the returned (already started)
-        :class:`repro.pipeline.LocationPipeline`, whose workers batch,
-        fuse and notify.  Call ``pipeline.drain()`` before querying if
-        you need every emitted reading visible.  Adapters installed
+        :class:`repro.pipeline.LocationPipeline`, whose fusion thread
+        batches, fuses and notifies.  Call ``pipeline.drain()`` before
+        querying if you need every emitted reading visible.  Adapters installed
         *after* this call must be wired with ``adapter.set_sink``.
 
         With ``fault_plan`` (a :class:`repro.faults.FaultPlan`), every
@@ -118,9 +117,7 @@ class Scenario:
         the scenario clock.  Call ``fault_plan.flush()`` before
         draining so held readings are force-released.
         """
-        from repro.pipeline import LocationPipeline, PipelineConfig
-        if config is None:
-            config = PipelineConfig(workers=workers)
+        from repro.pipeline import LocationPipeline
         self.pipeline = LocationPipeline(self.service, config=config,
                                          channel=channel)
         sink = self.pipeline

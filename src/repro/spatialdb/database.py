@@ -79,6 +79,10 @@ class SpatialDatabase:
         # R-tree over their regions instead of a per-trigger scan.
         self.sensor_readings.enable_spatial_triggers("rect")
         self.sensor_specs = Table("sensor_specs", SENSOR_SPECS_SCHEMA)
+        # (sensor_specs.version, {sensor_id: (time_to_live, spec)}):
+        # see sensor_spec_map.
+        self._spec_map: Tuple[int, Dict[str, Tuple[float, object]]] = \
+            (-1, {})
         self._index: RTree = RTree()
         self._world: Optional[WorldModel] = None
         self._next_reading_id = 1
@@ -93,8 +97,8 @@ class SpatialDatabase:
         # confidence there at any timestamp.
         self._reading_support: Dict[str, Rect] = {}
         self._reading_version: Dict[str, int] = {}
-        # Guards reading-id allocation and movement history: pipeline
-        # workers insert readings concurrently from several threads.
+        # Guards reading-id allocation and movement history: the
+        # pipeline thread and synchronous writers insert concurrently.
         self._ingest_lock = threading.Lock()
         # Optional durability journal (repro.storage.DurabilityManager).
         # None = DurabilityMode.OFF: every mutator below short-circuits
@@ -279,6 +283,25 @@ class SpatialDatabase:
             "spec": spec,
         })
 
+    def sensor_spec_map(self) -> Dict[str, Tuple[float, object]]:
+        """``{sensor_id: (time_to_live, spec)}`` over every sensor.
+
+        Rebuilt only when the sensor table's version moves, so the
+        per-reading TTL and spec lookups on the fusion path cost a dict
+        probe instead of a locked row copy.  Callers must not mutate
+        the returned dict.  The version is read before the rows, so a
+        concurrent registration can only make the map newer than its
+        tag, which just forces one more rebuild.
+        """
+        version = self.sensor_specs.version
+        built_for, specs = self._spec_map
+        if built_for == version:
+            return specs
+        specs = {row["sensor_id"]: (row["time_to_live"], row["spec"])
+                 for row in self.sensor_specs.select()}
+        self._spec_map = (version, specs)
+        return specs
+
     def sensor_row(self, sensor_id: str) -> Row:
         row = self.sensor_specs.get(sensor_id)
         if row is None:
@@ -342,8 +365,8 @@ class SpatialDatabase:
         # the survivor and a replay of the WAL agree exactly.  Logging
         # under the ingest lock makes WAL order match reading-id order;
         # everything that does not depend on in-lock state (the bulk of
-        # the record encode) happens before the lock so four pipeline
-        # workers do not convoy on it.
+        # the record encode) happens before the lock, keeping it short
+        # for the pipeline thread and concurrent synchronous writers.
         detection_radius = float(detection_radius)
         detection_time = float(detection_time)
         parts = journal.prepare_insert(
@@ -422,15 +445,17 @@ class SpatialDatabase:
         ``latest_per_sensor`` only the newest reading per sensor is
         kept, which is what fusion consumes.
         """
-        rows = self.sensor_readings.select_eq("mobile_object_id",
-                                              mobile_object_id)
-        fresh: List[Row] = []
-        for row in rows:
-            spec = self.sensor_specs.get(row["sensor_id"])
-            ttl = spec["time_to_live"] if spec else float("inf")
-            age = now - row["detection_time"]
-            if 0.0 <= age <= ttl:
-                fresh.append(row)
+        # Resolved before the readings table's lock is taken, so the
+        # freshness filter below never nests the two tables' locks.
+        specs = self.sensor_spec_map()
+
+        def is_fresh(row: Row) -> bool:
+            entry = specs.get(row["sensor_id"])
+            ttl = entry[0] if entry is not None else float("inf")
+            return 0.0 <= now - row["detection_time"] <= ttl
+
+        fresh = self.sensor_readings.select_eq(
+            "mobile_object_id", mobile_object_id, where=is_fresh)
         if not latest_per_sensor:
             return fresh
         latest: Dict[str, Row] = {}
@@ -457,9 +482,11 @@ class SpatialDatabase:
 
     def purge_expired(self, now: float) -> int:
         """Drop every reading past its sensor's TTL; returns the count."""
+        specs = self.sensor_spec_map()
+
         def expired(row: Row) -> bool:
-            spec = self.sensor_specs.get(row["sensor_id"])
-            ttl = spec["time_to_live"] if spec else float("inf")
+            entry = specs.get(row["sensor_id"])
+            ttl = entry[0] if entry is not None else float("inf")
             return now - row["detection_time"] > ttl
         journal = self.journal
         if journal is None:

@@ -270,9 +270,9 @@ def encode_insert_parts(sensor_id: str, glob_prefix: str,
     ingest lock, but they are the *only* row fields that are — so the
     rest of the payload is encoded up front, outside the lock, and
     :func:`assemble_insert_op` splices the two values in.  Shrinking
-    the in-lock encode to a single small struct pack is what keeps
-    four pipeline workers from convoying on the ingest lock
-    (benchmarks/test_wal_overhead.py).
+    the in-lock encode to a single small struct pack keeps the ingest
+    lock short for the pipeline's fusion thread and the concurrent
+    synchronous writers (benchmarks/test_wal_overhead.py).
 
     Returns an opaque ``(kind, head)``-style parts tuple for
     :func:`assemble_insert_op`.

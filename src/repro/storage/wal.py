@@ -21,8 +21,8 @@ Fsync policies (all deterministic — no wall-clock batching):
   crash-exposure the stats report).
 * ``never``    — fsync only on :meth:`sync` / :meth:`close`.
 
-The log is thread-safe: pipeline workers append concurrently, and the
-append lock is what serializes WAL order.
+The log is thread-safe: the pipeline and synchronous writers append
+concurrently, and the append lock is what serializes WAL order.
 """
 
 from __future__ import annotations

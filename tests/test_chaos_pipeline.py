@@ -45,7 +45,7 @@ class TestInvariantsUnderEscalation:
     def test_drop_oldest_policy_also_reconciles(self):
         from repro.pipeline import OVERFLOW_DROP_OLDEST, PipelineConfig
 
-        config = PipelineConfig(queue_capacity=4, workers=2,
+        config = PipelineConfig(queue_capacity=4,
                                 overflow_policy=OVERFLOW_DROP_OLDEST)
         out = run_chaos(101, level="severe", people=4, seconds=60,
                         config=config)

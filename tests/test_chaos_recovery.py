@@ -35,7 +35,6 @@ from repro.core import SensorSpec
 from repro.errors import SimulatedCrash, StorageError
 from repro.faults import FaultPlan
 from repro.geometry import Rect
-from repro.pipeline import PipelineConfig
 from repro.sim import Scenario, paper_floor
 from repro.spatialdb import SpatialDatabase
 from repro.storage import (
@@ -61,7 +60,7 @@ SEEDS = _seeds()
 
 
 def _run_durable(tmp_path, seed, point=None, offset=3, occurrence=1,
-                 seconds=150, people=5, mode="strict", workers=None):
+                 seconds=150, people=5, mode="strict"):
     """One pipeline run over a durable scenario with an armed kill.
 
     The kill is armed at ``base + offset`` where ``base`` is the WAL
@@ -81,8 +80,7 @@ def _run_durable(tmp_path, seed, point=None, offset=3, occurrence=1,
         # Snapshot/compaction kills arm on occurrence, not WAL position.
         plan.wal_crash(point=point, occurrence=occurrence)
     scenario.add_people(people)
-    config = PipelineConfig(workers=workers) if workers else None
-    pipeline = scenario.use_pipeline(fault_plan=plan, config=config)
+    pipeline = scenario.use_pipeline(fault_plan=plan)
     try:
         scenario.run(seconds, dt=1.0)
         pipeline.drain(timeout=60.0)
@@ -117,8 +115,7 @@ class TestCleanRunRecovery:
                 scenario.use_durability(str(tmp_path / "wal-on"))
             scenario.standard_deployment()
             scenario.add_people(4)
-            pipeline = scenario.use_pipeline(
-                config=PipelineConfig(workers=1))
+            pipeline = scenario.use_pipeline()
             try:
                 scenario.run(90, dt=1.0)
                 pipeline.drain(timeout=60.0)
@@ -143,13 +140,13 @@ class TestKillMidAppend:
             readings_fingerprint(scenario.db)
 
     def test_same_seed_byte_identical_report(self, tmp_path):
-        # One worker: with several, WHICH insert lands on the killed
-        # sequence number is an interleaving accident; the report and
-        # fingerprints are only run-stable when flush order is.
+        # The report and fingerprints are run-stable because the one
+        # fusion thread fixes flush order, and with it WHICH insert
+        # lands on the killed sequence number.
         outs = []
         for run in ("a", "b"):
             scenario, manager, plan, stats = _run_durable(
-                tmp_path / run, 101, point="append", workers=1)
+                tmp_path / run, 101, point="append")
             outs.append((plan.report().as_text(),
                          readings_fingerprint(scenario.db),
                          readings_fingerprint(recover(manager.wal_dir).db),

@@ -86,7 +86,7 @@ def _run_kill_recover(tmp_path, seed: int, stream_len: int = 90):
 
     cluster = ShardCluster(
         NUM_SHARDS, wal_root=str(tmp_path / "wal"),
-        pipeline={"workers": 1, "max_wait": 0.01}, batch_size=8)
+        pipeline={"max_wait": 0.01}, batch_size=8)
     try:
         router = cluster.router
         _register_sensors(router)
@@ -168,7 +168,7 @@ class TestKillAndRecover:
         stream = [_reading(rng, step) for step in range(40)]
         cluster = ShardCluster(
             NUM_SHARDS, wal_root=str(tmp_path / "wal"),
-            pipeline={"workers": 1, "max_wait": 0.01}, batch_size=8)
+            pipeline={"max_wait": 0.01}, batch_size=8)
         try:
             router = cluster.router
             _register_sensors(router)
@@ -214,7 +214,7 @@ class TestSemanticKillRecover:
 
         cluster = ShardCluster(
             NUM_SHARDS, wal_root=str(tmp_path / "wal"),
-            pipeline={"workers": 1, "max_wait": 0.01}, batch_size=8)
+            pipeline={"max_wait": 0.01}, batch_size=8)
         try:
             router = cluster.router
             _register_sensors(router)

@@ -152,8 +152,8 @@ class TestLostDevices:
 class TestPipelineParity:
     """The failure scenarios above, replayed through the ingestion
     pipeline (``Scenario.use_pipeline``), must land on the same final
-    estimates as the synchronous insert path: batching and worker
-    threads may change *when* readings land, never *what* the service
+    estimates as the synchronous insert path: batching and the fusion
+    thread may change *when* readings land, never *what* the service
     answers once the pipeline has drained."""
 
     @staticmethod
@@ -161,7 +161,7 @@ class TestPipelineParity:
         """Two identical scenarios; the second routes via a pipeline."""
         sync = Scenario(seed=seed).standard_deployment()
         piped = Scenario(seed=seed).standard_deployment()
-        pipeline = piped.use_pipeline(workers=2)
+        pipeline = piped.use_pipeline()
         return sync, piped, pipeline
 
     @staticmethod

@@ -51,7 +51,7 @@ class TestEndToEnd:
                           kind="both", threshold=0.2)
 
         pipeline = LocationPipeline(
-            service, PipelineConfig(workers=4, max_batch=16))
+            service, PipelineConfig(max_batch=16))
         for obj in range(OBJECTS):
             adapter.set_sink(pipeline)  # idempotent; exercises set_sink
         pipeline.start()
@@ -78,7 +78,7 @@ class TestEndToEnd:
         assert stats.dead_lettered == 0
         assert stats.rejected == 0
         assert stats.reconciles()
-        assert pipeline.workers.errors == []
+        assert pipeline.errors == []
         # Every reading landed in the spatial database.
         assert len(db.sensor_readings) == total
         # Region triggers fired: each object entered room 3105.
@@ -101,8 +101,8 @@ class TestEndToEnd:
         submitted = 50
         pipeline = LocationPipeline(service, PipelineConfig(
             queue_capacity=capacity,
-            overflow_policy=OVERFLOW_DROP_OLDEST, workers=2))
-        # Workers not started yet: every overflow decision is forced
+            overflow_policy=OVERFLOW_DROP_OLDEST))
+        # Fusion thread not started yet: every overflow decision is forced
         # while the queue cannot drain, making drops exact.
         for i in range(submitted):
             assert pipeline.submit(good_reading("walker", float(i)))
@@ -128,7 +128,7 @@ class TestEndToEnd:
     def test_reject_policy_raises_and_counts(self):
         world, db, service, adapter = make_rig()
         pipeline = LocationPipeline(service, PipelineConfig(
-            queue_capacity=2, overflow_policy=OVERFLOW_REJECT, workers=1))
+            queue_capacity=2, overflow_policy=OVERFLOW_REJECT))
         assert pipeline.submit(good_reading("runner", 0.0))
         assert pipeline.submit(good_reading("runner", 1.0))
         with pytest.raises(IntakeOverflowError):
@@ -152,7 +152,7 @@ class TestEndToEnd:
         # it cannot be normalized for fusion.
         db.register_sensor("Legacy-9", "legacy", confidence=50.0,
                            time_to_live=10.0, spec=None)
-        pipeline = LocationPipeline(service, PipelineConfig(workers=1))
+        pipeline = LocationPipeline(service, PipelineConfig())
 
         rect = Rect(0, 0, 1, 1)
         malformed = [
@@ -201,7 +201,7 @@ class TestEndToEnd:
             return real_insert(*args, **kwargs)
 
         db.insert_reading = flaky_insert
-        pipeline = LocationPipeline(service, PipelineConfig(workers=1))
+        pipeline = LocationPipeline(service, PipelineConfig())
         pipeline.submit(good_reading("alice", 1.0))
         pipeline.start()
         try:
@@ -218,7 +218,7 @@ class TestEndToEnd:
         # A permanently failing flush exhausts retries into the DLQ.
         db.insert_reading = lambda *a, **k: (_ for _ in ()).throw(
             SensorError("database down"))
-        pipeline = LocationPipeline(service, PipelineConfig(workers=1))
+        pipeline = LocationPipeline(service, PipelineConfig())
         pipeline.submit(good_reading("bob", 2.0))
         pipeline.start()
         try:
@@ -235,15 +235,14 @@ class TestEndToEnd:
 
     def test_drain_before_start_refused(self):
         world, db, service, adapter = make_rig()
-        pipeline = LocationPipeline(service, PipelineConfig(workers=1))
+        pipeline = LocationPipeline(service, PipelineConfig())
         pipeline.submit(good_reading("alice", 0.0))
         with pytest.raises(PipelineError):
             pipeline.drain(timeout=0.1)
 
     def test_context_manager_drains_on_exit(self):
         world, db, service, adapter = make_rig()
-        with LocationPipeline(service,
-                              PipelineConfig(workers=2)) as pipeline:
+        with LocationPipeline(service, PipelineConfig()) as pipeline:
             for i in range(20):
                 pipeline.submit(good_reading("alice", float(i)))
         stats = pipeline.stats()

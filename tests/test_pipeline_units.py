@@ -1,5 +1,6 @@
 """Unit tests for the ingestion pipeline's building blocks."""
 
+import dataclasses
 import random
 import threading
 
@@ -149,22 +150,18 @@ class TestBatcher:
         batch = batcher.next_batch(timeout=0.0)
         assert batch is not None and len(batch) == 1
 
-    def test_one_batch_in_flight_per_object(self):
+    def test_in_flight_until_complete(self):
         clock = FakeClock()
         intake = IntakeQueue(capacity=32, clock=clock)
         batcher = Batcher(intake, max_batch=2, max_wait=0.0, clock=clock)
-        for i in range(4):
-            intake.put(reading("alice", float(i)))
-        first = batcher.next_batch(timeout=0.0)
-        assert first is not None
-        # Alice is in flight: her remaining readings stay queued.
-        assert batcher.next_batch(timeout=0.0) is None
-        assert intake.total_pending() == 2
-        batcher.complete("alice")
-        second = batcher.next_batch(timeout=0.0)
-        assert second is not None
-        assert [q.reading.detection_time
-                for q in second.entries] == [2.0, 3.0]
+        intake.put(reading("alice", 0.0))
+        assert not batcher.in_flight
+        assert batcher.next_batch(timeout=0.0) is not None
+        # Out of the intake but not yet processed: still in flight.
+        assert intake.total_pending() == 0
+        assert batcher.in_flight
+        batcher.complete()
+        assert not batcher.in_flight
 
     def test_oldest_object_served_first(self):
         clock = FakeClock()
@@ -331,7 +328,7 @@ class TestErrorNarrowing:
         db = SpatialDatabase(world)
         service = LocationService(db)
         UbisenseAdapter("Ubi-1", "SC/3", frame="").attach(db)
-        pipeline = LocationPipeline(service, PipelineConfig(workers=1))
+        pipeline = LocationPipeline(service, PipelineConfig())
         good = PipelineReading(
             sensor_id="Ubi-1", glob_prefix="SC/3", sensor_type="Ubisense",
             object_id="alice", rect=Rect(149, 19, 151, 21),
@@ -359,7 +356,7 @@ class TestErrorNarrowing:
         assert stats.notify_failures == 1       # surfaced and counted
         assert stats.fused == 1                 # the reading is persisted
         assert stats.reconciles()
-        assert pipeline.workers.errors == []    # worker loop survived
+        assert pipeline.errors == []    # fusion loop survived
         reasons = list(pipeline.dead_letters.reasons())
         assert any(r.startswith("unexpected:") for r in reasons)
 
@@ -412,3 +409,78 @@ class TestErrorNarrowing:
         assert stats.fused == 1
         assert stats.dead_lettered == 0
         assert stats.reconciles()
+
+
+class TestFusionThread:
+    """One fusion thread per pipeline; drain waits for its batch."""
+
+    _rig = TestErrorNarrowing._rig
+
+    def test_start_runs_exactly_one_fusion_thread(self):
+        _, pipeline, _ = self._rig()
+        before = set(threading.enumerate())
+        pipeline.start()
+        try:
+            started = [t for t in threading.enumerate() if t not in before]
+            assert [t.name for t in started] == ["pipeline-fusion"]
+        finally:
+            pipeline.stop()
+        assert not started[0].is_alive()
+
+    def test_workers_knob_is_gone(self):
+        from repro.pipeline import PipelineConfig
+        from repro.shard import ShardCluster
+
+        with pytest.raises(TypeError):
+            PipelineConfig(workers=2)
+        # The shard config key is checked before any shard spawns.
+        with pytest.raises(TypeError):
+            ShardCluster(1, pipeline={"workers": 1}, start=False)
+
+    def test_drain_false_while_batch_in_flight(self):
+        _, pipeline, good = self._rig()
+        entered = threading.Event()
+        release = threading.Event()
+        process = pipeline._process_batch
+
+        def blocked(batch):
+            entered.set()
+            release.wait(10.0)
+            process(batch)
+
+        pipeline._process_batch = blocked
+        pipeline.start()
+        try:
+            pipeline.submit(good)
+            assert entered.wait(5.0)
+            assert pipeline.intake.total_pending() == 0
+            assert pipeline.drain(timeout=0.05) is False
+            release.set()
+            assert pipeline.drain(timeout=10.0) is True
+        finally:
+            release.set()
+            pipeline.stop()
+        assert pipeline.stats().fused == 1
+
+    def test_processor_exception_recorded_and_loop_continues(self):
+        _, pipeline, good = self._rig()
+        process = pipeline._process_batch
+        calls = []
+
+        def flaky(batch):
+            calls.append(batch.object_id)
+            if len(calls) == 1:
+                raise RuntimeError("boom")
+            process(batch)
+
+        pipeline._process_batch = flaky
+        pipeline.start()
+        try:
+            pipeline.submit(good)
+            assert pipeline.drain(timeout=10.0)
+            pipeline.submit(dataclasses.replace(good, detection_time=2.0))
+            assert pipeline.drain(timeout=10.0)
+        finally:
+            pipeline.stop()
+        assert pipeline.errors == [("alice", "RuntimeError('boom')")]
+        assert pipeline.stats().fused == 1

@@ -1,6 +1,8 @@
 """Unit tests for repro.spatialdb.database — the spatial database."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import QueryError, SensorError, WorldModelError
 from repro.geometry import Point, Rect
@@ -172,6 +174,69 @@ class TestReadings:
         self._reading(db, obj="tom")
         self._reading(db, obj="ann")
         assert db.tracked_objects() == ["ann", "tom"]
+
+
+def scan_readings_for(db, obj, now, latest_per_sensor=True):
+    """readings_for as a full-table scan with one spec lookup per row."""
+    fresh = []
+    for row in db.sensor_readings.select():
+        if row["mobile_object_id"] != obj:
+            continue
+        spec = db.sensor_specs.get(row["sensor_id"])
+        ttl = spec["time_to_live"] if spec else float("inf")
+        if 0.0 <= now - row["detection_time"] <= ttl:
+            fresh.append(row)
+    if not latest_per_sensor:
+        return fresh
+    latest = {}
+    for row in fresh:
+        prior = latest.get(row["sensor_id"])
+        if prior is None or row["detection_time"] > prior["detection_time"]:
+            latest[row["sensor_id"]] = row
+    return sorted(latest.values(), key=lambda r: r["reading_id"])
+
+
+SENSORS = ("S1", "S2", "S3")
+# (sensor, object, detection time, rect offset); small integer times
+# make equal timestamps and TTL-boundary ages common.  "Ghost" is never
+# registered, so its readings never expire.
+scan_readings = st.lists(st.tuples(
+    st.sampled_from(SENSORS + ("Ghost",)), st.sampled_from(("tom", "ann")),
+    st.integers(0, 12), st.integers(0, 3)), max_size=25)
+
+
+class TestReadingsForMatchesScan:
+    @settings(max_examples=150, deadline=None)
+    @given(ttls=st.lists(st.integers(1, 6), min_size=3, max_size=3),
+           first=scan_readings, second=scan_readings,
+           resensor=st.sampled_from(SENSORS), new_ttl=st.integers(1, 6),
+           nows=st.lists(st.integers(0, 15), min_size=1, max_size=4))
+    def test_same_rows_same_order(self, ttls, first, second, resensor,
+                                  new_ttl, nows):
+        db = SpatialDatabase()
+        for sensor, ttl in zip(SENSORS, ttls):
+            db.register_sensor(sensor, "RF", 50.0, float(ttl))
+
+        def insert(batch):
+            for sensor, obj, t, k in batch:
+                db.insert_reading(sensor, "SC/3", "RF", obj,
+                                  Rect(k, 0, k + 1, 1), float(t))
+
+        def check():
+            for obj in ("tom", "ann"):
+                for now in nows:
+                    for latest in (True, False):
+                        assert db.readings_for(obj, float(now), latest) == \
+                            scan_readings_for(db, obj, float(now), latest)
+
+        insert(first)
+        check()
+        # Re-register one sensor with a new TTL: the cached spec map
+        # must not keep serving the old one.
+        db.sensor_specs.delete(lambda row: row["sensor_id"] == resensor)
+        db.register_sensor(resensor, "RF", 50.0, float(new_ttl))
+        insert(second)
+        check()
 
 
 class TestLocationTriggers:
