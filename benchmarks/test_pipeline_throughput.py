@@ -61,8 +61,7 @@ def run_pipeline() -> tuple:
                       consumer=lambda event: None, kind="both",
                       threshold=0.2)
     readings = _readings()
-    pipeline = LocationPipeline(service, PipelineConfig(
-        max_batch=16, max_wait=0.01))
+    pipeline = LocationPipeline(service, PipelineConfig())
     pipeline.start()
     start = time.perf_counter()
     try:

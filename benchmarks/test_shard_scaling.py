@@ -106,7 +106,6 @@ def _run(num_shards: int, stream: List[PipelineReading]) -> tuple:
     """One configuration; returns (seconds, fleet stats)."""
     cluster = ShardCluster(
         num_shards, world=siebel_floor(),
-        pipeline={"max_batch": 4, "max_wait": 0.005},
         fusion_cache_capacity=CACHE_CAPACITY, batch_size=32)
     try:
         router = cluster.router

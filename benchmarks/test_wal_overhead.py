@@ -72,8 +72,7 @@ def run_durable_pipeline(mode: str,
     service = LocationService(db)
     UbisenseAdapter("Ubi-1", "SC/3", frame="").attach(db)
     readings = _readings()
-    pipeline = LocationPipeline(service, PipelineConfig(
-        max_batch=16, max_wait=0.01))
+    pipeline = LocationPipeline(service, PipelineConfig())
     pipeline.start()
     start = time.perf_counter()
     try:

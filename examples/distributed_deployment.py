@@ -8,9 +8,10 @@ push notifications — the full CORBA-style deployment, in one process
 for convenience but crossing a real TCP boundary.
 
 Sensor readings travel the streaming ingestion pipeline: adapters
-emit into a bounded intake queue, worker threads batch and fuse, and
-region triggers are evaluated once per fused batch.  The pipeline is
-drained before the pull-mode queries so every reading is visible.
+emit into a bounded intake queue, one fusion thread fuses each
+person's queued backlog in one pass, and region triggers are evaluated
+once per fused batch.  The pipeline is drained before the pull-mode
+queries so every reading is visible.
 
 Run:  python examples/distributed_deployment.py
 """

@@ -94,10 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--seed", type=int, default=7)
     pipeline.add_argument("--policy", choices=OVERFLOW_POLICIES,
                           default=OVERFLOW_BLOCK)
-    pipeline.add_argument("--batch", type=int, default=16,
-                          help="max readings coalesced per fusion pass")
-    pipeline.add_argument("--max-wait", type=float, default=0.05,
-                          help="seconds a partial batch may wait")
     pipeline.add_argument("--wal-dir", default=None,
                           help="make the run durable: journal every "
                                "mutation into this directory")
@@ -194,12 +190,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
                                 snapshot_interval=args.snapshot_interval)
     scenario.standard_deployment()
     scenario.add_people(args.people)
-    config = PipelineConfig(
-        overflow_policy=args.policy,
-        max_batch=args.batch,
-        max_wait=args.max_wait,
-    )
-    pipeline = scenario.use_pipeline(config=config)
+    pipeline = scenario.use_pipeline(
+        config=PipelineConfig(overflow_policy=args.policy))
     try:
         scenario.run(args.seconds, dt=1.0)
         pipeline.drain()
@@ -226,11 +218,7 @@ def _run_sharded(args: argparse.Namespace) -> int:
     router = scenario.use_shards(
         args.shards, wal_root=args.wal_dir,
         durability_mode=args.durability,
-        pipeline={
-            "max_batch": args.batch,
-            "max_wait": args.max_wait,
-            "overflow_policy": args.policy,
-        })
+        pipeline={"overflow_policy": args.policy})
     try:
         scenario.run(args.seconds, dt=1.0)
         router.drain()

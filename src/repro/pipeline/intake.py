@@ -23,7 +23,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.errors import IntakeOverflowError, PipelineError
 from repro.geometry import Point, Rect
@@ -300,12 +300,17 @@ class IntakeQueue:
     # Consumer side (used by the batcher)
     # ------------------------------------------------------------------
 
-    def snapshot(self) -> Dict[str, Tuple[int, float]]:
-        """Per-object (pending count, oldest enqueue time) view."""
+    def oldest_object(self) -> Optional[str]:
+        """The object whose oldest queued reading has waited longest,
+        or ``None`` when nothing is queued."""
         with self._lock:
-            return {object_id: (len(q.entries), q.oldest_at)
-                    for object_id, q in self._queues.items()
-                    if q.entries}
+            best: Optional[str] = None
+            best_at = float("inf")
+            for object_id, queue in self._queues.items():
+                if queue.entries and queue.oldest_at < best_at:
+                    best = object_id
+                    best_at = queue.oldest_at
+            return best
 
     def take(self, object_id: str, limit: int) -> List[QueuedReading]:
         """Pop up to ``limit`` queued readings for one object."""
@@ -326,28 +331,20 @@ class IntakeQueue:
             return sum(len(q.entries) for q in self._queues.values())
 
     def version(self) -> int:
-        """Monotonic change counter, bumped by every put, consumer
-        notification, and close.  Consumers snapshot it before scanning
-        for ready work and hand it back to :meth:`wait_for_change`, so
-        a change landing between the scan and the wait is never lost."""
+        """Monotonic change counter, bumped by every put and by close.
+        The consumer snapshots it before scanning for work and hands it
+        back to :meth:`wait_for_change`, so a put landing between the
+        scan and the wait is never lost."""
         with self._lock:
             return self._version
 
     def wait_for_change(self, version: int, timeout: float) -> bool:
         """Block until the change counter moves past ``version`` (or
-        ``timeout`` elapses).  It does *not* return early just because
-        readings are queued — queued readings still inside their
-        batching window are not progress, and returning for them turns
-        the consumer into a busy-poller."""
+        ``timeout`` elapses).  Any queued reading is batchable at once,
+        so the consumer only waits here when its scan found the intake
+        empty."""
         with self._lock:
             if self._version != version:
                 return True
             self._not_empty.wait(timeout)
             return self._version != version
-
-    def notify_consumers(self) -> None:
-        """Wake the batcher's waiting consumer (readiness changed
-        without a put, e.g. a force-flush)."""
-        with self._lock:
-            self._version += 1
-            self._not_empty.notify_all()

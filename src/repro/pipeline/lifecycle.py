@@ -58,16 +58,12 @@ class PipelineConfig:
     Attributes:
         queue_capacity: bounded intake size *per tracked object*.
         overflow_policy: ``block`` / ``drop-oldest`` / ``reject``.
-        max_batch: fuse at most this many readings per object per pass.
-        max_wait: release a partial batch after this many seconds.
         retry: backoff schedule for transient flush/notify failures.
         dead_letter_capacity: letters retained for inspection.
     """
 
     queue_capacity: int = 256
     overflow_policy: str = OVERFLOW_BLOCK
-    max_batch: int = 16
-    max_wait: float = 0.05
     retry: RetryPolicy = RetryPolicy()
     dead_letter_capacity: int = 1024
 
@@ -110,8 +106,7 @@ class LocationPipeline:
         self.intake = IntakeQueue(self.config.queue_capacity,
                                   self.config.overflow_policy,
                                   clock=self.clock)
-        self.batcher = Batcher(self.intake, self.config.max_batch,
-                               self.config.max_wait, clock=self.clock)
+        self.batcher = Batcher(self.intake, clock=self.clock)
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         # (object_id, repr(exc)) for every batch whose processing
@@ -153,16 +148,15 @@ class LocationPipeline:
                 batcher.complete()
 
     def drain(self, timeout: float = 30.0) -> bool:
-        """Flush every queued and in-flight reading; True when empty.
+        """Wait until every queued and in-flight reading is processed;
+        True when the intake is empty with no batch in flight.
 
-        Partial batches are force-released so nothing waits out its
-        ``max_wait`` window.  Producers still submitting concurrently
-        can keep a drain from settling — quiesce them first.
+        Producers still submitting concurrently can keep a drain from
+        settling — quiesce them first.
         """
         if self._thread is None and self.intake.total_pending() > 0:
             raise PipelineError("cannot drain a pipeline that never "
                                 "started its fusion thread")
-        self.batcher.force_flush(True)
         try:
             deadline = self.clock() + timeout
             while self.clock() < deadline:
@@ -172,7 +166,6 @@ class LocationPipeline:
                 time.sleep(0.002)
             return False
         finally:
-            self.batcher.force_flush(False)
             self._sync_journal()
 
     def _sync_journal(self) -> None:

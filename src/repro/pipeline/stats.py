@@ -8,7 +8,7 @@ the totals reconcile exactly::
 
 Latencies are recorded into fixed geometric-bucket histograms (O(1)
 memory, deterministic percentiles) on two spans: enqueue→fused (queue
-wait + batch window + flush + fusion) and fused→notified (subscription
+wait + the batch's flush + fusion) and fused→notified (subscription
 evaluation + event delivery).
 """
 
@@ -44,8 +44,7 @@ class LatencyHistogram:
     """Fixed-bucket latency histogram with percentile estimates.
 
     Percentiles report the upper bound of the bucket containing the
-    requested rank, which over-estimates by at most one bucket width —
-    plenty for tuning batch windows.
+    requested rank, which over-estimates by at most one bucket width.
     """
 
     def __init__(self, bounds: Tuple[float, ...] = _DEFAULT_BOUNDS) -> None:

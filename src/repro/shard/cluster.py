@@ -44,7 +44,9 @@ class ShardCluster:
             ``<wal_root>/shard-<i>/g<generation>`` and can be
             restarted from it.
         durability_mode: ``"buffered"`` | ``"strict"`` (with wal_root).
-        pipeline: per-shard :class:`PipelineConfig` overrides (dict).
+        pipeline: per-shard :class:`PipelineConfig` overrides (dict,
+            e.g. ``{"queue_capacity": 64}``); an unknown key raises
+            ``TypeError`` before any shard spawns.
         fusion_cache_capacity: per-shard fusion memo entries.
         region_affinity: ``{glob_prefix: shard_index}`` placement hints.
         batch_size: router sender batch size.

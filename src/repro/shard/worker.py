@@ -73,8 +73,8 @@ class ShardServant:
     * ``world_json`` — the full world model, serialized.
     * ``shard_index`` / ``num_shards`` — identity, for stats.
     * ``pipeline`` — :class:`PipelineConfig` keyword overrides
-      (``max_batch``, ``max_wait``, ``queue_capacity``,
-      ``overflow_policy``).
+      (``queue_capacity``, ``overflow_policy``,
+      ``dead_letter_capacity``).
     * ``fusion_cache_capacity`` — per-shard fusion memo size.
     * ``wal_dir`` — when set, attach a
       :class:`repro.storage.DurabilityManager` journaling into it.

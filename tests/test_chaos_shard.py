@@ -85,8 +85,7 @@ def _run_kill_recover(tmp_path, seed: int, stream_len: int = 90):
     stream = [_reading(rng, step) for step in range(stream_len)]
 
     cluster = ShardCluster(
-        NUM_SHARDS, wal_root=str(tmp_path / "wal"),
-        pipeline={"max_wait": 0.01}, batch_size=8)
+        NUM_SHARDS, wal_root=str(tmp_path / "wal"), batch_size=8)
     try:
         router = cluster.router
         _register_sensors(router)
@@ -167,8 +166,7 @@ class TestKillAndRecover:
         rng = plan.rng
         stream = [_reading(rng, step) for step in range(40)]
         cluster = ShardCluster(
-            NUM_SHARDS, wal_root=str(tmp_path / "wal"),
-            pipeline={"max_wait": 0.01}, batch_size=8)
+            NUM_SHARDS, wal_root=str(tmp_path / "wal"), batch_size=8)
         try:
             router = cluster.router
             _register_sensors(router)
@@ -213,8 +211,7 @@ class TestSemanticKillRecover:
         stream = [_reading(rng, step) for step in range(stream_len)]
 
         cluster = ShardCluster(
-            NUM_SHARDS, wal_root=str(tmp_path / "wal"),
-            pipeline={"max_wait": 0.01}, batch_size=8)
+            NUM_SHARDS, wal_root=str(tmp_path / "wal"), batch_size=8)
         try:
             router = cluster.router
             _register_sensors(router)

@@ -50,8 +50,7 @@ class TestEndToEnd:
         service.subscribe(world.canonical_mbr("SC/3/3105"), events.append,
                           kind="both", threshold=0.2)
 
-        pipeline = LocationPipeline(
-            service, PipelineConfig(max_batch=16))
+        pipeline = LocationPipeline(service, PipelineConfig())
         for obj in range(OBJECTS):
             adapter.set_sink(pipeline)  # idempotent; exercises set_sink
         pipeline.start()

@@ -2,7 +2,9 @@
 
 import dataclasses
 import random
+import sys
 import threading
+import time
 
 import pytest
 
@@ -128,32 +130,39 @@ class TestDeadLetterQueue:
 
 
 class TestBatcher:
-    def test_count_window_releases_full_batch(self):
+    def test_takes_each_objects_whole_backlog(self):
         clock = FakeClock()
-        intake = IntakeQueue(capacity=32, clock=clock)
-        batcher = Batcher(intake, max_batch=3, max_wait=100.0, clock=clock)
-        for i in range(3):
+        intake = IntakeQueue(capacity=64, clock=clock)
+        batcher = Batcher(intake, clock=clock)
+        for i in range(40):
             intake.put(reading("alice", float(i)))
-        batch = batcher.next_batch(timeout=0.0)
-        assert batch is not None
-        assert batch.object_id == "alice"
-        assert len(batch) == 3
-        assert batch.detection_time == 2.0
+        clock.advance(1.0)
+        for i in range(3):
+            intake.put(reading("bob", float(i)))
+        first = batcher.next_batch(timeout=0.0)
+        assert first is not None and first.object_id == "alice"
+        assert [e.reading.detection_time for e in first.entries] == [
+            float(i) for i in range(40)]
+        assert first.detection_time == 39.0
+        batcher.complete()
+        second = batcher.next_batch(timeout=0.0)
+        assert second is not None and second.object_id == "bob"
+        assert len(second) == 3
+        batcher.complete()
+        assert batcher.next_batch(timeout=0.0) is None
 
-    def test_time_window_releases_partial_batch(self):
-        clock = FakeClock()
+    def test_single_reading_released_without_waiting(self):
+        clock = FakeClock()  # never advances: no window can expire
         intake = IntakeQueue(capacity=32, clock=clock)
-        batcher = Batcher(intake, max_batch=10, max_wait=5.0, clock=clock)
+        batcher = Batcher(intake, clock=clock)
         intake.put(reading("alice", 0.0))
-        assert batcher.next_batch(timeout=0.0) is None  # still waiting
-        clock.advance(5.0)
         batch = batcher.next_batch(timeout=0.0)
         assert batch is not None and len(batch) == 1
 
     def test_in_flight_until_complete(self):
         clock = FakeClock()
         intake = IntakeQueue(capacity=32, clock=clock)
-        batcher = Batcher(intake, max_batch=2, max_wait=0.0, clock=clock)
+        batcher = Batcher(intake, clock=clock)
         intake.put(reading("alice", 0.0))
         assert not batcher.in_flight
         assert batcher.next_batch(timeout=0.0) is not None
@@ -166,29 +175,12 @@ class TestBatcher:
     def test_oldest_object_served_first(self):
         clock = FakeClock()
         intake = IntakeQueue(capacity=32, clock=clock)
-        batcher = Batcher(intake, max_batch=10, max_wait=0.0, clock=clock)
+        batcher = Batcher(intake, clock=clock)
         intake.put(reading("late", 0.0))
         clock.advance(1.0)
         intake.put(reading("later", 1.0))
         batch = batcher.next_batch(timeout=0.0)
         assert batch is not None and batch.object_id == "late"
-
-    def test_force_flush_releases_everything(self):
-        clock = FakeClock()
-        intake = IntakeQueue(capacity=32, clock=clock)
-        batcher = Batcher(intake, max_batch=100, max_wait=100.0,
-                          clock=clock)
-        intake.put(reading("alice", 0.0))
-        assert batcher.next_batch(timeout=0.0) is None
-        batcher.force_flush(True)
-        assert batcher.next_batch(timeout=0.0) is not None
-
-    def test_invalid_configuration(self):
-        intake = IntakeQueue()
-        with pytest.raises(PipelineError):
-            Batcher(intake, max_batch=0)
-        with pytest.raises(PipelineError):
-            Batcher(intake, max_wait=-1.0)
 
 
 class TestRetry:
@@ -431,11 +423,15 @@ class TestFusionThread:
         from repro.pipeline import PipelineConfig
         from repro.shard import ShardCluster
 
-        with pytest.raises(TypeError):
-            PipelineConfig(workers=2)
+        # Removed knobs: the worker count and the batching windows.
+        for removed in ({"workers": 2}, {"max_batch": 16},
+                        {"max_wait": 0.01}):
+            with pytest.raises(TypeError):
+                PipelineConfig(**removed)
         # The shard config key is checked before any shard spawns.
-        with pytest.raises(TypeError):
-            ShardCluster(1, pipeline={"workers": 1}, start=False)
+        for removed in ({"workers": 1}, {"max_wait": 0.01}):
+            with pytest.raises(TypeError):
+                ShardCluster(1, pipeline=removed, start=False)
 
     def test_drain_false_while_batch_in_flight(self):
         _, pipeline, good = self._rig()
@@ -461,6 +457,60 @@ class TestFusionThread:
             release.set()
             pipeline.stop()
         assert pipeline.stats().fused == 1
+
+    def test_backlog_fused_in_one_batch(self):
+        _, pipeline, good = self._rig()
+        for i in range(100):
+            pipeline.submit(dataclasses.replace(
+                good, detection_time=1.0 + i * 0.01))
+        pipeline.start()
+        try:
+            assert pipeline.drain(timeout=10.0)
+        finally:
+            pipeline.stop()
+        stats = pipeline.stats()
+        assert stats.batches == 1
+        assert stats.fused == 100
+        assert stats.reconciles()
+
+    def test_drain_waits_for_backlogs_under_concurrent_producers(self):
+        _, pipeline, good = self._rig()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+
+        def produce(k, burst):
+            for i in range(20):
+                pipeline.submit(dataclasses.replace(
+                    good, object_id=f"p{k}",
+                    detection_time=1.0 + burst + i * 0.01))
+
+        process = pipeline._process_batch
+
+        def slow(batch):  # a slow consumer keeps each batch in flight
+            time.sleep(0.005)
+            process(batch)
+
+        pipeline._process_batch = slow
+        fused = []
+        pipeline.start()
+        try:
+            for burst in range(10):
+                producers = [threading.Thread(target=produce,
+                                              args=(k, burst))
+                             for k in range(4)]
+                for thread in producers:
+                    thread.start()
+                for thread in producers:
+                    thread.join(30.0)
+                assert not any(thread.is_alive() for thread in producers)
+                assert pipeline.drain(timeout=30.0)
+                # Drain alone must have waited out the batch in flight.
+                fused.append(pipeline.stats().fused)
+        finally:
+            sys.setswitchinterval(interval)
+            pipeline.stop()
+        assert fused == [80 * (burst + 1) for burst in range(10)]
+        assert pipeline.stats().reconciles()
 
     def test_processor_exception_recorded_and_loop_continues(self):
         _, pipeline, good = self._rig()

@@ -106,3 +106,15 @@ class TestCli:
                      "--people", "4"]) == 0
         out = capsys.readouterr().out
         assert "calibration of RF" in out
+
+    def test_pipeline_command(self, capsys):
+        from repro.cli import main
+        assert main(["pipeline", "--people", "3", "--seconds", "30"]) == 0
+        assert "reconciles=True" in capsys.readouterr().out
+
+    def test_pipeline_command_has_no_batching_flags(self, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--batch", "16"])
+        assert exc.value.code == 2
+        assert "--batch" in capsys.readouterr().err
