@@ -1,26 +1,29 @@
 """Shard fleet scaling: readings/second at 1, 2, 4 and 8 shards.
 
-This box pins everything to one core, so the win cannot come from
-parallel fusion — it comes from *partitioned working sets*.  Each
-shard owns its slice of the tracked-object population and its own
+The bench was built to show *partitioned working sets*.  Each shard
+owns its slice of the tracked-object population and its own
 content-addressed fusion cache (capacity 32 entries).  The workload
 tracks 64 stationary objects, each sighted by ten sensors whose
-rectangles overlap (an expensive ten-set lattice per cache miss):
+rectangles overlap (an expensive ten-set lattice per cache miss), in
+an order that cycles all 64 fusion keys round-robin:
 
 * 1 shard: 64 distinct fusion fingerprints cycle through one
-  32-entry LRU — every access evicts before its key comes around
-  again, so every round re-evaluates every lattice;
-* 4 shards: ~16 objects per shard fit each cache with room to spare —
-  after the first round every fusion is a lookup.
+  32-entry LRU, which evicts every key before it comes around again;
+* 4 shards: ~16 objects per shard fit each cache.
 
-The RPC, insert and normalization costs are identical in every
-configuration (all of them run through real shard processes over the
-ORB's TCP transport); only the fusion-cache hit rate changes.  On a
-multi-core host the same partitioning additionally buys real
-parallelism, so these numbers are the *floor* of the win.
+That only matters while the engine fuses once per reading or per
+small batch.  Shard pipelines now fuse each object's whole queued
+backlog in one pass and the router ships a shard's whole queue per
+RPC, so a 1-shard fleet fuses each object only a handful of times and
+the cache hardly comes into play (see the ``cache hits`` column).
+
+The last row is the control: one process whose cache holds all 64
+keys, as the 4-shard fleet's caches do between them.  What 4 shards
+gain over the control is what sharding adds beyond cache capacity.
 
 Results go to benchmarks/results/shard_scaling.txt; the
-``test_perf_smoke_shard_scaling`` gate holds the 4-shard speedup.
+``test_perf_smoke_shard_scaling`` gate holds the 4-shard speedup over
+one 32-entry process at 2x.
 """
 
 from __future__ import annotations
@@ -102,11 +105,12 @@ def _stream() -> List[PipelineReading]:
     return out
 
 
-def _run(num_shards: int, stream: List[PipelineReading]) -> tuple:
+def _run(num_shards: int, stream: List[PipelineReading],
+         cache_capacity: int = CACHE_CAPACITY) -> tuple:
     """One configuration; returns (seconds, fleet stats)."""
     cluster = ShardCluster(
         num_shards, world=siebel_floor(),
-        fusion_cache_capacity=CACHE_CAPACITY, batch_size=32)
+        fusion_cache_capacity=cache_capacity)
     try:
         router = cluster.router
         for sensor_id in SENSOR_IDS:
@@ -125,53 +129,60 @@ def _run(num_shards: int, stream: List[PipelineReading]) -> tuple:
         cluster.shutdown()
 
 
+def _row(num_shards: int, stream: List[PipelineReading],
+         cache_capacity: int = CACHE_CAPACITY) -> dict:
+    # Best-of-two per configuration, like the smoke gate: one bad
+    # scheduler moment should not misprice a whole row.
+    elapsed, fleet = min((_run(num_shards, stream, cache_capacity)
+                          for _ in range(2)), key=lambda r: r[0])
+    return {
+        "shards": num_shards,
+        "cache": cache_capacity,
+        "seconds": elapsed,
+        "rps": len(stream) / elapsed,
+        "cache_hits": fleet["fusion_cache_hits"],
+        "fused": fleet["fused"],
+    }
+
+
 def _series(shard_counts: List[int]) -> List[dict]:
+    """One row per shard count, then the same-capacity control: one
+    process whose cache holds the whole population."""
     stream = _stream()
-    rows = []
-    for num_shards in shard_counts:
-        # Best-of-two per configuration, like the smoke gate: one bad
-        # scheduler moment should not misprice a whole row.
-        elapsed, fleet = min((_run(num_shards, stream)
-                              for _ in range(2)), key=lambda r: r[0])
-        rows.append({
-            "shards": num_shards,
-            "seconds": elapsed,
-            "rps": len(stream) / elapsed,
-            "cache_hits": fleet["fusion_cache_hits"],
-            "fused": fleet["fused"],
-        })
+    rows = [_row(num_shards, stream) for num_shards in shard_counts]
+    rows.append(_row(1, stream, cache_capacity=OBJECTS))
     return rows
 
 
 def test_shard_scaling(results_dir):
     rows = _series(SHARD_COUNTS)
     base = rows[0]
+    control = rows[-1]
     lines = [
         "Shard fleet scaling - readings/s through the router sink",
-        f"(single-core host; {OBJECTS} stationary objects x "
-        f"{SENSOR_COUNT} overlapping sensors x {ROUNDS} rounds; "
-        f"per-shard fusion cache {CACHE_CAPACITY} entries; "
-        "best of 2 per row)",
+        f"({OBJECTS} stationary objects x {SENSOR_COUNT} overlapping "
+        f"sensors x {ROUNDS} rounds; per-shard fusion cache "
+        f"{CACHE_CAPACITY} entries unless noted; best of 2 per row)",
         "",
-        f"{'shards':>6} {'seconds':>9} {'readings/s':>11} "
+        f"{'shards':>6} {'cache':>6} {'seconds':>9} {'readings/s':>11} "
         f"{'speedup':>8} {'cache hits':>11}",
     ]
     for row in rows:
         speedup = row["rps"] / base["rps"]
         lines.append(
-            f"{row['shards']:>6} {row['seconds']:>9.3f} "
+            f"{row['shards']:>6} {row['cache']:>6} {row['seconds']:>9.3f} "
             f"{row['rps']:>11.0f} {speedup:>7.2f}x "
             f"{row['cache_hits']:>11}")
     four = next(r for r in rows if r["shards"] == 4)
     lines += [
         "",
-        f"4-shard speedup: {four['rps'] / base['rps']:.2f}x "
-        "(acceptance floor: 2x)",
-        "The win is cache locality, not cores: 64 fusion keys thrash "
-        "one 32-entry LRU; 16 per shard always hit after warmup.",
-        "The 8-shard row buys no extra cache headroom (640 hits either "
-        "way) and pays single-core scheduling for twice the processes; "
-        "a multi-core host turns that overhead into real parallelism.",
+        f"4-shard speedup: {four['rps'] / base['rps']:.2f}x over one "
+        f"{CACHE_CAPACITY}-entry process (acceptance floor: 2x), "
+        f"{four['rps'] / control['rps']:.2f}x over the control.",
+        f"Control (last row): one process whose {OBJECTS}-entry cache "
+        "holds the whole population, as the 4-shard fleet's caches do "
+        "between them.  Speedup over the control is what sharding "
+        "adds beyond cache capacity.",
     ]
     write_result(results_dir, "shard_scaling", lines)
     # The population must not fit one shard's cache but must fit four.

@@ -246,8 +246,8 @@ def _run_sharded(args: argparse.Namespace) -> int:
                   f"fused={shard['pipeline']['fused']} "
                   f"tracked={shard['tracked']} "
                   f"queue_depth={sender.get('queue_depth', 0)} "
-                  f"flush_latency="
-                  f"{sender.get('flush_latency', 0.0) * 1e3:.2f}ms")
+                  f"batches={sender.get('batches', 0)} "
+                  f"queue_peak={sender.get('queue_peak', 0)}")
         if not router.reconciles():
             print("WARNING: fleet accounting does not reconcile",
                   file=sys.stderr)

@@ -840,13 +840,15 @@ class TcpTransport:
     Because the death may have struck after the server executed the
     request but before the response survived the wire, a retry can
     re-execute: every method invoked through this transport must be
-    idempotent at least once-retried.  The shard fleet's hot methods
-    are: ``register_sensor`` is explicitly idempotent servant-side,
-    queries are read-only, and a retried ``submit_batch`` can at
-    worst duplicate readings whose reading-ids the pipeline
-    deduplicates downstream — but new servants must keep this
-    contract in mind.  An endpoint nobody listens on raises
-    :class:`TransportError` immediately.
+    idempotent at least once-retried.  Among the shard fleet's hot
+    methods, ``register_sensor`` is explicitly idempotent servant-side
+    and queries are read-only, but ``submit_batch`` is not: readings
+    carry no id before the database inserts them and nothing
+    deduplicates them, so a once-retried ``submit_batch`` can insert
+    its readings (a whole sender queue, up to the router's per-RPC
+    cap) twice.  ROADMAP item 2 builds exactly-once ingest.  An
+    endpoint nobody listens on raises :class:`TransportError`
+    immediately.
 
     Args:
         codec: preferred wire codec (``"binary"`` or ``"json"``); the

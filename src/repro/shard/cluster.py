@@ -49,7 +49,6 @@ class ShardCluster:
             ``TypeError`` before any shard spawns.
         fusion_cache_capacity: per-shard fusion memo entries.
         region_affinity: ``{glob_prefix: shard_index}`` placement hints.
-        batch_size: router sender batch size.
         wire_codec: preferred ORB codec fleet-wide (``"binary"`` |
             ``"json"``); peers negotiate down to JSON automatically,
             so a mixed fleet still interoperates.
@@ -62,7 +61,6 @@ class ShardCluster:
                  pipeline: Optional[Dict[str, Any]] = None,
                  fusion_cache_capacity: int = 32,
                  region_affinity: Optional[Dict[str, int]] = None,
-                 batch_size: int = 32,
                  wire_codec: str = "binary",
                  start: bool = True) -> None:
         if num_shards < 1:
@@ -77,7 +75,6 @@ class ShardCluster:
         PipelineConfig(**self.pipeline_config)
         self.fusion_cache_capacity = fusion_cache_capacity
         self.region_affinity = region_affinity
-        self.batch_size = batch_size
         self.wire_codec = wire_codec
         self._ctx = multiprocessing.get_context("spawn")
         self._processes: List[Optional[Any]] = [None] * num_shards
@@ -142,8 +139,7 @@ class ShardCluster:
         partitioner = HashPartitioner(self.num_shards,
                                       self.region_affinity)
         self.router = ShardRouter(self.orb, self.references(),
-                                  self.world, partitioner=partitioner,
-                                  batch_size=self.batch_size)
+                                  self.world, partitioner=partitioner)
         return self
 
     def reference(self, index: int) -> str:

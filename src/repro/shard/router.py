@@ -14,8 +14,9 @@ Two ingest paths mirror the single-process engine's two:
 * :meth:`insert_reading` — synchronous, triggers fire per insert on
   the owning shard (the reference-equivalent path);
 * :meth:`submit` — the :class:`~repro.sensors.base.ReadingSink`
-  contract: readings queue per shard and background sender threads
-  flush them in batches through each shard's ingestion pipeline.
+  contract: readings queue per shard and a background sender thread
+  per shard ships its whole queue in one ``submit_batch`` RPC whenever
+  the previous one has returned, into the shard's ingestion pipeline.
   A shard that dies mid-stream fails its in-flight batch; those
   readings are counted ``router_dead_lettered`` so fleet accounting
   still reconciles exactly.
@@ -60,16 +61,21 @@ def _translate(exc: RemoteInvocationError) -> Exception:
     return exc
 
 
+# Readings per ``submit_batch`` RPC.  A sender ships its shard's whole
+# queue whenever it is free; this cap only bounds one frame (about
+# 1 MB packed, far below the transport's 64 MiB frame limit).
+MAX_RPC_READINGS = 8192
+
+
 class _ShardSender(threading.Thread):
     """Background flusher for one shard's outbound reading queue.
 
-    Batch size adapts to backlog: each drain that still leaves a
-    backlog doubles the next batch (up to ``8 * base``), and a drain
-    that empties the queue decays it back toward the configured base —
-    bursty ingest amortizes the per-RPC cost over bigger batches while
-    quiet streams keep the low-latency small ones.  Queue depth, peak,
-    current batch size and an EWMA of flush latency are exported
-    through :meth:`snapshot` into ``ShardRouter.stats()``.
+    Work-conserving: whenever the previous RPC has returned, the sender
+    takes everything queued for its shard (up to
+    :data:`MAX_RPC_READINGS`) and ships it in one synchronous
+    ``submit_batch``, so a backlog costs one round-trip.  One RPC is
+    in flight per sender.  Queue depth, peak and the RPC count are
+    exported through :meth:`snapshot` into ``ShardRouter.stats()``.
     """
 
     def __init__(self, router: "ShardRouter", index: int) -> None:
@@ -80,12 +86,9 @@ class _ShardSender(threading.Thread):
         self.lock = threading.Lock()
         self.wakeup = threading.Condition(self.lock)
         self.closed = False
-        self.batch_size = router.batch_size
-        self.max_batch = router.batch_size * 8
         self.inflight = 0
         self.queue_peak = 0
         self.batches = 0
-        self.flush_latency = 0.0
 
     def put(self, reading: PipelineReading) -> None:
         with self.lock:
@@ -106,9 +109,7 @@ class _ShardSender(threading.Thread):
                 "shard": self.index,
                 "queue_depth": len(self.queue) + self.inflight,
                 "queue_peak": self.queue_peak,
-                "batch_size": self.batch_size,
                 "batches": self.batches,
-                "flush_latency": self.flush_latency,
             }
 
     def close(self) -> None:
@@ -117,32 +118,19 @@ class _ShardSender(threading.Thread):
             self.wakeup.notify()
 
     def run(self) -> None:
-        import time
-        base = self.router.batch_size
         while True:
             with self.lock:
                 while not self.queue and not self.closed:
                     self.wakeup.wait(0.1)
                 if self.closed and not self.queue:
                     return
-                backlog = len(self.queue)
-                if backlog > self.batch_size:
-                    self.batch_size = min(self.batch_size * 2,
-                                          self.max_batch)
-                elif backlog <= base and self.batch_size > base:
-                    self.batch_size = max(base, self.batch_size // 2)
-                batch = [self.queue.popleft()
-                         for _ in range(min(self.batch_size, backlog))]
+                batch = [self.queue.popleft() for _ in
+                         range(min(len(self.queue), MAX_RPC_READINGS))]
                 self.inflight = len(batch)
-            start = time.monotonic()
             self.router._flush_batch(self.index, batch)
-            elapsed = time.monotonic() - start
             with self.lock:
                 self.inflight = 0
                 self.batches += 1
-                self.flush_latency = (
-                    elapsed if self.batches == 1
-                    else 0.8 * self.flush_latency + 0.2 * elapsed)
 
 
 class ShardRouter:
@@ -156,12 +144,10 @@ class ShardRouter:
             resolution and path distance are computed router-side).
         partitioner: placement override; defaults to a plain
             :class:`HashPartitioner` over ``len(shard_refs)``.
-        batch_size: readings per ``submit_batch`` RPC on the async path.
     """
 
     def __init__(self, orb: Orb, shard_refs: List[str], world: WorldModel,
-                 partitioner: Optional[HashPartitioner] = None,
-                 batch_size: int = 32) -> None:
+                 partitioner: Optional[HashPartitioner] = None) -> None:
         if not shard_refs:
             raise ServiceError("router needs at least one shard")
         self.orb = orb
@@ -171,7 +157,6 @@ class ShardRouter:
                             else HashPartitioner(self.num_shards))
         if self.partitioner.num_shards != self.num_shards:
             raise ServiceError("partitioner shard count mismatch")
-        self.batch_size = batch_size
         self._refs = list(shard_refs)
         self._proxies = [orb.resolve(ref) for ref in shard_refs]
         self.navigation = NavigationGraph(world)
@@ -280,8 +265,8 @@ class ShardRouter:
     def _flush_batch(self, index: int,
                      batch: List[PipelineReading]) -> None:
         # Readings ship as registered wire values (struct-packed on
-        # binary connections); servants also accept the legacy dict
-        # shape, so old peers interoperate.
+        # binary connections).  The call goes through the proxy
+        # attribute so tracing that wraps ``submit_batch`` sees it.
         try:
             self._proxies[index].submit_batch(batch)
         except (TransportError, RemoteInvocationError) as exc:

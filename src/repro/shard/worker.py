@@ -25,7 +25,7 @@ from repro.errors import ServiceError
 from repro.geometry import Point, Rect
 from repro.model.serialize import world_from_json
 from repro.orb import Orb
-from repro.pipeline import LocationPipeline, PipelineConfig, PipelineReading
+from repro.pipeline import LocationPipeline, PipelineConfig
 from repro.reasoning.incremental import LocationUpdate
 from repro.service import LocationService
 from repro.service.subscriptions import KIND_ENTER, Subscription
@@ -35,33 +35,6 @@ from repro.storage.records import decode_spec
 # Every shard registers its servant under this object id; references
 # differ only in the port: tcp://127.0.0.1:<port>/shard.
 SHARD_OBJECT_ID = "shard"
-
-
-def reading_to_wire(reading: PipelineReading) -> Dict[str, Any]:
-    """A :class:`PipelineReading` as a codec-safe dict."""
-    return {
-        "sensor_id": reading.sensor_id,
-        "glob_prefix": reading.glob_prefix,
-        "sensor_type": reading.sensor_type,
-        "object_id": reading.object_id,
-        "rect": reading.rect,
-        "detection_time": reading.detection_time,
-        "location": reading.location,
-        "detection_radius": reading.detection_radius,
-    }
-
-
-def reading_from_wire(data: Dict[str, Any]) -> PipelineReading:
-    return PipelineReading(
-        sensor_id=data["sensor_id"],
-        glob_prefix=data["glob_prefix"],
-        sensor_type=data["sensor_type"],
-        object_id=data["object_id"],
-        rect=data["rect"],
-        detection_time=data["detection_time"],
-        location=data.get("location"),
-        detection_radius=data.get("detection_radius", 0.0),
-    )
 
 
 class ShardServant:
@@ -208,17 +181,15 @@ class ShardServant:
     def submit_batch(self, readings: List[Any]) -> int:
         """Asynchronous ingest through the shard's pipeline.
 
-        Accepts :class:`PipelineReading` values directly (the binary
-        codec ships them packed) as well as the legacy field dicts
-        older routers send.  Returns how many readings the intake
-        accepted; refused/dead-lettered ones are visible in
+        Items go straight to the pipeline, which dead-letters anything
+        that is not a well-formed :class:`PipelineReading` (a field
+        dict included) with a reason.  Returns how many readings the
+        intake accepted; refused/dead-lettered ones are visible in
         :meth:`stats`.
         """
         from repro.errors import IntakeOverflowError
         accepted = 0
-        for data in readings:
-            reading = (data if isinstance(data, PipelineReading)
-                       else reading_from_wire(data))
+        for reading in readings:
             try:
                 if self.pipeline.submit(reading):
                     accepted += 1

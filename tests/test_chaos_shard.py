@@ -85,7 +85,7 @@ def _run_kill_recover(tmp_path, seed: int, stream_len: int = 90):
     stream = [_reading(rng, step) for step in range(stream_len)]
 
     cluster = ShardCluster(
-        NUM_SHARDS, wal_root=str(tmp_path / "wal"), batch_size=8)
+        NUM_SHARDS, wal_root=str(tmp_path / "wal"))
     try:
         router = cluster.router
         _register_sensors(router)
@@ -166,7 +166,7 @@ class TestKillAndRecover:
         rng = plan.rng
         stream = [_reading(rng, step) for step in range(40)]
         cluster = ShardCluster(
-            NUM_SHARDS, wal_root=str(tmp_path / "wal"), batch_size=8)
+            NUM_SHARDS, wal_root=str(tmp_path / "wal"))
         try:
             router = cluster.router
             _register_sensors(router)
@@ -211,7 +211,7 @@ class TestSemanticKillRecover:
         stream = [_reading(rng, step) for step in range(stream_len)]
 
         cluster = ShardCluster(
-            NUM_SHARDS, wal_root=str(tmp_path / "wal"), batch_size=8)
+            NUM_SHARDS, wal_root=str(tmp_path / "wal"))
         try:
             router = cluster.router
             _register_sensors(router)

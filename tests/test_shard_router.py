@@ -1,0 +1,161 @@
+"""The router's per-shard senders, against an in-process ORB.
+
+A recording servant stands in for a shard: it keeps every
+``submit_batch`` it receives and can hold the first one open on an
+``Event``, which pins the sender's work-conserving contract — whatever
+queued while an RPC was in flight ships in the next RPC, whole, capped
+only by ``MAX_RPC_READINGS``.
+"""
+
+from __future__ import annotations
+
+import math
+import threading
+import time
+from typing import List
+
+import pytest
+
+from repro.geometry import Rect
+from repro.model.serialize import world_to_json
+from repro.orb import Orb, wire
+from repro.orb.transport import _MAX_FRAME
+from repro.pipeline import PipelineReading
+from repro.shard import ShardCluster, ShardRouter, router as router_module
+from repro.shard.worker import ShardServant
+from repro.sim import Scenario, siebel_floor
+
+
+class RecordingShard:
+    """Records every batch; optionally blocks the first call."""
+
+    ORB_EXPOSED = ("submit_batch",)
+
+    def __init__(self, hold_first: bool = False) -> None:
+        self.batches: List[List[PipelineReading]] = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        if not hold_first:
+            self.release.set()
+
+    def submit_batch(self, readings):
+        self.batches.append(list(readings))
+        self.entered.set()
+        assert self.release.wait(10.0)
+        return len(readings)
+
+
+def _reading(step: int) -> PipelineReading:
+    return PipelineReading(
+        sensor_id="Ubi-1", glob_prefix="SC/3", sensor_type="Ubisense",
+        object_id="alice", rect=Rect(1.0, 1.0, 2.0, 2.0),
+        detection_time=float(step))
+
+
+def _router(servant) -> ShardRouter:
+    orb = Orb("router-test")
+    reference = orb.register("shard", servant)
+    return ShardRouter(orb, [reference], siebel_floor())
+
+
+def _wait_idle(router: ShardRouter, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while router.stats()["router"]["pending"]:
+        assert time.monotonic() < deadline, "sender never went idle"
+        time.sleep(0.002)
+
+
+class TestWorkConservingSender:
+    def test_backlog_queued_during_an_rpc_ships_in_the_next(self):
+        servant = RecordingShard(hold_first=True)
+        router = _router(servant)
+        try:
+            router.submit(_reading(0))
+            assert servant.entered.wait(10.0)
+            backlog = [_reading(step) for step in range(1, 101)]
+            for reading in backlog:
+                router.submit(reading)
+            servant.release.set()
+            _wait_idle(router)
+            assert [len(b) for b in servant.batches] == [1, len(backlog)]
+            assert servant.batches[1] == backlog
+            sender = router.stats()["router"]["senders"][0]
+            assert sender["batches"] == 2
+            assert sender["queue_peak"] == len(backlog)
+            assert sender["queue_depth"] == 0
+        finally:
+            router.close()
+
+    def test_backlog_over_the_cap_ships_in_capped_rpcs(self, monkeypatch):
+        cap = 16
+        monkeypatch.setattr(router_module, "MAX_RPC_READINGS", cap)
+        servant = RecordingShard(hold_first=True)
+        router = _router(servant)
+        try:
+            router.submit(_reading(0))
+            assert servant.entered.wait(10.0)
+            backlog = [_reading(step) for step in range(1, 51)]
+            for reading in backlog:
+                router.submit(reading)
+            servant.release.set()
+            _wait_idle(router)
+            tail = servant.batches[1:]
+            assert len(tail) == math.ceil(len(backlog) / cap)
+            assert all(len(batch) <= cap for batch in tail)
+            assert [r for batch in tail for r in batch] == backlog
+            route = router.stats()["router"]
+            assert route["submitted"] == route["forwarded"] == 51
+            assert router.reconciles()
+        finally:
+            router.close()
+
+    def test_a_full_rpc_frame_stays_far_below_the_frame_cap(self):
+        batch = [_reading(step)
+                 for step in range(router_module.MAX_RPC_READINGS)]
+        request = {"object": "shard", "method": "submit_batch",
+                   "args": [batch], "kwargs": {}}
+        assert len(wire.dumps(request)) < _MAX_FRAME // 16
+
+
+class TestBatchSizeKnobIsGone:
+    def test_cluster_rejects_batch_size_before_spawning(self, monkeypatch):
+        def no_spawn(self, index, recover_from=None):
+            raise AssertionError("a shard was spawned")
+        monkeypatch.setattr(ShardCluster, "_spawn", no_spawn)
+        with pytest.raises(TypeError):
+            ShardCluster(1, batch_size=8)
+
+    def test_router_rejects_batch_size(self):
+        orb = Orb("router-test")
+        reference = orb.register("shard", RecordingShard())
+        with pytest.raises(TypeError):
+            ShardRouter(orb, [reference], siebel_floor(),
+                        batch_size=8)
+
+    def test_scenario_use_shards_rejects_batch_size(self):
+        with pytest.raises(TypeError):
+            Scenario().use_shards(1, batch_size=8)
+
+
+class TestServantIntake:
+    def test_field_dict_is_dead_lettered_and_books_reconcile(self):
+        servant = ShardServant({"world_json": world_to_json(siebel_floor())})
+        orb = Orb("servant-test")
+        proxy = orb.resolve(orb.register("shard", servant))
+        try:
+            legacy = {"sensor_id": "Ubi-1", "glob_prefix": "SC/3",
+                      "sensor_type": "Ubisense", "object_id": "alice",
+                      "rect": Rect(1.0, 1.0, 2.0, 2.0),
+                      "detection_time": 0.0}
+            assert proxy.submit_batch([legacy]) == 0
+            assert proxy.drain(10.0)
+            pipeline = proxy.stats()["pipeline"]
+            assert pipeline["dead_lettered"] == 1
+            assert pipeline["enqueued"] == (pipeline["fused"]
+                                            + pipeline["dropped"]
+                                            + pipeline["dead_lettered"])
+            assert proxy.check_invariants() == []
+            letter = servant.pipeline.dead_letters.items()[0]
+            assert "not a PipelineReading" in letter.reason
+        finally:
+            servant._teardown()

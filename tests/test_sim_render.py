@@ -112,6 +112,15 @@ class TestCli:
         assert main(["pipeline", "--people", "3", "--seconds", "30"]) == 0
         assert "reconciles=True" in capsys.readouterr().out
 
+    def test_sharded_pipeline_prints_sender_rpc_counts(self, capsys):
+        from repro.cli import main
+        assert main(["pipeline", "--shards", "1", "--people", "3",
+                     "--seconds", "10"]) == 0
+        line = next(text for text in capsys.readouterr().out.splitlines()
+                    if text.startswith("  shard 0:"))
+        assert "batches=" in line and "queue_peak=" in line
+        assert "flush_latency" not in line
+
     def test_pipeline_command_has_no_batching_flags(self, capsys):
         from repro.cli import main
         with pytest.raises(SystemExit) as exc:
