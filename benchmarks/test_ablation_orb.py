@@ -1,11 +1,11 @@
-"""Ablation A4: ORB transport cost — in-process vs TCP, JSON vs binary.
+"""Ablation A4: ORB transport cost — in-process vs TCP, serial vs piped.
 
 The paper runs everything over Orbacus; our ORB offers an in-process
-path and a real TCP path, and the TCP path now carries two codecs
-(tagged JSON and the packed binary wire format) over two framings
-(legacy serial and the multiplexed, pipelined protocol).  This
-ablation prices the distribution boundary for the middleware's
-hottest call, locate(), along every one of those lanes.
+path and a real TCP path.  The TCP path speaks one multiplexed framing
+with the packed binary codec, and can carry one request at a time or
+a pipelined batch on its one connection.  This ablation prices the
+distribution boundary for the middleware's hottest call, locate(),
+along each of those lanes.
 
 The TCP rows measure against a *separate server process* — the shape
 the shard fleet actually deploys — so the client and server do not
@@ -15,8 +15,8 @@ than two threads fighting over one interpreter.
 Results go to benchmarks/results/ablation_orb.txt.  Two CI gates ride
 along: ``test_perf_smoke_orb_codec`` (binary codec >= 2.5x the JSON
 codec on the locate() response shape) and
-``test_perf_smoke_orb_transport`` (pipelined binary locate() >= 2x
-over the serial JSON path it replaced).
+``test_perf_smoke_orb_transport`` (pipelined locate() >= 1.5x over
+serial calls on the same connection).
 """
 
 from __future__ import annotations
@@ -123,9 +123,7 @@ def test_transport_cost_table(benchmark, results_dir):
     rounds = 200
 
     proc, pipe, port = spawn_server()
-    json_tx = TcpTransport("127.0.0.1", port, codec="json",
-                           negotiate=False)
-    binary_tx = TcpTransport("127.0.0.1", port, codec="binary")
+    transport = TcpTransport("127.0.0.1", port)
     batch = [LOCATE_REQUEST] * PIPELINE_WIDTH
     trials = 3  # best-of, interleaved: lane ratios survive load spikes
     try:
@@ -134,26 +132,21 @@ def test_transport_cost_table(benchmark, results_dir):
         inproc = min(
             _measure(lambda: inproc_proxy.locate("alice"), rounds)
             for _ in range(trials))
-        legacy, mux, piped = (float("inf"),) * 3
+        serial, piped = float("inf"), float("inf")
         for _ in range(trials):
-            legacy = min(legacy, _measure(
-                lambda: json_tx.invoke(LOCATE_REQUEST), rounds))
-            mux = min(mux, _measure(
-                lambda: binary_tx.invoke(LOCATE_REQUEST), rounds))
+            serial = min(serial, _measure(
+                lambda: transport.invoke(LOCATE_REQUEST), rounds))
             piped = min(piped, _measure(
-                lambda: binary_tx.invoke_many(batch),
+                lambda: transport.invoke_many(batch),
                 max(1, rounds // 8)) / PIPELINE_WIDTH)
-        assert json_tx.transport_stats()["mode"] == "legacy"
-        assert binary_tx.transport_stats()["mode"] == "mux"
-        assert binary_tx.transport_stats()["codec"] == "binary"
+        assert transport.transport_stats()["opened"] == 1
     finally:
-        json_tx.close()
-        binary_tx.close()
+        transport.close()
         pipe.close()
         proc.join(timeout=10)
         orb.shutdown()
 
-    improvement = legacy / piped
+    improvement = serial / piped
     lines = [
         "Ablation A4: locate() cost by call path (us/call)",
         "(TCP rows run against a separate server process)",
@@ -161,19 +154,17 @@ def test_transport_cost_table(benchmark, results_dir):
         f"{'direct python':>26}: {direct:>9.1f}",
         f"{'inproc orb':>26}: {inproc:>9.1f} "
         f"({inproc / direct:.2f}x direct)",
-        f"{'tcp orb (json, serial)':>26}: {legacy:>9.1f} "
-        f"({legacy / direct:.2f}x direct)",
-        f"{'tcp orb (binary, serial)':>26}: {mux:>9.1f} "
-        f"({mux / direct:.2f}x direct)",
-        f"{'tcp orb (binary, piped%d)' % PIPELINE_WIDTH:>26}: "
+        f"{'tcp orb (serial)':>26}: {serial:>9.1f} "
+        f"({serial / direct:.2f}x direct)",
+        f"{'tcp orb (piped%d)' % PIPELINE_WIDTH:>26}: "
         f"{piped:>9.1f} ({piped / direct:.2f}x direct)",
         "",
-        f"pipelined binary vs serial json: {improvement:.2f}x "
+        f"pipelined vs serial: {improvement:.2f}x "
         "(acceptance floor: 2x)",
     ]
     # The broker's in-process lane must cost at most 2.5x the bare
-    # call (it used to cost 5.9x before the fast marshal), and the
-    # new wire must improve the TCP lane at least 2x end to end.
+    # call (it used to cost 5.9x before the fast marshal), and
+    # pipelining must improve the TCP lane at least 2x end to end.
     assert inproc <= direct * 2.5
     assert improvement >= 2.0
     write_result(results_dir, "ablation_orb", lines)
@@ -212,34 +203,32 @@ def test_perf_smoke_orb_codec():
 
 
 def test_perf_smoke_orb_transport():
-    """CI gate: pipelined binary locate() beats the serial JSON path
-    against an out-of-process server (best-of-3 per lane, interleaved).
+    """CI gate: pipelined locate() beats serial calls on the same
+    connection against an out-of-process server (best-of-3 per lane,
+    interleaved).
 
     The committed table shows >= 2x; the gate floor is 1.5x because on
     a single-core runner the two lanes share the core with the server,
     and the residual per-call cost is locate() itself — a regression
-    that re-introduces per-request round-trips or JSON-priced framing
+    that re-introduces per-request round-trips into the pipelined path
     lands well below 1.5x, which is what this gate exists to catch."""
     proc, pipe, port = spawn_server()
-    json_tx = TcpTransport("127.0.0.1", port, codec="json",
-                           negotiate=False)
-    binary_tx = TcpTransport("127.0.0.1", port, codec="binary")
+    transport = TcpTransport("127.0.0.1", port)
     batch = [LOCATE_REQUEST] * PIPELINE_WIDTH
     rounds = 150
-    legacy, piped = float("inf"), float("inf")
+    serial, piped = float("inf"), float("inf")
     try:
         for _ in range(3):
-            legacy = min(legacy, _measure(
-                lambda: json_tx.invoke(LOCATE_REQUEST), rounds))
+            serial = min(serial, _measure(
+                lambda: transport.invoke(LOCATE_REQUEST), rounds))
             piped = min(piped, _measure(
-                lambda: binary_tx.invoke_many(batch),
+                lambda: transport.invoke_many(batch),
                 max(1, rounds // 8)) / PIPELINE_WIDTH)
     finally:
-        json_tx.close()
-        binary_tx.close()
+        transport.close()
         pipe.close()
         proc.join(timeout=10)
-    improvement = legacy / piped
+    improvement = serial / piped
     assert improvement >= 1.5, (
-        f"pipelined binary locate() only {improvement:.2f}x the serial "
-        f"JSON path (json {legacy:.1f}us, piped {piped:.1f}us per call)")
+        f"pipelined locate() only {improvement:.2f}x serial calls "
+        f"(serial {serial:.1f}us, piped {piped:.1f}us per call)")

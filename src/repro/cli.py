@@ -228,8 +228,7 @@ def _run_sharded(args: argparse.Namespace) -> int:
         print(f"shards={route['shards']} submitted={route['submitted']} "
               f"forwarded={route['forwarded']} "
               f"dead_lettered={route['router_dead_lettered']}")
-        print(f"wire: codec={route['codec']} "
-              f"multiplexed_inflight_max="
+        print(f"wire: multiplexed_inflight_max="
               f"{route['multiplexed_inflight_max']}")
         print(f"fleet: enqueued={fleet['enqueued']} "
               f"fused={fleet['fused']} dropped={fleet['dropped']} "

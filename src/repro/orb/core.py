@@ -211,10 +211,9 @@ class Orb:
     endpoint).
     """
 
-    def __init__(self, name: str = "orb", wire_codec: str = "binary",
+    def __init__(self, name: str = "orb",
                  debug_roundtrip: bool = False) -> None:
         self.name = name
-        self.wire_codec = wire_codec
         self.adapter = ObjectAdapter()
         self._tcp_server: Optional[TcpServer] = None
         self._inproc = InProcTransport(self.adapter.dispatch,
@@ -239,10 +238,8 @@ class Orb:
         """Open the TCP endpoint; returns the bound (host, port)."""
         if self._tcp_server is not None:
             raise OrbError("orb is already listening")
-        codecs = (("binary", "json") if self.wire_codec == "binary"
-                  else ("json",))
-        self._tcp_server = TcpServer(self.adapter.dispatch, host, port,
-                                     codecs=codecs).start()
+        self._tcp_server = TcpServer(self.adapter.dispatch, host,
+                                     port).start()
         return self._tcp_server.address
 
     def reference_for(self, object_id: str) -> str:
@@ -283,8 +280,7 @@ class Orb:
             with self._lock:
                 transport = self._transports.get(key)
                 if transport is None:
-                    transport = TcpTransport(parsed.hostname, parsed.port,
-                                             codec=self.wire_codec)
+                    transport = TcpTransport(parsed.hostname, parsed.port)
                     self._transports[key] = transport
             if wrap is not None:
                 transport = wrap(transport)
@@ -298,10 +294,7 @@ class Orb:
         with self._lock:
             transports = list(self._transports.values())
         endpoints = [t.transport_stats() for t in transports]
-        codecs = {e["codec"] for e in endpoints if e["codec"]}
         return {
-            "codec": (sorted(codecs)[0] if len(codecs) == 1
-                      else "mixed" if codecs else self.wire_codec),
             "multiplexed_inflight_max": max(
                 (e["multiplexed_inflight_max"] for e in endpoints),
                 default=0),

@@ -1,4 +1,4 @@
-"""ORB transports: in-process and TCP, with a multiplexed fast lane.
+"""ORB transports: in-process and multiplexed TCP.
 
 The paper's deployment used Orbacus over the department network; the
 interesting property for the evaluation is that every query and
@@ -10,25 +10,12 @@ transports expose the same two-sided contract:
   the response dict (plus :meth:`invoke_async` returning a waitable
   handle on transports that support pipelining).
 
-Two wire protocols share the port:
-
-* **Legacy framing** — a 4-byte big-endian length prefix and a
-  tagged-JSON payload, one request in flight per connection, answered
-  in order.  Every connection starts here, so peers running the
-  pre-multiplex protocol interoperate unchanged.
-* **Multiplexed framing** — negotiated by an in-band ``hello``
-  request addressed to the reserved ``_orb.transport`` object.  A
-  peer that recognises it answers with its protocol version and codec
-  list and the connection switches to 13-byte headers
-  ``(length: u32, codec: u8, correlation id: u64)``; one socket then
-  carries many in-flight requests, encoded with the negotiated codec
-  (binary when both sides support it, tagged JSON otherwise, and a
-  per-frame JSON fallback for messages the binary codec cannot
-  pack).  The server dispatches concurrently and answers out of
-  order.  A peer that does *not* recognise the hello returns an
-  ordinary error response, and the client simply keeps the connection
-  in legacy mode — negotiation costs one round trip and can never
-  strand a mixed-version fleet.
+The TCP transport speaks one framing from a connection's first byte:
+13-byte headers ``(length: u32, codec: u8, correlation id: u64)``
+followed by the payload.  One socket carries many in-flight requests;
+each payload is binary-encoded, with a per-frame tagged-JSON fallback
+for messages the binary codec cannot pack.  The server dispatches
+concurrently and answers out of order.
 """
 
 from __future__ import annotations
@@ -48,56 +35,23 @@ from repro.orb import serialization, wire
 
 Dispatcher = Callable[[Dict[str, Any]], Dict[str, Any]]
 
-_HEADER = struct.Struct(">I")
 _MUX_HEADER = struct.Struct(">IBQ")
 _MAX_FRAME = 64 * 1024 * 1024
 
 CODEC_JSON = 0
 CODEC_BINARY = 1
-CODEC_NAMES = {CODEC_JSON: "json", CODEC_BINARY: "binary"}
 
-#: The reserved object id transport-control requests are addressed
-#: to.  Never register a servant under this id.
-CONTROL_OBJECT = "_orb.transport"
-PROTOCOL_VERSION = 2
+#: Pool threads serving multiplexed requests; this bounds out-of-order
+#: concurrency per server, not per connection.
+_MUX_WORKERS = 8
 
 
-def _send_frame(sock: socket.socket, payload: bytes) -> None:
-    if len(payload) > _MAX_FRAME:
-        raise TransportError(
-            f"outbound frame of {len(payload)} bytes exceeds the "
-            f"{_MAX_FRAME}-byte cap")
-    sock.sendall(_HEADER.pack(len(payload)) + payload)
-
-
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining > 0:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise TransportError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def _recv_frame(sock: socket.socket) -> bytes:
-    header = _recv_exact(sock, _HEADER.size)
-    (length,) = _HEADER.unpack(header)
-    if length > _MAX_FRAME:
-        raise TransportError(f"frame of {length} bytes exceeds the cap")
-    return _recv_exact(sock, length)
-
-
-def _encode_with(codec: int, message: Any) -> Tuple[int, bytes]:
-    """Encode for the wire, falling back to JSON per message."""
-    if codec == CODEC_BINARY:
-        try:
-            return CODEC_BINARY, wire.dumps(message)
-        except wire.BinaryUnsupported:
-            pass
-    return CODEC_JSON, serialization.dumps(message)
+def _encode_with(message: Any) -> Tuple[int, bytes]:
+    """Encode for the wire: binary, falling back to JSON per message."""
+    try:
+        return CODEC_BINARY, wire.dumps(message)
+    except wire.BinaryUnsupported:
+        return CODEC_JSON, serialization.dumps(message)
 
 
 def _decode_with(codec: int, payload: bytes) -> Any:
@@ -170,58 +124,6 @@ class _RequestHandler(socketserver.BaseRequestHandler):
     def finish(self) -> None:
         self.server.untrack_connection(self.request)  # type: ignore[attr-defined]
 
-    def handle(self) -> None:
-        server = self.server
-        sock: socket.socket = self.request
-        sock.settimeout(server.io_timeout)  # type: ignore[attr-defined]
-        # Legacy phase: length-prefixed tagged-JSON frames, answered
-        # in order — exactly the pre-multiplex protocol, so old peers
-        # (and raw test clients) are served unchanged.
-        while True:
-            try:
-                frame = _recv_frame(sock)
-            except (TransportError, OSError):
-                return  # client went away
-            upgraded = False
-            try:
-                request = serialization.loads(frame)
-                if (isinstance(request, dict)
-                        and request.get("object") == CONTROL_OBJECT):
-                    payload, upgraded = self._control(server, request)
-                else:
-                    response = server.dispatcher(request)
-                    payload = serialization.dumps(response)
-            except Exception as exc:  # deliberately broad: server survives
-                payload = serialization.dumps({
-                    "error": {"type": type(exc).__name__,
-                              "message": str(exc)},
-                })
-            try:
-                _send_frame(sock, payload)
-            except OSError:
-                return
-            if upgraded:
-                self._serve_multiplexed(server, sock)
-                return
-
-    @staticmethod
-    def _control(server: Any,
-                 request: Dict[str, Any]) -> Tuple[bytes, bool]:
-        """Answer a transport-control request; returns (payload,
-        switch-to-multiplexed)."""
-        if request.get("method") != "hello" or not server.enable_upgrade:
-            return serialization.dumps({
-                "error": {"type": "OrbError",
-                          "message": "unknown transport control"},
-            }), False
-        return serialization.dumps({
-            "result": {
-                "version": PROTOCOL_VERSION,
-                "codecs": list(server.codecs),
-                "multiplex": True,
-            },
-        }), True
-
     # A pipelined client lands many frames in one socket wakeup; hand
     # the pool bursts of this size so the submit/handoff cost is
     # amortized across the burst.  Kept small so one slow request in
@@ -229,7 +131,7 @@ class _RequestHandler(socketserver.BaseRequestHandler):
     # backlog — later bursts still run on other pool threads.
     _BURST = 8
 
-    def _serve_multiplexed(self, server: Any, sock: socket.socket) -> None:
+    def handle(self) -> None:
         """Read mux frames, dispatch on the pool, answer out of order.
 
         Frames are drained from the socket greedily and dispatched in
@@ -237,6 +139,9 @@ class _RequestHandler(socketserver.BaseRequestHandler):
         order, answering each as it completes, while concurrent bursts
         (and therefore responses) interleave freely.
         """
+        server: Any = self.server
+        sock: socket.socket = self.request
+        sock.settimeout(server.io_timeout)
         write_lock = threading.Lock()
         inflight = [0]
         inflight_lock = threading.Lock()
@@ -251,8 +156,7 @@ class _RequestHandler(socketserver.BaseRequestHandler):
                     try:
                         request = _decode_with(codec, payload)
                         response = server.dispatcher(request)
-                        out_codec, out_payload = _encode_with(codec,
-                                                              response)
+                        out_codec, out_payload = _encode_with(response)
                     except Exception as exc:  # broad: server survives
                         out_codec = CODEC_JSON
                         out_payload = serialization.dumps({
@@ -414,27 +318,14 @@ class _ThreadingServer(socketserver.ThreadingTCPServer):
 
 
 class TcpServer:
-    """A threaded TCP endpoint dispatching framed requests.
+    """A threaded TCP endpoint dispatching multiplexed requests.
 
     Binds to ``127.0.0.1`` on an OS-assigned port by default; the
     bound address is available as :attr:`address` once started.
-
-    Args:
-        dispatcher: the object adapter's request handler.
-        codecs: wire codecs offered during negotiation, most preferred
-            first (default binary then JSON).
-        enable_upgrade: answer the multiplex hello (disable to emulate
-            a legacy peer in interop tests).
-        mux_workers: pool threads serving multiplexed requests; this
-            bounds out-of-order concurrency per server, not per
-            connection.
     """
 
     def __init__(self, dispatcher: Dispatcher, host: str = "127.0.0.1",
-                 port: int = 0, io_timeout: float = 30.0,
-                 codecs: Optional[Tuple[str, ...]] = None,
-                 enable_upgrade: bool = True,
-                 mux_workers: int = 8) -> None:
+                 port: int = 0, io_timeout: float = 30.0) -> None:
         self.dispatcher = dispatcher
         self.io_timeout = io_timeout
         try:
@@ -443,11 +334,8 @@ class TcpServer:
             raise TransportError(f"cannot bind {host}:{port}: {exc}") from exc
         self._server.dispatcher = dispatcher  # type: ignore[attr-defined]
         self._server.io_timeout = io_timeout  # type: ignore[attr-defined]
-        self._server.codecs = tuple(  # type: ignore[attr-defined]
-            codecs if codecs is not None else ("binary", "json"))
-        self._server.enable_upgrade = enable_upgrade  # type: ignore[attr-defined]
         self._server.pool = _WorkerPool(  # type: ignore[attr-defined]
-            mux_workers, f"orb-mux-{self.address[1]}")
+            _MUX_WORKERS, f"orb-mux-{self.address[1]}")
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -528,9 +416,9 @@ class _MuxConnection:
     concurrent waiters still complete as their frames land.
     """
 
-    def __init__(self, sock: socket.socket, codec: int, name: str) -> None:
+    def __init__(self, sock: socket.socket, name: str) -> None:
         self._sock = sock
-        self.codec = codec
+        self._name = name
         self._send_lock = threading.Lock()
         self._pending: Dict[int, _Pending] = {}
         self._plock = threading.Lock()
@@ -546,7 +434,7 @@ class _MuxConnection:
             return self._dead is None
 
     def submit(self, request: Dict[str, Any]) -> _Pending:
-        codec, payload = _encode_with(self.codec, request)
+        codec, payload = _encode_with(request)
         if len(payload) > _MAX_FRAME:
             raise TransportError(
                 f"outbound frame of {len(payload)} bytes exceeds the "
@@ -575,7 +463,7 @@ class _MuxConnection:
         the peer's reader sees the burst in a single wakeup."""
         encoded = []
         for request in requests:
-            codec, payload = _encode_with(self.codec, request)
+            codec, payload = _encode_with(request)
             if len(payload) > _MAX_FRAME:
                 raise TransportError(
                     f"outbound frame of {len(payload)} bytes exceeds "
@@ -646,7 +534,8 @@ class _MuxConnection:
                 self._read_some(remaining)
             except socket.timeout:
                 pass  # deadline re-checked at the top of the loop
-            except (OSError, TransportError) as exc:
+            except (OSError, ValueError, TransportError) as exc:
+                # ValueError: select() on a socket closed under us.
                 self._fail(exc)
             finally:
                 with self._wakeup:
@@ -655,22 +544,21 @@ class _MuxConnection:
 
     def _read_some(self, remaining: float) -> None:
         """One blocking read (plus an opportunistic drain), then
-        deliver every complete frame now buffered.  A timeout leaves
-        the stream intact: partial frames stay in the buffer."""
+        deliver every complete frame now buffered — also when the peer
+        closed right after answering.  A timeout leaves the stream
+        intact: partial frames stay in the buffer."""
         self._sock.settimeout(remaining)
-        chunk = self._sock.recv(65536)
-        if not chunk:
+        try:
+            chunk = self._sock.recv(65536)
+            while chunk:
+                self._rbuf += chunk
+                if (len(self._rbuf) >= 1 << 20 or not select.select(
+                        [self._sock], [], [], 0)[0]):
+                    return
+                chunk = self._sock.recv(65536)
             raise TransportError("connection closed")
-        self._rbuf += chunk
-        while len(self._rbuf) < 1 << 20:
-            readable, _, _ = select.select([self._sock], [], [], 0)
-            if not readable:
-                break
-            more = self._sock.recv(65536)
-            if not more:
-                raise TransportError("connection closed")
-            self._rbuf += more
-        self._deliver_buffered()
+        finally:
+            self._deliver_buffered()
 
     def _deliver_buffered(self) -> None:
         """Parse and complete every whole frame in the read buffer.
@@ -678,15 +566,19 @@ class _MuxConnection:
         The batch is parsed with one buffer shift, matched against the
         pending table under one lock hold, and waiters are woken once
         at the end — per-frame costs matter when a pipelined burst of
-        responses lands in a single read."""
+        responses lands in a single read.  An oversized header stays
+        at the front of the buffer, so :meth:`_fail` charges it to the
+        request it answers."""
         rbuf = self._rbuf
         header_size = _MUX_HEADER.size
         arrived: List[Tuple[int, int, bytes]] = []
+        oversized = False
         pos, size = 0, len(rbuf)
         while size - pos >= header_size:
             length, codec, corr = _MUX_HEADER.unpack_from(rbuf, pos)
             if length > _MAX_FRAME:
-                raise TransportError("oversized response frame")
+                oversized = True
+                break
             end = pos + header_size + length
             if end > size:
                 break
@@ -695,38 +587,54 @@ class _MuxConnection:
             pos = end
         if pos:
             del rbuf[:pos]
-        if not arrived:
-            return
-        with self._plock:
-            matched = [(self._pending.pop(corr, None), codec, payload)
-                       for corr, codec, payload in arrived]
-        for pending, codec, payload in matched:
-            if pending is None:
-                continue  # timed-out request's late response
-            try:
-                response = _decode_with(codec, payload)
-            except (OrbError, TransportError) as exc:
-                # A response arrived but could not be decoded: the
-                # request is NOT retried (the server acted on it).
-                pending.fail(exc)
-            else:
-                if isinstance(response, dict):
-                    pending.complete(response)
+        if arrived:
+            with self._plock:
+                matched = [(self._pending.pop(corr, None), codec, payload)
+                           for corr, codec, payload in arrived]
+            for pending, codec, payload in matched:
+                if pending is None:
+                    continue  # timed-out request's late response
+                try:
+                    response = _decode_with(codec, payload)
+                except (OrbError, TransportError) as exc:
+                    # A response arrived but could not be decoded: the
+                    # request is NOT retried (the server acted on it).
+                    pending.fail(exc)
                 else:
-                    pending.fail(
-                        TransportError("malformed response frame"))
-        with self._wakeup:
-            self._wakeup.notify_all()
+                    if isinstance(response, dict):
+                        pending.complete(response)
+                    else:
+                        pending.fail(
+                            TransportError("malformed response frame"))
+            with self._wakeup:
+                self._wakeup.notify_all()
+        if oversized:
+            raise TransportError("oversized response frame")
 
     def _fail(self, exc: BaseException) -> None:
+        """Mark the connection dead and fail every pending request.
+
+        A request fails retryably (:class:`_ConnectionLost`) only if
+        no byte of its response can have arrived.  A partial frame left
+        in the read buffer rules that out for its owner: with the
+        header complete, only the request it names fails for good;
+        with the header torn, any pending request may own the bytes,
+        so none of them is retried."""
         with self._wakeup:
             if self._dead is None:
                 self._dead = exc
-            doomed = list(self._pending.values())
-            self._pending.clear()
+            doomed, self._pending = self._pending, {}
+            torn = bytes(self._rbuf[:_MUX_HEADER.size])
+            owner = (_MUX_HEADER.unpack(torn)[2]
+                     if len(torn) == _MUX_HEADER.size else None)
+            for corr, pending in doomed.items():
+                if torn and owner in (None, corr):
+                    pending.fail(TransportError(
+                        f"request to {self._name} died mid-response: "
+                        f"{exc}"))
+                else:
+                    pending.fail(_ConnectionLost(f"connection lost: {exc}"))
             self._wakeup.notify_all()
-        for pending in doomed:
-            pending.fail(_ConnectionLost(f"connection lost: {exc}"))
         try:
             self._sock.close()
         except OSError:
@@ -747,24 +655,24 @@ class _Invocation:
     """
 
     def __init__(self, transport: "TcpTransport",
-                 request: Dict[str, Any]) -> None:
+                 request: Dict[str, Any], retried: bool = False) -> None:
         self._transport = transport
         self._request = request
-        self._retried = False
+        self._retried = retried
         self._pending: Optional[_Pending] = None
         self._mux: Optional[_MuxConnection] = None
         self._submit()
 
     def _submit(self) -> None:
         try:
-            self._mux, self._pending = self._transport._submit(self._request)
+            self._mux = self._transport._connection()
+            self._pending = self._mux.submit(self._request)
         except TransportError as exc:
             # Submit-time failures park on the handle so async callers
             # only ever see errors at result().  A _ConnectionLost
-            # (the mux connection was closed between checkout and
-            # send) stays retryable through result()'s retry loop;
-            # anything else — connect refused, negotiation failure —
-            # is terminal there.
+            # (the connection died between lookup and send) stays
+            # retryable through result()'s retry loop; anything else —
+            # connect refused, an oversized frame — is terminal there.
             self._mux = None
             pending = _Pending()
             pending.fail(exc)
@@ -787,56 +695,33 @@ class _Invocation:
                     raise TransportError(
                         f"request to {self._transport.host}:"
                         f"{self._transport.port} failed after reconnect")
+                # The retry is counted where the dead connection is
+                # replaced: once per replacement, however many
+                # requests it stranded.
                 self._retried = True
-                if self._mux is None:
-                    # Legacy attempt: count here.  A dead mux attempt
-                    # is counted when renegotiation replaces the
-                    # connection, so it is not double-counted.
-                    self._transport._count_retry()
                 self._submit()
             except TransportError:
-                if self._mux is not None and self._pending is not None:
+                if self._mux is not None:
                     self._mux.forget(self._pending)
                 raise
-
-
-class _CompletedInvocation:
-    """An already-resolved handle (synchronous fallback paths)."""
-
-    def __init__(self, response: Optional[Dict[str, Any]],
-                 error: Optional[BaseException]) -> None:
-        self._response = response
-        self._error = error
-
-    def done(self) -> bool:
-        return True
-
-    def result(self, timeout: Optional[float] = None) -> Dict[str, Any]:
-        if self._error is not None:
-            raise self._error
-        assert self._response is not None
-        return self._response
 
 
 class TcpTransport:
     """Client side of the TCP transport.
 
-    Against a peer that speaks the multiplexed protocol (negotiated on
-    first use), ONE connection carries every in-flight request with
-    correlation ids, the payloads encoded with the negotiated codec;
-    :meth:`invoke_async` exposes the pipelined path (submit many,
-    collect as responses land).  Against a legacy peer the transport
-    falls back to the pooled one-request-per-socket protocol: a
-    connection is checked out per invoke (opening a new one when all
-    are busy) and checked back in afterwards, so independent requests
-    still proceed in parallel; up to ``max_idle`` connections are
-    retained.
+    ONE multiplexed connection per endpoint carries every in-flight
+    request, tagged with correlation ids; :meth:`invoke_async` exposes
+    the pipelined path (submit many, collect as responses land).  The
+    connection opens straight into multiplexed framing — there is no
+    handshake — and a dead one is replaced on the next request.
 
-    **Failure and retry semantics** (both modes): a request whose
-    connection died *before any response bytes arrived for it* is
-    retried exactly once on a fresh connection; once response bytes
-    have been seen — a partial legacy frame, or a mux response frame
-    that fails to decode — the transport raises without retrying.
+    **Failure and retry semantics**: a request whose connection died
+    *before any response bytes arrived for it* is retried exactly once
+    on a fresh connection; once response bytes have been seen — a
+    partial frame in the read buffer, or a response frame that fails
+    to decode — the transport raises without retrying.  A torn frame
+    header cannot name its request, so a connection that dies on one
+    fails every request pending on it without a retry.
     Because the death may have struck after the server executed the
     request but before the response survived the wire, a retry can
     re-execute: every method invoked through this transport must be
@@ -849,31 +734,15 @@ class TcpTransport:
     cap) twice.  ROADMAP item 2 builds exactly-once ingest.  An
     endpoint nobody listens on raises :class:`TransportError`
     immediately.
-
-    Args:
-        codec: preferred wire codec (``"binary"`` or ``"json"``); the
-            negotiated codec is the first preference both peers share.
-        negotiate: attempt the multiplex upgrade (disable to emulate a
-            legacy client in interop tests).
     """
 
-    def __init__(self, host: str, port: int, timeout: float = 30.0,
-                 max_idle: int = 8, codec: str = "binary",
-                 negotiate: bool = True) -> None:
-        if codec not in ("binary", "json"):
-            raise TransportError(f"unknown codec {codec!r}")
+    def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.max_idle = max_idle
-        self.preferred_codec = codec
-        self.negotiate = negotiate
-        self._idle: "list[socket.socket]" = []
         self._lock = threading.Lock()
-        self._negotiation_lock = threading.Lock()
-        self._mode: Optional[str] = None if negotiate else "legacy"
+        self._connect_lock = threading.Lock()
         self._mux: Optional[_MuxConnection] = None
-        self.negotiated_codec: Optional[str] = None if negotiate else "json"
         self.connections_opened = 0
         self.connections_reused = 0
         self.retries = 0
@@ -892,127 +761,40 @@ class TcpTransport:
             self.connections_opened += 1
         return sock
 
-    def _checkout(self) -> socket.socket:
+    def _live(self) -> Optional[_MuxConnection]:
         with self._lock:
-            if self._idle:
+            mux = self._mux
+            if mux is not None and mux.alive():
                 self.connections_reused += 1
-                return self._idle.pop()
-        return self._connect()
-
-    def _checkin(self, sock: socket.socket) -> None:
-        with self._lock:
-            if len(self._idle) < self.max_idle:
-                self._idle.append(sock)
-                return
-        _close_quietly(sock)
-
-    def _count_retry(self) -> None:
-        with self._lock:
-            self.retries += 1
-
-    # -- negotiation ---------------------------------------------------
-
-    def _hello(self, sock: socket.socket) -> Optional[Dict[str, Any]]:
-        """One in-band feature probe; None means a legacy peer."""
-        request = {
-            "object": CONTROL_OBJECT,
-            "method": "hello",
-            "args": [{"version": PROTOCOL_VERSION,
-                      "codecs": [self.preferred_codec, "json"]}],
-            "kwargs": {},
-        }
-        _send_frame(sock, serialization.dumps(request))
-        response = serialization.loads(_recv_frame(sock))
-        if not isinstance(response, dict):
-            raise TransportError("malformed hello response")
-        features = response.get("result")
-        if (not isinstance(features, dict)
-                or features.get("version", 0) < PROTOCOL_VERSION
-                or not features.get("multiplex")):
-            return None  # legacy peer: it answered, but not the hello
-        return features
-
-    def _pick_codec(self, features: Dict[str, Any]) -> int:
-        offered = features.get("codecs") or []
-        for name in (self.preferred_codec, "json"):
-            if name in offered:
-                return CODEC_BINARY if name == "binary" else CODEC_JSON
-        return CODEC_JSON
-
-    def _cached_mode(self) -> Optional[Tuple[str, Optional[_MuxConnection]]]:
-        with self._lock:
-            if self._mode == "legacy":
-                return "legacy", None
-            if (self._mode == "mux" and self._mux is not None
-                    and self._mux.alive()):
-                self.connections_reused += 1
-                return "mux", self._mux
+                return mux
         return None
 
-    def _ensure_mode(self) -> Tuple[str, Optional[_MuxConnection]]:
-        """Resolve (and cache) the endpoint's protocol mode.
+    def _connection(self) -> _MuxConnection:
+        """The live connection, or a freshly opened one.
 
-        Negotiation is serialized: concurrent first invokes block on
-        one hello instead of racing to replace each other's live
-        connections.  Re-establishing a *dead* multiplexed connection
-        counts as a retry (the request that triggered it is being
-        re-driven against a possibly-restarted peer).
+        Reconnects are serialized: concurrent callers that find the
+        connection dead wait for one connect instead of racing to
+        replace each other's.  Replacing a *dead* connection counts as
+        a retry (the request that triggered it is being re-driven
+        against a possibly-restarted peer).
         """
-        cached = self._cached_mode()
-        if cached is not None:
-            return cached
-        with self._negotiation_lock:
-            cached = self._cached_mode()  # settled while we waited
-            if cached is not None:
-                return cached
+        mux = self._live()
+        if mux is not None:
+            return mux
+        with self._connect_lock:
+            mux = self._live()  # replaced while we waited
+            if mux is not None:
+                return mux
+            mux = _MuxConnection(self._connect(), f"{self.host}:{self.port}")
             with self._lock:
-                dead_before = self._mux
-            sock = self._connect()
-            try:
-                features = self._hello(sock)
-            except (OSError, TransportError) as exc:
-                _close_quietly(sock)
-                if isinstance(exc, TransportError):
-                    raise
-                raise TransportError(
-                    f"negotiation with {self.host}:{self.port} "
-                    f"failed: {exc}") from exc
-            if features is None:
-                with self._lock:
-                    self._mode = "legacy"
-                    self.negotiated_codec = "json"
-                self._checkin(sock)  # the legacy connection is still good
-                return "legacy", None
-            codec = self._pick_codec(features)
-            mux = _MuxConnection(sock, codec, f"{self.host}:{self.port}")
-            with self._lock:
-                self._mode = "mux"
-                self._mux = mux
-                self.negotiated_codec = CODEC_NAMES[codec]
-                if dead_before is not None:
-                    # A dead connection was replaced on behalf of an
-                    # in-flight request: surface that as a retry.
+                dead, self._mux = self._mux, mux
+                if dead is not None:
                     self.retries += 1
-            if dead_before is not None:
-                dead_before.close()
-            return "mux", mux
+            if dead is not None:
+                dead.close()
+            return mux
 
     # -- invocation ----------------------------------------------------
-
-    def _submit(self, request: Dict[str, Any]
-                ) -> Tuple[Optional[_MuxConnection], _Pending]:
-        mode, mux = self._ensure_mode()
-        if mode == "mux":
-            assert mux is not None
-            return mux, mux.submit(request)
-        # Legacy: synchronous on the pooled path; wrap the outcome so
-        # async callers see the same handle shape.
-        pending = _Pending()
-        try:
-            pending.complete(self._invoke_legacy_once(request))
-        except BaseException as exc:  # noqa: BLE001 — delivered on wait
-            pending.fail(exc)
-        return None, pending
 
     def invoke_async(self, request: Dict[str, Any]) -> _Invocation:
         """Submit without waiting; returns a handle with
@@ -1031,112 +813,43 @@ class TcpTransport:
         if not requests:
             return []
         try:
-            mode, mux = self._ensure_mode()
-            if mode == "mux":
-                assert mux is not None
-                pendings = mux.submit_many(requests)
-                results = []
-                for request, pending in zip(requests, pendings):
-                    try:
-                        results.append(mux.wait(pending, self.timeout))
-                    except _ConnectionLost:
-                        # This request died before its response bytes:
-                        # re-drive it alone (the fresh invocation
-                        # renegotiates and owns its retry budget).
-                        results.append(self.invoke(request))
-                return results
+            mux = self._connection()
+            pendings = mux.submit_many(requests)
         except _ConnectionLost:
-            pass  # fall through: per-request handles own the retry
-        handles = [self.invoke_async(request) for request in requests]
-        return [handle.result(self.timeout) for handle in handles]
-
-    def _invoke_legacy_once(self, request: Dict[str, Any]
-                            ) -> Dict[str, Any]:
-        """One attempt on the pooled legacy path.
-
-        Raises :class:`_ConnectionLost` (retryable) only while no
-        response byte has arrived; a failure mid-response raises a
-        plain :class:`TransportError`.
-        """
-        payload = serialization.dumps(request)
-        sock = self._checkout()
-        seen = [False]  # any response byte at all disarms the retry
-
-        def recv_exact(count: int) -> bytes:
-            chunks = []
-            remaining = count
-            while remaining > 0:
-                chunk = sock.recv(remaining)
-                if not chunk:
-                    raise TransportError("connection closed mid-frame")
-                seen[0] = True
-                chunks.append(chunk)
-                remaining -= len(chunk)
-            return b"".join(chunks)
-
-        try:
-            _send_frame(sock, payload)
-            (length,) = _HEADER.unpack(recv_exact(_HEADER.size))
-            if length > _MAX_FRAME:
-                raise TransportError(
-                    f"frame of {length} bytes exceeds the cap")
-            frame = recv_exact(length)
-        except (OSError, TransportError) as exc:
-            _close_quietly(sock)
-            if isinstance(exc, _ConnectionLost):
-                raise
-            if not seen[0]:
-                raise _ConnectionLost(str(exc)) from exc
-            raise TransportError(
-                f"request to {self.host}:{self.port} died "
-                f"mid-response: {exc}") from exc
-        self._checkin(sock)
-        response = serialization.loads(frame)
-        if not isinstance(response, dict):
-            raise TransportError("malformed response frame")
-        return response
+            # As for a single invoke, the failed send was each request's
+            # first attempt (part of the batch may have reached the
+            # server): the re-drive is its one retry.
+            handles = [_Invocation(self, request, retried=True)
+                       for request in requests]
+            return [handle.result(self.timeout) for handle in handles]
+        results = []
+        for request, pending in zip(requests, pendings):
+            try:
+                results.append(mux.wait(pending, self.timeout))
+            except _ConnectionLost:
+                # This request died before its response bytes: re-drive
+                # it alone, as its one retry.
+                results.append(_Invocation(self, request, retried=True)
+                               .result(self.timeout))
+        return results
 
     # -- observability -------------------------------------------------
 
-    def pool_stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "idle": len(self._idle),
-                "opened": self.connections_opened,
-                "reused": self.connections_reused,
-                "retries": self.retries,
-            }
-
     def transport_stats(self) -> Dict[str, Any]:
-        """Mode, codec and concurrency counters for fleet stats."""
+        """Connection and concurrency counters for fleet stats."""
         with self._lock:
             mux = self._mux
             return {
                 "endpoint": f"{self.host}:{self.port}",
-                "mode": self._mode or "unnegotiated",
-                "codec": self.negotiated_codec,
                 "multiplexed_inflight_max": (mux.inflight_max
                                              if mux is not None else 0),
                 "opened": self.connections_opened,
                 "reused": self.connections_reused,
                 "retries": self.retries,
-                "idle": len(self._idle),
             }
 
     def close(self) -> None:
         with self._lock:
-            doomed, self._idle = self._idle, []
             mux, self._mux = self._mux, None
-            if self._mode == "mux":
-                self._mode = None if self.negotiate else "legacy"
-        for sock in doomed:
-            _close_quietly(sock)
         if mux is not None:
             mux.close()
-
-
-def _close_quietly(sock: socket.socket) -> None:
-    try:
-        sock.close()
-    except OSError:
-        pass

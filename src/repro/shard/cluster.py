@@ -49,9 +49,6 @@ class ShardCluster:
             ``TypeError`` before any shard spawns.
         fusion_cache_capacity: per-shard fusion memo entries.
         region_affinity: ``{glob_prefix: shard_index}`` placement hints.
-        wire_codec: preferred ORB codec fleet-wide (``"binary"`` |
-            ``"json"``); peers negotiate down to JSON automatically,
-            so a mixed fleet still interoperates.
     """
 
     def __init__(self, num_shards: int,
@@ -61,7 +58,6 @@ class ShardCluster:
                  pipeline: Optional[Dict[str, Any]] = None,
                  fusion_cache_capacity: int = 32,
                  region_affinity: Optional[Dict[str, int]] = None,
-                 wire_codec: str = "binary",
                  start: bool = True) -> None:
         if num_shards < 1:
             raise ServiceError("need at least one shard")
@@ -75,12 +71,11 @@ class ShardCluster:
         PipelineConfig(**self.pipeline_config)
         self.fusion_cache_capacity = fusion_cache_capacity
         self.region_affinity = region_affinity
-        self.wire_codec = wire_codec
         self._ctx = multiprocessing.get_context("spawn")
         self._processes: List[Optional[Any]] = [None] * num_shards
         self._ports: List[Optional[int]] = [None] * num_shards
         self._generations = [0] * num_shards
-        self.orb = Orb("shard-router", wire_codec=wire_codec)
+        self.orb = Orb("shard-router")
         self.router: Optional[ShardRouter] = None
         if start:
             self.start()
@@ -98,7 +93,6 @@ class ShardCluster:
             "num_shards": self.num_shards,
             "pipeline": dict(self.pipeline_config),
             "fusion_cache_capacity": self.fusion_cache_capacity,
-            "wire_codec": self.wire_codec,
         }
         if self.wal_root is not None:
             config["wal_dir"] = self._wal_dir(index,

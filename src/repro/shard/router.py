@@ -659,7 +659,6 @@ class ShardRouter:
                 "errors": list(self.last_errors),
             }
         transport = self.orb.transport_stats()
-        router["codec"] = transport["codec"]
         router["multiplexed_inflight_max"] = \
             transport["multiplexed_inflight_max"]
         router["senders"] = [s.snapshot() for s in self._senders]

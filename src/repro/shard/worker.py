@@ -54,8 +54,6 @@ class ShardServant:
     * ``durability_mode`` — ``"buffered"`` | ``"strict"``.
     * ``recover_from`` — a WAL directory from a previous incarnation;
       the shard rebuilds its database from it before serving.
-    * ``wire_codec`` — preferred ORB codec (``"binary"`` | ``"json"``),
-      consumed by :func:`shard_worker_main` when it builds the Orb.
     """
 
     ORB_EXPOSED = (
@@ -385,8 +383,7 @@ class ShardServant:
 
 def shard_worker_main(config: Dict[str, Any], conn) -> None:
     """Spawn target: serve one shard until told to shut down."""
-    orb = Orb(f"shard-{config.get('shard_index', 0)}",
-              wire_codec=config.get("wire_codec", "binary"))
+    orb = Orb(f"shard-{config.get('shard_index', 0)}")
     servant = ShardServant(config)
     orb.register(SHARD_OBJECT_ID, servant)
     _, port = orb.listen(config.get("host", "127.0.0.1"), 0)

@@ -76,3 +76,33 @@ class TestReadme:
     def test_math_doc_linked_and_present(self):
         assert "docs/MATH.md" in read("README.md")
         assert (ROOT / "docs" / "MATH.md").exists()
+
+
+class TestTestReferences:
+    """Every ``tests/<file>.py::<Class>[::<test>]`` a document names
+    must resolve, so renaming a test that pins a documented contract
+    also has to update the document that cites it."""
+
+    DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+    REFERENCE = re.compile(r"(tests/\w+\.py)((?:::\w+)+)")
+
+    def references(self):
+        paths = [ROOT / name for name in self.DOCS]
+        paths += sorted((ROOT / "docs").glob("*.md"))
+        for path in paths:
+            for match in self.REFERENCE.finditer(
+                    path.read_text(encoding="utf-8")):
+                yield path.name, match.group(1), match.group(2)
+
+    def test_every_test_reference_resolves(self):
+        found = list(self.references())
+        assert found
+        for doc, test_file, names in found:
+            source = read(test_file)
+            # A class opens at column 0; its tests are indented.
+            indent = ""
+            for name in names.strip(":").split("::"):
+                pattern = rf"^{indent}(?:class|def) {name}\b"
+                assert re.search(pattern, source, re.MULTILINE), \
+                    f"{doc} cites {test_file}{names}: no {name}"
+                indent = r"\s+"

@@ -6,7 +6,7 @@ codec: for every message both accept,
 Randomized messages over the full JSON value model and every
 registered wire type pin that here, plus the fallback rules (a
 registered-but-unpacked type raises :class:`BinaryUnsupported`, never
-a wrong answer) and mixed-codec fleet interop via negotiation.
+a wrong answer) and the per-message JSON fallback on a live connection.
 """
 
 import math
@@ -242,7 +242,7 @@ class TestFallbackRules:
 
 
 # ----------------------------------------------------------------------
-# Mixed-codec fleets interoperate via negotiation
+# Per-message fallback on the wire
 # ----------------------------------------------------------------------
 
 
@@ -250,87 +250,18 @@ class EchoServant:
     def echo(self, value):
         return value
 
-    def locate_stub(self):
-        return LocationEstimate(
-            object_id="alice", rect=Rect(0, 0, 1, 1), probability=0.9,
-            bucket=list(ProbabilityBucket)[0], time=1.0,
-            sources=("s1",), moving=False, symbolic="SC/3/3105",
-            posterior=0.5)
 
-
-PAYLOAD = {
-    "rect": Rect(1, 2, 3, 4),
-    "point": Point(1, 2, 3),
-    "nested": [Glob(("SC", "3")), {"deep": [1, 2.5, None, True]}],
-}
-
-
-def _serve(codecs=None, enable_upgrade=True):
-    orb = Orb("interop-server")
+def _serve():
+    orb = Orb("fallback-server")
     orb.register("echo", EchoServant())
-    adapter_dispatch = orb.adapter.dispatch
-    server = TcpServer(adapter_dispatch, codecs=codecs,
-                       enable_upgrade=enable_upgrade).start()
+    server = TcpServer(orb.adapter.dispatch).start()
     return orb, server
 
 
 class TestMixedCodecFleet:
-    @pytest.mark.parametrize(
-        "server_codecs,server_upgrade,client_codec,client_negotiate,"
-        "expect_mode,expect_codec",
-        [
-            (("binary", "json"), True, "binary", True, "mux", "binary"),
-            (("binary", "json"), True, "json", True, "mux", "json"),
-            (("json",), True, "binary", True, "mux", "json"),
-            (("binary", "json"), False, "binary", True, "legacy", "json"),
-            (("binary", "json"), True, "binary", False, "legacy", "json"),
-        ])
-    def test_negotiation_matrix(self, server_codecs, server_upgrade,
-                                client_codec, client_negotiate,
-                                expect_mode, expect_codec):
-        """Every old/new pairing lands on a working common protocol."""
-        orb, server = _serve(codecs=server_codecs,
-                             enable_upgrade=server_upgrade)
-        host, port = server.address
-        transport = TcpTransport(host, port, codec=client_codec,
-                                 negotiate=client_negotiate)
-        try:
-            response = transport.invoke({
-                "object": "echo", "method": "echo",
-                "args": [PAYLOAD], "kwargs": {}})
-            assert response["result"] == PAYLOAD
-            assert type(response["result"]["rect"]) is Rect
-            stats = transport.transport_stats()
-            assert stats["mode"] == expect_mode
-            assert stats["codec"] == expect_codec
-        finally:
-            transport.close()
-            server.stop()
-            orb.shutdown()
-
-    def test_estimate_identical_across_codecs(self):
-        """The same servant answer decodes identically whether the
-        connection negotiated binary or JSON."""
-        orb, server = _serve()
-        host, port = server.address
-        binary = TcpTransport(host, port, codec="binary")
-        json_only = TcpTransport(host, port, codec="json")
-        try:
-            request = {"object": "echo", "method": "locate_stub",
-                       "args": [], "kwargs": {}}
-            via_binary = binary.invoke(request)["result"]
-            via_json = json_only.invoke(request)["result"]
-            assert via_binary == via_json
-            assert type(via_binary) is LocationEstimate
-        finally:
-            binary.close()
-            json_only.close()
-            server.stop()
-            orb.shutdown()
-
     def test_binary_connection_falls_back_per_message(self):
-        """A message the binary codec cannot pack still crosses a
-        binary-negotiated connection (as a tagged-JSON frame)."""
+        """A message the binary codec cannot pack still crosses the
+        connection (as a tagged-JSON frame)."""
         class JsonOnly:
             def __init__(self, n):
                 self.n = n
@@ -343,13 +274,12 @@ class TestMixedCodecFleet:
             lambda v: {"n": v.n}, lambda d: JsonOnly(d["n"]))
         orb, server = _serve()
         host, port = server.address
-        transport = TcpTransport(host, port, codec="binary")
+        transport = TcpTransport(host, port)
         try:
             response = transport.invoke({
                 "object": "echo", "method": "echo",
                 "args": [JsonOnly(42)], "kwargs": {}})
             assert response["result"] == JsonOnly(42)
-            assert transport.transport_stats()["codec"] == "binary"
         finally:
             transport.close()
             server.stop()

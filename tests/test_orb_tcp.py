@@ -1,12 +1,14 @@
 """Tests for the TCP transport: a real request path across sockets."""
 
+import socket
 import threading
 
 import pytest
 
 from repro.errors import RemoteInvocationError, TransportError
 from repro.geometry import Rect
-from repro.orb import Orb, TcpTransport
+from repro.orb import Orb, TcpTransport, serialization
+from repro.orb.transport import CODEC_JSON, _MUX_HEADER
 
 
 class Counter:
@@ -124,8 +126,8 @@ class TestTransportFailures:
             server2.shutdown()
 
     def test_pool_retries_stale_connection_once(self, client_orb):
-        """A connection that went stale in the pool is retried on a
-        fresh socket, and the retry is counted."""
+        """A connection that went stale between calls is replaced by a
+        fresh socket, and the replacement is counted as a retry."""
         server = Orb("stale")
         server.register("counter", Counter())
         host, port = server.listen()
@@ -138,7 +140,7 @@ class TestTransportFailures:
         try:
             assert proxy.increment() == 1
             transport = client_orb._transports[(host, port)]
-            assert transport.pool_stats()["retries"] >= 1
+            assert transport.transport_stats()["retries"] >= 1
         finally:
             server2.shutdown()
 
@@ -172,7 +174,8 @@ class TestRouterStyleStress:
     the shard router's exact access pattern.  The old single-socket
     transport serialized every caller behind one lock (and a request
     racing a reconnect could read another request's reply frame); the
-    pooled transport gives each in-flight request its own socket."""
+    multiplexed transport gives each in-flight request its own
+    correlation id on one shared socket."""
 
     NUM_SERVERS = 4
     NUM_THREADS = 8
@@ -220,21 +223,22 @@ class TestRouterStyleStress:
             per_server = total // self.NUM_SERVERS
             assert [c.value for c in counters] \
                 == [per_server] * self.NUM_SERVERS
-            # The pool recycled sockets instead of reconnecting per
-            # call, and nothing needed a retry.
+            # One connection per endpoint served every call, and
+            # nothing needed a retry.
             for orb in servers:
                 host, port = orb._tcp_server.address
-                stats = client_orb._transports[(host, port)].pool_stats()
+                stats = client_orb._transports[(host, port)] \
+                    .transport_stats()
                 assert stats["reused"] > 0
                 assert stats["retries"] == 0
-                assert stats["opened"] <= self.NUM_THREADS
+                assert stats["opened"] == 1
         finally:
             for orb in servers:
                 orb.shutdown()
 
     def test_slow_call_does_not_block_the_endpoint(self, client_orb):
-        """Head-of-line: with one pooled transport, a slow request
-        must not serialize the fast ones behind it."""
+        """Head-of-line: on one multiplexed connection, a slow
+        request must not serialize the fast ones behind it."""
         import time
         server = Orb("sleepy")
         server.register("sleeper", Sleeper(delay=0.4))
@@ -265,8 +269,8 @@ class TestRouterStyleStress:
 
 
 class TestMultiplexedTransport:
-    """The negotiated fast lane: one socket, many in-flight requests,
-    responses out of order."""
+    """One socket, many in-flight requests, responses out of
+    order."""
 
     def test_single_connection_carries_concurrency(self, client_orb):
         server = Orb("muxed")
@@ -286,9 +290,7 @@ class TestMultiplexedTransport:
             host, port = server._tcp_server.address
             transport = client_orb._transports[(host, port)]
             stats = transport.transport_stats()
-            assert stats["mode"] == "mux"
-            assert stats["codec"] == "binary"
-            assert stats["opened"] == 1  # the one upgraded connection
+            assert stats["opened"] == 1  # the one connection
             assert stats["multiplexed_inflight_max"] >= 2
         finally:
             server.shutdown()
@@ -296,7 +298,7 @@ class TestMultiplexedTransport:
     def test_invoke_many_pipelines(self, server_orb, client_orb):
         ref = server_orb.reference_for("counter")
         proxy = client_orb.resolve(ref)
-        proxy.increment()  # negotiate
+        proxy.increment()  # connect
         host, port = server_orb._tcp_server.address
         transport = client_orb._transports[(host, port)]
         requests = [{"object": "counter", "method": "increment",
@@ -304,7 +306,7 @@ class TestMultiplexedTransport:
         responses = transport.invoke_many(requests)
         values = sorted(r["result"] for r in responses)
         assert values == list(range(2, 22))
-        assert transport.pool_stats()["retries"] == 0
+        assert transport.transport_stats()["retries"] == 0
 
     def test_async_remote_error_raised_at_result(self, server_orb,
                                                  client_orb):
@@ -315,41 +317,73 @@ class TestMultiplexedTransport:
         assert exc_info.value.remote_type == "KeyError"
 
 
-class _ScriptedLegacyServer:
-    """A raw socket server speaking legacy framing from a script of
-    per-connection behaviours: "serve", "close_before_response",
-    "partial_response"."""
+class _ScriptedMuxServer:
+    """A raw socket server speaking multiplexed framing from a script
+    of per-connection behaviours, each applied to the connection's
+    first request:
+
+    * "serve" — answer, then keep serving until the client leaves;
+    * "close_before_response" — close without a response byte;
+    * "respond_then_close" — answer, then close at once;
+    * "partial_header" — send 2 bytes of a response header, close;
+    * "partial_body" — send a whole header and half its body, close.
+    """
 
     def __init__(self, behaviours):
-        import socket as socket_module
         self.behaviours = list(behaviours)
-        self.sock = socket_module.socket()
+        self.sock = socket.socket()
         self.sock.bind(("127.0.0.1", 0))
         self.sock.listen(8)
         self.address = self.sock.getsockname()
         self.thread = threading.Thread(target=self._serve, daemon=True)
         self.thread.start()
 
+    @staticmethod
+    def _read_request(conn):
+        data = b""
+        while len(data) < _MUX_HEADER.size:
+            chunk = conn.recv(_MUX_HEADER.size - len(data))
+            if not chunk:
+                return None
+            data += chunk
+        length, _, corr = _MUX_HEADER.unpack(data)
+        body = b""
+        while len(body) < length:
+            body += conn.recv(length - len(body))
+        return corr
+
+    @staticmethod
+    def _response(corr):
+        payload = serialization.dumps({"result": "ok"})
+        return _MUX_HEADER.pack(len(payload), CODEC_JSON, corr) + payload
+
     def _serve(self):
-        import struct
-        from repro.orb import serialization
         for behaviour in self.behaviours:
             conn, _ = self.sock.accept()
             try:
-                header = b""
-                while len(header) < 4:
-                    header += conn.recv(4 - len(header))
-                (length,) = struct.unpack(">I", header)
-                body = b""
-                while len(body) < length:
-                    body += conn.recv(length - len(body))
+                corr = self._read_request(conn)
+                response = self._response(corr)
                 if behaviour == "close_before_response":
                     pass  # just close: no response bytes at all
-                elif behaviour == "partial_response":
-                    conn.sendall(b"\x00\x00")  # half a header, then die
+                elif behaviour == "respond_then_close":
+                    conn.sendall(response)
+                elif behaviour == "partial_header":
+                    conn.sendall(response[:2])
+                elif behaviour == "partial_body":
+                    conn.sendall(response[:len(response) - 4])
                 else:
-                    payload = serialization.dumps({"result": "ok"})
-                    conn.sendall(struct.pack(">I", len(payload)) + payload)
+                    while corr is not None:
+                        conn.sendall(self._response(corr))
+                        corr = self._read_request(conn)
+                # Half-close, then swallow whatever else the client
+                # sent until it hangs up: closing with unread requests
+                # queued would turn the FIN into a reset.
+                conn.shutdown(socket.SHUT_WR)
+                conn.settimeout(5.0)
+                while conn.recv(65536):
+                    pass
+            except OSError:
+                pass
             finally:
                 conn.close()
         self.sock.close()
@@ -363,21 +397,31 @@ class TestRetrySemantics:
 
     REQUEST = {"object": "x", "method": "y", "args": [], "kwargs": {}}
 
+    def _transport(self, behaviours):
+        host, port = _ScriptedMuxServer(behaviours).address
+        return TcpTransport(host, port, timeout=5.0)
+
     def test_retries_when_no_response_bytes(self):
-        server = _ScriptedLegacyServer(["close_before_response", "serve"])
-        host, port = server.address
-        transport = TcpTransport(host, port, timeout=5.0, negotiate=False)
+        transport = self._transport(["close_before_response", "serve"])
         try:
             response = transport.invoke(dict(self.REQUEST))
             assert response == {"result": "ok"}
-            assert transport.pool_stats()["retries"] == 1
+            assert transport.transport_stats()["retries"] == 1
         finally:
             transport.close()
 
-    def test_no_retry_after_partial_response(self):
-        server = _ScriptedLegacyServer(["partial_response", "serve"])
-        host, port = server.address
-        transport = TcpTransport(host, port, timeout=5.0, negotiate=False)
+    def test_response_arriving_with_eof_is_delivered(self):
+        """A complete response followed at once by EOF is the answer,
+        not a lost connection: no retry, no re-execution."""
+        transport = self._transport(["respond_then_close", "serve"])
+        try:
+            assert transport.invoke(dict(self.REQUEST)) == {"result": "ok"}
+            assert transport.transport_stats()["retries"] == 0
+        finally:
+            transport.close()
+
+    def _assert_died_mid_response(self, behaviour):
+        transport = self._transport([behaviour, "serve"])
         try:
             with pytest.raises(TransportError) as exc_info:
                 transport.invoke(dict(self.REQUEST))
@@ -385,19 +429,68 @@ class TestRetrySemantics:
             # executed; a retry could double-execute and the partial
             # bytes prove the server took it).
             assert "mid-response" in str(exc_info.value)
-            assert transport.pool_stats()["retries"] == 0
+            assert transport.transport_stats()["retries"] == 0
+        finally:
+            transport.close()
+
+    def test_no_retry_after_partial_response(self):
+        self._assert_died_mid_response("partial_header")
+
+    def test_no_retry_after_partial_body(self):
+        self._assert_died_mid_response("partial_body")
+
+    def test_torn_header_fails_every_pending_request(self):
+        """Two bytes of a header cannot name their request, so no
+        request pending on the dying connection is retried."""
+        transport = self._transport(["partial_header", "serve"])
+        try:
+            handles = [transport.invoke_async(dict(self.REQUEST))
+                       for _ in range(3)]
+            for handle in handles:
+                with pytest.raises(TransportError) as exc_info:
+                    handle.result()
+                assert "mid-response" in str(exc_info.value)
+            assert transport.transport_stats()["retries"] == 0
+        finally:
+            transport.close()
+
+    def test_partial_body_fails_only_its_owner(self):
+        """A complete header names the request whose response was cut
+        off; the other requests pending on the connection never saw a
+        response byte and are retried on a fresh connection."""
+        transport = self._transport(["partial_body", "serve"])
+        try:
+            first = transport.invoke_async(dict(self.REQUEST))
+            second = transport.invoke_async(dict(self.REQUEST))
+            with pytest.raises(TransportError) as exc_info:
+                first.result()
+            assert "mid-response" in str(exc_info.value)
+            assert second.result() == {"result": "ok"}
+            assert transport.transport_stats()["retries"] == 1
+        finally:
+            transport.close()
+
+    def test_invoke_many_retries_at_most_once(self):
+        """A pipelined request re-driven after its connection died
+        gets one retry, like a single invoke — not a fresh budget."""
+        transport = self._transport(["close_before_response",
+                                     "close_before_response", "serve"])
+        try:
+            with pytest.raises(TransportError) as exc_info:
+                transport.invoke_many([dict(self.REQUEST)])
+            assert "failed after reconnect" in str(exc_info.value)
+            assert transport.transport_stats()["retries"] == 1
         finally:
             transport.close()
 
     def test_retry_happens_at_most_once(self):
-        server = _ScriptedLegacyServer(["close_before_response",
-                                        "close_before_response"])
-        host, port = server.address
-        transport = TcpTransport(host, port, timeout=5.0, negotiate=False)
+        transport = self._transport(["close_before_response",
+                                     "close_before_response"])
         try:
-            with pytest.raises(TransportError):
+            with pytest.raises(TransportError) as exc_info:
                 transport.invoke(dict(self.REQUEST))
-            assert transport.pool_stats()["retries"] == 1
+            assert "failed after reconnect" in str(exc_info.value)
+            assert transport.transport_stats()["retries"] == 1
         finally:
             transport.close()
 
