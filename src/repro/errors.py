@@ -86,7 +86,12 @@ class SimulatedCrash(StorageError):
     process kill mid-append / mid-fsync / mid-snapshot / mid-compaction;
     everything the layer had durably written before the crash must be
     recoverable, and nothing after it may have been applied.
+
+    ``landed`` counts the records of a batched write (and so the rows
+    of a batched insert) that landed before the killed one.
     """
+
+    landed: int = 0
 
 
 class OrbError(MiddleWhereError):

@@ -40,9 +40,10 @@ OVERFLOW_POLICIES = (OVERFLOW_BLOCK, OVERFLOW_DROP_OLDEST, OVERFLOW_REJECT)
 class PipelineReading:
     """One raw adapter emission, not yet in the spatial database.
 
-    Mirrors the arguments of
-    :meth:`repro.spatialdb.SpatialDatabase.insert_reading` so the
-    fusion thread can flush it verbatim once its batch is drained.
+    Has the attributes of :class:`repro.spatialdb.NewReading` (the
+    arguments of :meth:`~repro.spatialdb.SpatialDatabase.insert_reading`),
+    so the fusion thread hands a drained backlog of them to
+    :meth:`~repro.spatialdb.SpatialDatabase.insert_readings` as is.
     """
 
     sensor_id: str

@@ -26,11 +26,11 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from repro.core import SensorSpec
 from repro.errors import IntakeOverflowError, PipelineError
-from repro.geometry import Rect
+from repro.geometry import Point, Rect
 from repro.pipeline.batcher import Batch, Batcher
 from repro.pipeline.intake import (
     OVERFLOW_BLOCK,
@@ -238,6 +238,14 @@ class LocationPipeline:
             return "missing mobile object id"
         if not reading.sensor_id:
             return "missing sensor id"
+        if not (isinstance(reading.sensor_id, str)
+                and isinstance(reading.glob_prefix, str)
+                and isinstance(reading.sensor_type, str)
+                and isinstance(reading.object_id, str)):
+            return "sensor, prefix, type and object ids must be strings"
+        if reading.location is not None and \
+                not isinstance(reading.location, Point):
+            return "location is not a Point"
         if not isinstance(reading.rect, Rect):
             return "reading carries no rectangle"
         if not all(math.isfinite(v) for v in (reading.rect.min_x,
@@ -270,48 +278,99 @@ class LocationPipeline:
     # Fusion-thread processing
     # ------------------------------------------------------------------
 
-    def _flush_entry(self, entry: QueuedReading) -> bool:
-        """Persist one reading (with retry); False if dead-lettered.
+    def _flush(self, entries: Sequence[QueuedReading]
+               ) -> List[QueuedReading]:
+        """Land a backlog in the spatial database; returns what landed.
+
+        The readings go down in as few :meth:`SpatialDatabase.
+        insert_readings` calls as the failures allow — one when nothing
+        fails — with the per-reading semantics of one retried insert
+        each: ``flush_fault(reading, attempt)`` runs once per attempt
+        before the reading is written, a transient failure retries from
+        the first reading that did not land, and a reading out of
+        attempts (or hit by a non-transient error) is dead-lettered
+        while the rest of the backlog carries on.
+        """
+        hook = self.flush_fault
+        landed: List[QueuedReading] = []
+        # Readings that passed flush_fault, with their attempt number,
+        # waiting to be written in one call.
+        ready: List[Tuple[QueuedReading, int]] = []
+        for entry in entries:
+            attempt: Optional[int] = 1
+            if hook is not None:
+                try:
+                    hook(entry.reading, 1)
+                except Exception as exc:  # noqa: BLE001 — classified
+                    # Earlier readings land first, as they would have
+                    # one insert at a time.
+                    self._land(ready, landed)
+                    ready = []
+                    attempt = self._next_attempt(entry, 1, exc)
+            if attempt is not None:
+                ready.append((entry, attempt))
+        self._land(ready, landed)
+        return landed
+
+    def _land(self, ready: List[Tuple[QueuedReading, int]],
+              landed: List[QueuedReading]) -> None:
+        """Write ``ready`` in order, resuming after each failure at the
+        first reading that did not land."""
+        insert_readings = self.service.db.insert_readings
+        start = 0
+        while start < len(ready):
+            try:
+                insert_readings([entry.reading for entry, _ in ready[start:]],
+                                fire_triggers=False)
+            except Exception as exc:  # noqa: BLE001 — classified
+                done = getattr(exc, "landed", 0)
+                landed.extend(entry for entry, _ in
+                              ready[start:start + done])
+                start += done
+                entry, attempt = ready[start]
+                next_attempt = self._next_attempt(entry, attempt, exc)
+                if next_attempt is None:
+                    start += 1
+                else:
+                    ready[start] = (entry, next_attempt)
+            else:
+                landed.extend(entry for entry, _ in ready[start:])
+                return
+
+    def _next_attempt(self, entry: QueuedReading, attempt: int,
+                      exc: BaseException) -> Optional[int]:
+        """After ``entry``'s ``attempt``-th try raised ``exc``: the
+        next attempt number, once ``flush_fault`` lets it through, or
+        ``None`` once the reading is dead-lettered.
 
         Only :data:`TRANSIENT_ERRORS` are retried.  Anything else is a
         programming error or poisoned reading: retrying it would never
         succeed, so it surfaces straight to the dead-letter queue with
         reason ``"unexpected"`` — and accounting still reconciles.
         """
-        reading = entry.reading
-        db = self.service.db
-        attempt = [0]
-
-        def insert() -> int:
-            attempt[0] += 1
+        retry = self.config.retry
+        while isinstance(exc, TRANSIENT_ERRORS) and \
+                attempt < retry.max_attempts:
+            self._count_retry(attempt, exc)
+            delay = retry.delay_for(attempt)
+            if delay > 0.0:
+                time.sleep(delay)
+            attempt += 1
             hook = self.flush_fault
-            if hook is not None:
-                hook(reading, attempt[0])
-            return db.insert_reading(
-                sensor_id=reading.sensor_id,
-                glob_prefix=reading.glob_prefix,
-                sensor_type=reading.sensor_type,
-                mobile_object_id=reading.object_id,
-                rect=reading.rect,
-                detection_time=reading.detection_time,
-                location=reading.location,
-                detection_radius=reading.detection_radius,
-                fire_triggers=False,
-            )
-
-        try:
-            call_with_retry(insert, self.config.retry,
-                            on_retry=self._count_retry)
-            return True
-        except TRANSIENT_ERRORS as exc:
-            self.dead_letters.add(reading,
-                                  f"flush failed after retries: {exc}",
-                                  self.clock())
-        except Exception as exc:  # noqa: BLE001 — not retryable
-            self.dead_letters.add(reading, f"unexpected: {exc!r}",
-                                  self.clock())
+            if hook is None:
+                return attempt
+            try:
+                hook(entry.reading, attempt)
+                return attempt
+            except Exception as err:  # noqa: BLE001 — classified
+                exc = err
+        if isinstance(exc, TRANSIENT_ERRORS):
+            reason = f"flush failed after retries: {exc}"
+        else:
+            reason = f"unexpected: {exc!r}"
+        self.dead_letters.add(entry.reading, reason, self.clock())
         self.stats_recorder.incr("dead_lettered")
-        return False
+        return None
 
     def _count_retry(self, attempt: int, exc: BaseException) -> None:
         self.stats_recorder.incr("retries")
@@ -319,8 +378,7 @@ class LocationPipeline:
     def _process_batch(self, batch: Batch) -> None:
         """Flush → fuse once → evaluate subscriptions → record stats."""
         self.stats_recorder.incr("batches")
-        flushed: List[QueuedReading] = [
-            entry for entry in batch.entries if self._flush_entry(entry)]
+        flushed = self._flush(batch.entries)
         if not flushed:
             return
         at = max(entry.reading.detection_time for entry in flushed)
@@ -331,19 +389,14 @@ class LocationPipeline:
                 batch.object_id, readings, at)
         except Exception:  # noqa: BLE001 — readings are persisted
             self.stats_recorder.incr("fusion_failures")
-            now = self.clock()
-            for entry in flushed:
-                self.stats_recorder.enqueue_to_fused.record(
-                    now - entry.enqueued_at)
+            self._record_fused(flushed, self.clock())
             raise
         if from_cache:
             self.stats_recorder.incr("fusion_cache_hits")
         if result.incremental:
             self.stats_recorder.incr("incremental_fusions")
         fused_at = self.clock()
-        for entry in flushed:
-            self.stats_recorder.enqueue_to_fused.record(
-                fused_at - entry.enqueued_at)
+        self._record_fused(flushed, fused_at)
 
         def apply() -> int:
             return self.service.apply_fusion_result(
@@ -383,6 +436,11 @@ class LocationPipeline:
             self.stats_recorder.incr("notifications", notified)
             self.stats_recorder.fused_to_notified.record(
                 self.clock() - fused_at)
+
+    def _record_fused(self, flushed: List[QueuedReading],
+                      fused_at: float) -> None:
+        self.stats_recorder.enqueue_to_fused.record_many(
+            [fused_at - entry.enqueued_at for entry in flushed])
 
     # ------------------------------------------------------------------
     # Observability

@@ -15,8 +15,9 @@ evaluation + event delivery).
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import PipelineError
 
@@ -60,19 +61,20 @@ class LatencyHistogram:
         self._lock = threading.Lock()
 
     def record(self, seconds: float) -> None:
-        if seconds < 0.0:
-            seconds = 0.0
-        bucket = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if seconds <= bound:
-                bucket = i
-                break
+        self.record_many((seconds,))
+
+    def record_many(self, samples: Sequence[float]) -> None:
+        """Record every sample under one lock hold."""
+        samples = [max(seconds, 0.0) for seconds in samples]
+        bounds = self.bounds
         with self._lock:
-            self._counts[bucket] += 1
-            self._count += 1
-            self._total += seconds
-            if seconds > self._max:
-                self._max = seconds
+            counts = self._counts
+            for seconds in samples:
+                counts[bisect_left(bounds, seconds)] += 1
+                self._total += seconds
+            self._count += len(samples)
+            if samples:
+                self._max = max(self._max, max(samples))
 
     def percentile(self, fraction: float) -> float:
         """The latency at a cumulative ``fraction`` of samples (0..1]."""

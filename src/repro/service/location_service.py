@@ -53,14 +53,8 @@ from repro.spatialdb import Row, SpatialDatabase
 
 Clock = Callable[[], float]
 
-# Freshness-bucket count for the content-addressed fusion key: a
-# reading's age is quantized to ttl/8-wide buckets, so queries close
-# enough in time that temporal degradation is indistinguishable share
-# one fused result, while ages apart by more than a bucket fuse anew.
-_FRESHNESS_BUCKETS = 8
-
 # (object_id, fingerprint): see LocationService._fusion_fingerprint.
-FusionKey = Tuple[str, Tuple[int, Tuple[Any, ...]]]
+FusionKey = Tuple[str, Tuple[int, float, Tuple[Any, ...]]]
 
 
 def _dropping_consumer(event: Dict[str, Any]) -> None:
@@ -110,11 +104,11 @@ class LocationService:
         self._proximity_subscriptions: Dict[str, Any] = {}
         # Memo of recent fusions, content-addressed: the key is a
         # fingerprint of the surviving readings (sensor ids, rects,
-        # freshness buckets) plus the sensor-table version, NOT the
-        # query timestamp — so trigger storms, repeated pulls and the
-        # pipeline's steadily advancing clock all hit the same entry as
-        # long as the fused inputs are indistinguishable.  This is the
-        # paper's shared lattice of Section 4.3.
+        # movement flags, detection times) plus the exact query instant
+        # and the sensor-table version — so a trigger storm or repeated
+        # pull at one instant costs one fusion, and no query is ever
+        # answered with another instant's temporal degradation.  This
+        # is the paper's shared lattice of Section 4.3.
         self._fusion_cache: "OrderedDict[FusionKey, FusionResult]" = \
             OrderedDict()
         self._fusion_cache_capacity = fusion_cache_capacity
@@ -225,26 +219,22 @@ class LocationService:
         return readings
 
     def _fusion_fingerprint(self, readings: List[NormalizedReading],
-                            at: float) -> Tuple[int, Tuple[Any, ...]]:
-        """Content address of a fusion input.
+                            at: float) -> Tuple[int, float, Tuple[Any, ...]]:
+        """Content address of a fusion input at one exact instant.
 
-        Two fusions whose surviving readings have the same sensors,
-        rectangles, movement flags and freshness buckets (age quantized
-        to ttl / ``_FRESHNESS_BUCKETS``) produce indistinguishable
-        distributions, so they share one cache entry.  The sensor-table
-        version guards against recalibration serving stale math.
+        Fusion degrades each reading's p/q by its exact age (paper
+        Sections 3.2 and 4.1.1) and stamps the result with ``at``, so
+        two fusions are interchangeable only when they run at the same
+        instant over the same sensors, rectangles, movement flags and
+        detection times — which together pin every reading's exact
+        age.  The sensor-table version guards against recalibration
+        serving stale math.
         """
-        parts = []
-        for r in readings:
-            ttl = r.spec.time_to_live
-            age = r.age_at(at)
-            bucket = int(_FRESHNESS_BUCKETS * age / ttl) \
-                if ttl > 0.0 and ttl != float("inf") else 0
-            parts.append((r.sensor_id, r.rect.min_x, r.rect.min_y,
-                          r.rect.max_x, r.rect.max_y, bool(r.moving),
-                          bucket))
-        parts.sort()
-        return (self.db.sensor_specs.version, tuple(parts))
+        parts = sorted(
+            (r.sensor_id, r.rect.min_x, r.rect.min_y, r.rect.max_x,
+             r.rect.max_y, bool(r.moving), r.time)
+            for r in readings)
+        return (self.db.sensor_specs.version, at, tuple(parts))
 
     def fusion_result(self, object_id: str,
                       now: Optional[float] = None) -> FusionResult:
@@ -253,9 +243,8 @@ class LocationService:
         Fusions are memoized content-addressed (see
         :meth:`_fusion_fingerprint`): evaluating 500 programmed
         triggers against one reading costs one fusion, and repeated
-        queries hit as long as the surviving readings and their
-        freshness buckets are unchanged.  Any new reading for the
-        object changes the fingerprint and fuses anew.
+        queries at the same instant hit.  A new reading for the object,
+        or any other instant, fuses anew.
         """
         at = self._now(now)
         version = self.db.reading_version(object_id)

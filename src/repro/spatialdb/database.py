@@ -10,7 +10,8 @@ the same operations, indexed by a from-scratch R-tree.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.errors import QueryError, SensorError, WorldModelError
 from repro.geometry import Point, Polygon, Rect, Segment
@@ -46,6 +47,20 @@ SENSOR_READINGS_SCHEMA = Schema(
     ],
     primary_key=("reading_id",),
 )
+
+class NewReading(NamedTuple):
+    """One reading to record: :meth:`SpatialDatabase.insert_reading`'s
+    arguments, in its order."""
+
+    sensor_id: str
+    glob_prefix: str
+    sensor_type: str
+    object_id: str
+    rect: Rect
+    detection_time: float
+    location: Optional[Point] = None
+    detection_radius: float = 0.0
+
 
 SENSOR_SPECS_SCHEMA = Schema(
     [
@@ -323,116 +338,172 @@ class SpatialDatabase:
         The ``moving`` flag is computed against this sensor's previous
         reading for the same object — the paper's conflict rule 1
         prefers "a rectangle moving with time" (Section 4.1.2).
+        A one-reading :meth:`insert_readings`.
+        """
+        return self.insert_readings((NewReading(
+            sensor_id, glob_prefix, sensor_type, mobile_object_id, rect,
+            detection_time, location, detection_radius),),
+            fire_triggers)[0]
+
+    def insert_readings(self, readings: Sequence[NewReading],
+                        fire_triggers: bool = True) -> List[int]:
+        """Record a backlog of readings in order; returns their ids.
+
+        Bit-identical to recording the readings one call at a time —
+        ids, ``moving`` flags (computed against history, earlier
+        readings of the same backlog included), rows, support MBRs,
+        versions and WAL bytes — but with one ingest-lock hold, one
+        journal write and one :meth:`Table.insert_many`.  ``readings`` are
+        :class:`NewReading` or anything with its attributes (the
+        pipeline passes its ``PipelineReading`` directly).
         ``fire_triggers=False`` is the ingestion pipeline's path: it
-        evaluates subscriptions once per fused batch instead of once
+        evaluates subscriptions once per fused backlog instead of once
         per insert.
+
+        Write-ahead: the backlog is journaled before any state moves.
+        If reading k cannot be recorded — it fails to convert or
+        encode, or the journal is killed at its record — readings
+        before k land (a killed journal has them durably) and the error
+        propagates with ``landed = k``.  Any other journal failure
+        lands nothing.
         """
         journal = self.journal
-        if journal is None:
-            with self._ingest_lock:
-                key = (sensor_id, mobile_object_id)
-                history = self._history.setdefault(key, [])
-                moving = (bool(history)
-                          and not history[-1][1].almost_equals(rect, 1e-9))
-                history.append((detection_time, rect))
-                if len(history) > self._history_limit:
-                    history.pop(0)
-                reading_id = self._next_reading_id
-                self._next_reading_id += 1
-                # Grow the support BEFORE the row lands so a concurrent
-                # region query never sees the row without its bound.
-                prior = self._reading_support.get(mobile_object_id)
-                self._reading_support[mobile_object_id] = \
-                    rect if prior is None else prior.union_mbr(rect)
-                self._reading_version[mobile_object_id] = \
-                    self._reading_version.get(mobile_object_id, 0) + 1
-            self.sensor_readings.insert({
-                "reading_id": reading_id,
-                "sensor_id": sensor_id,
-                "glob_prefix": glob_prefix,
-                "sensor_type": sensor_type,
-                "mobile_object_id": mobile_object_id,
-                "location": location,
-                "detection_radius": float(detection_radius),
-                "rect": rect,
-                "detection_time": float(detection_time),
-                "moving": moving,
-            }, fire_triggers=fire_triggers)
-            return reading_id
-        # Durable path: append the materialized row (tentative id,
-        # computed ``moving``) to the WAL, and only then mutate any
-        # state — a crash inside the log call leaves no trace here, so
-        # the survivor and a replay of the WAL agree exactly.  Logging
-        # under the ingest lock makes WAL order match reading-id order;
-        # everything that does not depend on in-lock state (the bulk of
-        # the record encode) happens before the lock, keeping it short
-        # for the pipeline thread and concurrent synchronous writers.
-        detection_radius = float(detection_radius)
-        detection_time = float(detection_time)
-        parts = journal.prepare_insert(
-            sensor_id, glob_prefix, sensor_type, mobile_object_id,
-            location, detection_radius, rect, detection_time)
+        prepare = journal.prepare_insert if journal is not None else None
+        rows: List[Row] = []
+        parts = []
+        failure: Optional[BaseException] = None
+        try:
+            for r in readings:
+                row = {
+                    "reading_id": 0,
+                    "sensor_id": r.sensor_id,
+                    "glob_prefix": r.glob_prefix,
+                    "sensor_type": r.sensor_type,
+                    "mobile_object_id": r.object_id,
+                    "location": r.location,
+                    "detection_radius": float(r.detection_radius),
+                    "rect": r.rect,
+                    "detection_time": float(r.detection_time),
+                    "moving": False,
+                }
+                if prepare is not None:
+                    # Everything but the in-lock fields is encoded up
+                    # front, keeping the ingest lock short for the
+                    # pipeline thread and concurrent synchronous
+                    # writers.
+                    parts.append(prepare(
+                        row["sensor_id"], row["glob_prefix"],
+                        row["sensor_type"], row["mobile_object_id"],
+                        row["location"], row["detection_radius"],
+                        row["rect"], row["detection_time"]))
+                rows.append(row)
+        except Exception as exc:  # noqa: BLE001 — re-raised below
+            failure = exc
+        if failure is not None and not rows:
+            failure.landed = 0  # type: ignore[attr-defined]
+            raise failure
+        if not rows:
+            return []
         with self._ingest_lock:
-            key = (sensor_id, mobile_object_id)
-            peek = self._history.get(key)
-            moving = (bool(peek)
-                      and not peek[-1][1].almost_equals(rect, 1e-9))
-            journal.log_prepared_insert(parts, self._next_reading_id,
-                                        moving)
-            reading_id = self._next_reading_id
-            self._next_reading_id += 1
-            history = self._history.setdefault(key, [])
-            history.append((detection_time, rect))
-            if len(history) > self._history_limit:
+            first = self._next_reading_id
+            latest: Dict[Tuple[str, str], Rect] = {}
+            for index, row in enumerate(rows):
+                key = (row["sensor_id"], row["mobile_object_id"])
+                rect = row["rect"]
+                prior = latest.get(key)
+                if prior is None:
+                    history = self._history.get(key)
+                    prior = history[-1][1] if history else None
+                row["reading_id"] = first + index
+                row["moving"] = (prior is not None
+                                 and not prior.almost_equals(rect, 1e-9))
+                latest[key] = rect
+            if journal is not None:
+                # Logged under the ingest lock so WAL order matches
+                # reading-id order.
+                try:
+                    journal.log_prepared_insert(
+                        parts, first, [row["moving"] for row in rows])
+                except Exception as exc:  # noqa: BLE001 — re-raised
+                    failure = exc
+                    rows = rows[:getattr(exc, "landed", 0)]
+            self._next_reading_id = first + len(rows)
+            grown = self._advance(rows)
+        if rows:
+            self.sensor_readings.insert_many(
+                rows, fire_triggers,
+                landed=lambda: self._count_landed(grown))
+        if failure is not None:
+            failure.landed = len(rows)  # type: ignore[attr-defined]
+            raise failure
+        if journal is not None:
+            # Deferred group commit, outside the ingest lock so the
+            # fsync never stalls concurrent inserters.
+            journal.commit_if_due()
+        return [row["reading_id"] for row in rows]
+
+    def _advance(self, rows: Sequence[Row]) -> Dict[str, int]:
+        """Movement history and support MBRs for rows about to land.
+
+        Caller holds the ingest lock.  The support grows BEFORE the
+        rows land, so a concurrent region query never sees a row
+        without its bound; the reading version is bumped only after
+        they land (:meth:`_count_landed`), so it never counts a row
+        :meth:`readings_for` cannot return yet.  Returns the rows per
+        object, for that bump.
+        """
+        limit = self._history_limit
+        by_object: Dict[str, List[Rect]] = {}
+        for row in rows:
+            object_id = row["mobile_object_id"]
+            rect = row["rect"]
+            history = self._history.setdefault(
+                (row["sensor_id"], object_id), [])
+            history.append((row["detection_time"], rect))
+            if len(history) > limit:
                 history.pop(0)
-            prior = self._reading_support.get(mobile_object_id)
-            self._reading_support[mobile_object_id] = \
-                rect if prior is None else prior.union_mbr(rect)
-            self._reading_version[mobile_object_id] = \
-                self._reading_version.get(mobile_object_id, 0) + 1
-        self.sensor_readings.insert({
-            "reading_id": reading_id,
-            "sensor_id": sensor_id,
-            "glob_prefix": glob_prefix,
-            "sensor_type": sensor_type,
-            "mobile_object_id": mobile_object_id,
-            "location": location,
-            "detection_radius": detection_radius,
-            "rect": rect,
-            "detection_time": detection_time,
-            "moving": moving,
-        }, fire_triggers=fire_triggers)
-        # Deferred group commit, outside the ingest lock so the fsync
-        # never stalls concurrent inserters.
-        journal.commit_if_due()
-        return reading_id
+            group = by_object.get(object_id)
+            if group is None:
+                by_object[object_id] = [rect]
+            else:
+                group.append(rect)
+        support = self._reading_support
+        for object_id, group in by_object.items():
+            # min/max keep the first of equal values, so folding the
+            # group first is bit-identical to growing row by row.
+            grown = group[0] if len(group) == 1 else Rect(
+                min(r.min_x for r in group), min(r.min_y for r in group),
+                max(r.max_x for r in group), max(r.max_y for r in group))
+            prior = support.get(object_id)
+            support[object_id] = grown if prior is None \
+                else prior.union_mbr(grown)
+        return {object_id: len(group)
+                for object_id, group in by_object.items()}
+
+    def _count_landed(self, counts: Dict[str, int]) -> None:
+        with self._ingest_lock:
+            versions = self._reading_version
+            for object_id, count in counts.items():
+                versions[object_id] = versions.get(object_id, 0) + count
 
     def apply_logged_insert(self, row: Row) -> int:
         """Restore one WAL-logged reading row verbatim (recovery path).
 
         The row keeps its original ``reading_id`` and ``moving`` flag;
-        the id allocator, movement history and support MBRs advance
-        exactly as the original insert advanced them.  Triggers never
-        fire during replay — recovered subscriptions are reinstated
-        separately and must not see historical events again.
+        the id allocator, movement history, support MBRs and version
+        advance exactly as the original insert advanced them.  Triggers
+        never fire during replay — recovered subscriptions are
+        reinstated separately and must not see historical events again.
         """
+        row = dict(row)
+        reading_id = int(row["reading_id"])
         with self._ingest_lock:
-            reading_id = int(row["reading_id"])
             self._next_reading_id = max(self._next_reading_id,
                                         reading_id + 1)
-            key = (row["sensor_id"], row["mobile_object_id"])
-            history = self._history.setdefault(key, [])
-            history.append((row["detection_time"], row["rect"]))
-            if len(history) > self._history_limit:
-                history.pop(0)
-            object_id = row["mobile_object_id"]
-            prior = self._reading_support.get(object_id)
-            self._reading_support[object_id] = \
-                row["rect"] if prior is None \
-                else prior.union_mbr(row["rect"])
-            self._reading_version[object_id] = \
-                self._reading_version.get(object_id, 0) + 1
-        self.sensor_readings.insert(dict(row), fire_triggers=False)
+            grown = self._advance((row,))
+        self.sensor_readings.insert_many(
+            [row], fire_triggers=False,
+            landed=lambda: self._count_landed(grown))
         return reading_id
 
     def readings_for(self, mobile_object_id: str, now: float,

@@ -58,6 +58,8 @@ class Schema:
                  primary_key: Optional[Sequence[str]] = None) -> None:
         self.columns = list(columns)
         self._by_name = {c.name: c for c in self.columns}
+        self._names = frozenset(self._by_name)
+        self._checks = [(c.name, c.kind, c) for c in self.columns]
         if len(self._by_name) != len(self.columns):
             raise SchemaError("duplicate column names")
         self.primary_key = tuple(primary_key or ())
@@ -70,14 +72,20 @@ class Schema:
         return [c.name for c in self.columns]
 
     def validate_row(self, row: Row) -> None:
-        unknown = set(row) - set(self._by_name)
-        if unknown:
-            raise SchemaError(f"unknown columns: {sorted(unknown)}")
-        for column in self.columns:
-            column.validate(row.get(column.name))
+        if row.keys() != self._names:
+            unknown = set(row) - self._names
+            if unknown:
+                raise SchemaError(f"unknown columns: {sorted(unknown)}")
+        for name, kind, column in self._checks:
+            # Exact-type values pass without a call; anything else
+            # (None, ints as floats, subclasses, errors) takes the
+            # column's own check.
+            value = row.get(name)
+            if type(value) is not kind:
+                column.validate(value)
 
     def key_of(self, row: Row) -> Tuple[Any, ...]:
-        return tuple(row[k] for k in self.primary_key)
+        return tuple([row[k] for k in self.primary_key])
 
 
 @dataclass
@@ -169,7 +177,6 @@ class Table:
     # Mutation
     # ------------------------------------------------------------------
 
-    @_synchronized
     def insert(self, row: Row, fire_triggers: bool = True) -> int:
         """Insert a row; returns its rowid.  Fires insert triggers.
 
@@ -177,23 +184,53 @@ class Table:
         their own evaluation pass afterwards (the ingestion pipeline
         evaluates subscriptions once per fused batch, not per insert).
         """
-        self.schema.validate_row(row)
-        stored = dict(row)
-        if self.schema.primary_key:
-            key = self.schema.key_of(stored)
-            if key in self._pk_index:
-                raise SchemaError(
-                    f"duplicate primary key {key!r} in table {self.name!r}")
-        rowid = next(self._rowid)
-        self._rows[rowid] = stored
-        if self.schema.primary_key:
-            self._pk_index[self.schema.key_of(stored)] = rowid
-        for column, index in self._indexes.items():
-            index.setdefault(stored.get(column), set()).add(rowid)
-        self.version += 1
+        return self.insert_many([dict(row)], fire_triggers)[0]
+
+    @_synchronized
+    def insert_many(self, rows: Sequence[Row], fire_triggers: bool = True,
+                    landed: Optional[Callable[[], None]] = None
+                    ) -> List[int]:
+        """Insert rows in order under one lock hold; returns rowids.
+
+        Every row passes the schema and primary-key checks (duplicates
+        within ``rows`` included) before any of them lands, so a bad
+        row leaves the table untouched.  The dicts are stored as given:
+        the caller hands them over and must not mutate them afterwards.
+        ``landed`` runs under the table lock once every row is stored
+        and before any insert trigger fires, so a caller can publish
+        state derived from the rows atomically with them.  Triggers
+        then fire per row, in order.
+        """
+        schema = self.schema
+        primary_key = schema.primary_key
+        keys: List[Tuple[Any, ...]] = []
+        seen: set = set()
+        for row in rows:
+            schema.validate_row(row)
+            if primary_key:
+                key = schema.key_of(row)
+                if key in self._pk_index or key in seen:
+                    raise SchemaError(
+                        f"duplicate primary key {key!r} in table "
+                        f"{self.name!r}")
+                keys.append(key)
+                seen.add(key)
+        rowids = []
+        for index, row in enumerate(rows):
+            rowid = next(self._rowid)
+            self._rows[rowid] = row
+            if primary_key:
+                self._pk_index[keys[index]] = rowid
+            for column, column_index in self._indexes.items():
+                column_index.setdefault(row.get(column), set()).add(rowid)
+            rowids.append(rowid)
+        self.version += len(rows)
+        if landed is not None:
+            landed()
         if fire_triggers:
-            self._fire("insert", stored)
-        return rowid
+            for row in rows:
+                self._fire("insert", row)
+        return rowids
 
     @_synchronized
     def update(self, where: Predicate, changes: Row) -> int:

@@ -23,7 +23,9 @@ Durability modes:
   every :data:`GROUP_COMMIT_INTERVAL` records, run off the ingest
   lock); a kill loses nothing, a power loss may cost the un-synced
   window, which :meth:`stats` reports as ``unsynced``.
-* ``DurabilityMode.STRICT``   — fsync on every append.
+* ``DurabilityMode.STRICT``   — fsync on every append call: once per
+  record for registry operations, once per backlog for inserts, always
+  before any of the backlog's rows are applied.
 
 Retention compaction (:meth:`compact`) cuts a snapshot, appends every
 reading deleted since the previous compaction to the archive, then
@@ -38,7 +40,7 @@ import json
 import os
 import threading
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import SimulatedCrash, StorageError
 from repro.storage import records as rec
@@ -205,41 +207,38 @@ class DurabilityManager:
             "spec": rec.encode_spec(spec),
         })
 
-    def log_insert(self, row: Dict[str, Any]) -> int:
-        """Log one fully materialized sensor-readings row.
-
-        The row carries the allocated ``reading_id`` and the computed
-        ``moving`` flag, so replay restores it verbatim rather than
-        re-deriving state-dependent values.  This is the hot journal
-        call — one per fused reading, under the database's ingest
-        lock — so it takes the specialized codec fast path and skips
-        the registry dispatch (inserts never touch it).
-        """
-        seq = self._wal.append(rec.encode_insert_op(row))
-        # Advisory interval counters, deliberately not under the
-        # manager lock: a lost racy increment merely defers an
-        # automatic snapshot or group commit by one record, and the
-        # WAL append above already serialized this call's ordering.
-        self._records_since_snapshot += 1
-        self._uncommitted += 1
-        return seq
-
     # Pre-encode an insert outside the database's ingest lock.  The
-    # database calls this before taking its lock, then hands the parts
-    # back through :meth:`log_prepared_insert` once the state-dependent
-    # ``reading_id`` and ``moving`` are known — keeping the in-lock
-    # encode cost near zero.  A bare staticmethod alias so the hot
-    # path pays no wrapper frame.
+    # database calls this per reading before taking its lock, then
+    # hands the parts back through :meth:`log_prepared_insert` once
+    # the state-dependent ``reading_id`` and ``moving`` are known —
+    # keeping the in-lock encode cost near zero.  A bare staticmethod
+    # alias so the hot path pays no wrapper frame.
     prepare_insert = staticmethod(rec.encode_insert_parts)
 
-    def log_prepared_insert(self, parts, reading_id: int,
-                            moving: bool) -> int:
-        """Durably append a pre-encoded insert; same contract as
-        :meth:`log_insert`."""
-        seq = self._wal.append(
-            rec.assemble_insert_op(parts, reading_id, moving))
-        self._records_since_snapshot += 1
-        self._uncommitted += 1
+    def log_prepared_insert(self, parts: Sequence[Any], first_id: int,
+                            moving: Sequence[bool]) -> int:
+        """Durably append a backlog of pre-encoded inserts.
+
+        One record per reading, with ids consecutive from
+        ``first_id``: each carries the allocated ``reading_id`` and the
+        computed ``moving`` flag, so replay restores the row verbatim
+        rather than re-deriving state-dependent values.  This is the
+        hot journal call — one per backlog, under the database's
+        ingest lock — so it skips the registry dispatch (inserts never
+        touch it) and writes through one
+        :meth:`WriteAheadLog.append_many`.  Returns the first seq; a
+        kill at record k raises with ``landed = k``.
+        """
+        assemble = rec.assemble_insert_op
+        seq = self._wal.append_many([
+            assemble(part, first_id + index, flag)
+            for index, (part, flag) in enumerate(zip(parts, moving))])
+        # Advisory interval counters, deliberately not under the
+        # manager lock: a lost racy increment merely defers an
+        # automatic snapshot or group commit by one backlog, and the
+        # WAL append above already serialized this call's ordering.
+        self._records_since_snapshot += len(parts)
+        self._uncommitted += len(parts)
         return seq
 
     def log_expire(self, object_id: str, sensor_id: Optional[str],

@@ -183,9 +183,9 @@ def encode_insert_op(row: Dict[str, Any]) -> bytes:
     encode_reading_row(row)})`` — the keys are emitted in sorted order,
     numbers as their ``repr`` (what ``json.dumps`` emits for int and
     finite float), strings through json's own C escaper — but without
-    building the intermediate dicts.  The pipeline journals one of
-    these per fused reading, so this sits on the ingestion hot path
-    under the database's ingest lock (see benchmarks/test_wal_overhead).
+    building the intermediate dicts.  The journal itself writes the
+    split form (:func:`encode_insert_parts` + :func:`assemble_insert_op`),
+    whose JSON fallback must stay byte-identical to this whole-row form.
     """
     rect = row["rect"]
     loc = row["location"]

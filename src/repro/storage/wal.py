@@ -15,8 +15,11 @@ because silently dropping interior history would un-order replay.
 
 Fsync policies (all deterministic — no wall-clock batching):
 
-* ``always``   — fsync after every append (the STRICT durability mode).
-* ``batch:N``  — fsync every N appends plus on explicit :meth:`sync`
+* ``always``   — fsync at the end of every append call (the STRICT
+  durability mode; an :meth:`~WriteAheadLog.append_many` batch is one
+  call).
+* ``batch:N``  — fsync once N records are un-synced, plus on explicit
+  :meth:`sync`
   (the BUFFERED mode's group commit; the un-synced window is the
   crash-exposure the stats report).
 * ``never``    — fsync only on :meth:`sync` / :meth:`close`.
@@ -32,7 +35,7 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
 
 from repro.errors import SimulatedCrash, StorageError, WalCorruptionError
 
@@ -119,45 +122,76 @@ class WriteAheadLog:
         window until the Nth append or an explicit :meth:`sync`; the
         window size is what :meth:`unsynced_count` reports.
         """
-        if not isinstance(payload, (bytes, bytearray)):
-            raise StorageError("WAL payloads must be bytes")
+        return self.append_many((payload,))
+
+    def append_many(self, payloads: Sequence[bytes]) -> int:
+        """Append one record per payload; returns the first's seq.
+
+        The records are byte-identical to one :meth:`append` per
+        payload, but take one lock hold and one ``write``.  The kill
+        points still fire per record, in order: a kill at record ``k``
+        (0-based) leaves records before it whole, record ``k`` torn
+        (``append``) or whole but unacknowledged (``fsync``), nothing
+        after it, and the raised crash carries ``landed = k``.  Under
+        ``always`` the whole call is fsynced once, after its last
+        record; under ``batch:N`` once the window reaches N.
+        """
+        for payload in payloads:
+            if not isinstance(payload, (bytes, bytearray)):
+                raise StorageError("WAL payloads must be bytes")
         with self._lock:
             if self._closed:
                 raise StorageError(f"WAL {self.path} is closed")
-            seq = self._next_seq
-            record = _HEADER.pack(seq, len(payload),
-                                  zlib.crc32(payload)) + payload
+            first = self._next_seq
             hook = self.fault_hook
-            if hook is not None:
-                try:
-                    hook(POINT_APPEND, seq)
-                except SimulatedCrash:
-                    # A kill mid-append: some prefix of the record made
-                    # it to disk.  Leave the torn bytes for the scanner
-                    # to step over, then die.
-                    self._file.write(record[:max(1, len(record) // 2)])
-                    self._file.flush()
-                    self._closed = True
-                    raise
-            self._file.write(record)
-            self._next_seq = seq + 1
-            self._last_seq = seq
-            self._appended += 1
-            self._since_sync += 1
-            if hook is not None:
-                try:
-                    hook(POINT_FSYNC, seq)
-                except SimulatedCrash:
-                    # A kill between write and group commit: the bytes
-                    # are on disk (a kill does not drop the page cache)
-                    # but the commit was never acknowledged.
-                    self._file.flush()
-                    self._closed = True
-                    raise
+            chunks: List[bytes] = []
+            for index, payload in enumerate(payloads):
+                seq = first + index
+                header = _HEADER.pack(seq, len(payload), zlib.crc32(payload))
+                if hook is not None:
+                    try:
+                        hook(POINT_APPEND, seq)
+                    except SimulatedCrash as exc:
+                        # A kill mid-append: some prefix of the record
+                        # made it to disk.  Leave the torn bytes for
+                        # the scanner to step over, then die.
+                        record = header + payload
+                        chunks.append(record[:max(1, len(record) // 2)])
+                        self._written(index)
+                        self._die(chunks, index, exc)
+                chunks.append(header)
+                chunks.append(payload)
+                if hook is not None:
+                    try:
+                        hook(POINT_FSYNC, seq)
+                    except SimulatedCrash as exc:
+                        # A kill between write and group commit: the
+                        # bytes are on disk (a kill does not drop the
+                        # page cache) but the commit was never
+                        # acknowledged.
+                        self._written(index + 1)
+                        self._die(chunks, index, exc)
+            self._file.write(b"".join(chunks))
+            self._written(len(payloads))
             if self._sync_interval and \
                     self._since_sync >= self._sync_interval:
                 self._sync_locked()
-            return seq
+            return first
+
+    def _written(self, count: int) -> None:
+        self._next_seq += count
+        self._last_seq = self._next_seq - 1
+        self._appended += count
+        self._since_sync += count
+
+    def _die(self, chunks: List[bytes], landed: int,
+             exc: SimulatedCrash) -> NoReturn:
+        """Leave what a killed call wrote on disk, close, re-raise."""
+        self._file.write(b"".join(chunks))
+        self._file.flush()
+        self._closed = True
+        exc.landed = landed
+        raise exc
 
     def _sync_locked(self) -> None:
         self._file.flush()

@@ -35,6 +35,7 @@ from repro.core import SensorSpec
 from repro.errors import SimulatedCrash, StorageError
 from repro.faults import FaultPlan
 from repro.geometry import Rect
+from repro.sensors import ReadingSink
 from repro.sim import Scenario, paper_floor
 from repro.spatialdb import SpatialDatabase
 from repro.storage import (
@@ -84,6 +85,43 @@ def _run_durable(tmp_path, seed, point=None, offset=3, occurrence=1,
     try:
         scenario.run(seconds, dt=1.0)
         pipeline.drain(timeout=60.0)
+    finally:
+        pipeline.stop()
+    return scenario, manager, plan, pipeline.stats()
+
+
+class _Capture(ReadingSink):
+    def __init__(self):
+        self.readings = []
+
+    def submit(self, reading):
+        self.readings.append(reading)
+        return True
+
+
+def _run_durable_serial(tmp_path, seed, point, offset=3, seconds=60,
+                        people=5):
+    """``_run_durable`` with a timing-free flush order.
+
+    The scenario runs into a capture sink first; the recorded readings
+    are then submitted one at a time with a drain after each.
+    """
+    scenario = Scenario(seed=seed)
+    manager = scenario.use_durability(str(tmp_path / "wal"), mode="strict")
+    scenario.standard_deployment()
+    base = manager.stats()["last_seq"]
+    plan = FaultPlan(seed, clock=scenario.clock)
+    plan.wal_crash(point=point, at_seq=base + offset)
+    scenario.add_people(people)
+    capture = _Capture()
+    for adapter in scenario.deployment.adapters():
+        adapter.set_sink(capture)
+    scenario.run(seconds, dt=1.0)
+    pipeline = scenario.use_pipeline(fault_plan=plan)
+    try:
+        for reading in capture.readings:
+            pipeline.submit(reading)
+            assert pipeline.drain(timeout=60.0)
     finally:
         pipeline.stop()
     return scenario, manager, plan, pipeline.stats()
@@ -140,17 +178,21 @@ class TestKillMidAppend:
             readings_fingerprint(scenario.db)
 
     def test_same_seed_byte_identical_report(self, tmp_path):
-        # The report and fingerprints are run-stable because the one
-        # fusion thread fixes flush order, and with it WHICH insert
-        # lands on the killed sequence number.
+        # The scenario's readings are captured first and then submitted
+        # one at a time, draining after each: every reading is its own
+        # batch, so WHICH insert lands on the killed sequence number is
+        # fixed by the trace alone, not by how the fusion thread's
+        # batches happened to form (work-conserving batches follow
+        # thread timing).
         outs = []
         for run in ("a", "b"):
-            scenario, manager, plan, stats = _run_durable(
+            scenario, manager, plan, stats = _run_durable_serial(
                 tmp_path / run, 101, point="append")
             outs.append((plan.report().as_text(),
                          readings_fingerprint(scenario.db),
                          readings_fingerprint(recover(manager.wal_dir).db),
                          stats.enqueued, stats.dead_lettered))
+        assert manager.stats()["crashed"] == 1
         assert outs[0] == outs[1]
 
     def test_crash_is_seeded_not_spurious(self, tmp_path):

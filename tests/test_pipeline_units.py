@@ -377,7 +377,7 @@ class TestErrorNarrowing:
         def broken_insert(*args, **kwargs):
             raise ValueError("poisoned row")
 
-        service.db.insert_reading = broken_insert
+        service.db.insert_readings = broken_insert
         self._run_one(pipeline, good)
         stats = pipeline.stats()
         assert stats.retries == 0

@@ -1,10 +1,13 @@
 """Tests for the shared-fusion memo behind trigger evaluation."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ServiceError
+from repro.core import FusionEngine
+from repro.errors import ServiceError, UnknownObjectError
 from repro.geometry import Point
-from repro.sensors import UbisenseAdapter
+from repro.sensors import RfBadgeAdapter, UbisenseAdapter
 from repro.service import LocationService
 from repro.sim import SimClock, siebel_floor
 from repro.spatialdb import SpatialDatabase
@@ -67,17 +70,32 @@ class TestFusionCache:
         assert cached.rect == direct.rect
         assert cached.probability == direct.probability
 
-    def test_content_addressing_hits_across_close_timestamps(self, rig):
-        """Queries inside one freshness bucket share a fusion even
-        though their float timestamps differ — the old time-keyed
-        cache missed on every one of these."""
+    def test_close_timestamps_fuse_separately(self, rig):
+        """Ages 1.0 and 1.1 share a ttl/8 freshness bucket, yet the
+        later query must not get the earlier instant's result."""
         world, db, clock, service, ubi = rig
         ubi.tag_sighting("alice", Point(150, 20), 0.0)
         first = service.fusion_result("alice", now=1.0)
-        # Ubisense ttl=3.0 → bucket width 0.375 s: ages 1.0 and 1.1
-        # share the freshness bucket, so the fused result is reused.
-        assert service.fusion_result("alice", now=1.1) is first
-        assert service.cache_stats()["hits"] == 1
+        second = service.fusion_result("alice", now=1.1)
+        assert second is not first
+        assert second.now == 1.1
+        assert service.cache_stats()["hits"] == 0
+
+    def test_same_instant_trigger_fan_out_hits(self, rig):
+        """Every trigger fired by one insert fuses at that insert's
+        instant: the whole fan-out shares one fusion."""
+        world, db, clock, service, ubi = rig
+        room = world.canonical_mbr("SC/3/3105")
+        events = []
+        for threshold in (0.1, 0.2, 0.3, 0.4, 0.5):
+            service.subscribe(room, consumer=events.append,
+                              kind="both", threshold=threshold)
+        ubi.tag_sighting("alice", Point(150, 20), clock.advance(1.0))
+        assert service.cache_stats()["misses"] == 1
+        assert service.cache_stats()["hits"] == 4
+        before = service.cache_stats()["hits"]
+        service.fusion_result("alice")  # same instant: still cached
+        assert service.cache_stats()["hits"] == before + 1
 
     def test_recalibration_invalidates(self, rig):
         """The fingerprint embeds the sensor-table version: a respec'd
@@ -89,6 +107,61 @@ class TestFusionCache:
             lambda row: row["sensor_id"] == "Ubi-1",
             {"confidence": 40.0})
         assert service.fusion_result("alice", now=1.0) is not first
+
+
+def _signature(result):
+    """Everything a fused result says, floats compared exactly."""
+    nodes = sorted((node.node_id, node.rect, node.probability,
+                    node.confidence, tuple(sorted(node.sources)))
+                   for node in result.lattice.nodes())
+    return (result.object_id, result.now, tuple(result.readings),
+            tuple(result.weighted), tuple(sorted(result.winning_component)),
+            tuple(sorted(result.discarded)), result.mode, tuple(nodes))
+
+
+sightings = st.lists(
+    st.tuples(st.sampled_from(["ubi", "rf"]),
+              st.floats(min_value=0.0, max_value=8.0),
+              st.floats(min_value=120.0, max_value=180.0),
+              st.floats(min_value=10.0, max_value=30.0)),
+    min_size=1, max_size=5)
+# Query times: a coarse grid plus jitter well inside one ttl/8 bucket
+# (0.375 s for Ubisense), with repeats, so the sequence both revisits
+# instants and lands close to earlier ones.
+query_times = st.lists(
+    st.builds(lambda base, jitter: base * 0.5 + jitter,
+              st.integers(min_value=0, max_value=24),
+              st.sampled_from([0.0, 0.0, 0.01, 0.1, 0.2])),
+    min_size=1, max_size=12)
+
+
+class TestExactInstantProperty:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sightings=sightings, times=query_times)
+    def test_cached_equals_cache_free_engine(self, sightings, times):
+        """``fusion_result(obj, t)`` is bit-identical to a fresh,
+        cache-free engine's fusion of the same readings at ``t``, over
+        any query-time sequence."""
+        db = SpatialDatabase(siebel_floor())
+        service = LocationService(db, fusion_cache_capacity=4)
+        ubi = UbisenseAdapter("Ubi-1", "SC/3", frame="").attach(db)
+        rf = RfBadgeAdapter("RF-1", "SC/3", Point(150, 20),
+                            frame="").attach(db)
+        for kind, at, x, y in sorted(sightings, key=lambda s: s[1]):
+            if kind == "ubi":
+                ubi.tag_sighting("alice", Point(x, y), at)
+            else:
+                rf.badge_sighting("alice", at)
+        for t in times:
+            try:
+                cached = service.fusion_result("alice", now=t)
+            except UnknownObjectError:
+                continue
+            readings = service.normalized_readings("alice", t)
+            fresh = FusionEngine(incremental=False).fuse(
+                "alice", readings, db.universe(), t)
+            assert _signature(cached) == _signature(fresh)
 
 
 class TestCacheStats:

@@ -6,12 +6,14 @@ tolerance versus interior-corruption loudness, and the logical
 operation codec the spatial-DB seam logs through.
 """
 
+import os
 import struct
+import zlib
 
 import pytest
 
 from repro.core import SensorSpec
-from repro.errors import StorageError, WalCorruptionError
+from repro.errors import SimulatedCrash, StorageError, WalCorruptionError
 from repro.geometry import Point, Rect
 from repro.storage import WriteAheadLog, scan_wal
 from repro.storage import records as rec
@@ -105,6 +107,54 @@ class TestFsyncPolicies:
     def test_unknown_policy_rejected(self, tmp_path, policy):
         with pytest.raises(StorageError):
             _wal(tmp_path, fsync_policy=policy)
+
+
+class TestAppendMany:
+    """One lock hold and one write per batch, same bytes as appends."""
+
+    PAYLOADS = [b"alpha", b"", b"\x00\xffbinary", b"omega" * 50]
+
+    def test_bytes_match_one_append_each(self, tmp_path):
+        single = WriteAheadLog(str(tmp_path / "single.log"),
+                               fsync_policy="never")
+        for payload in self.PAYLOADS:
+            single.append(payload)
+        single.close()
+        batched = WriteAheadLog(str(tmp_path / "batched.log"),
+                                fsync_policy="never")
+        assert batched.append_many(self.PAYLOADS) == 1
+        assert batched.append_many([b"tail"]) == 5
+        batched.close()
+        with open(single.path, "rb") as a, open(batched.path, "rb") as b:
+            assert b.read() == a.read() + _HEADER.pack(
+                5, 4, zlib.crc32(b"tail")) + b"tail"
+
+    def test_always_fsyncs_once_per_call(self, tmp_path, monkeypatch):
+        wal = _wal(tmp_path, fsync_policy="always")
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: (synced.append(fd), real_fsync(fd)))
+        wal.append_many(self.PAYLOADS)
+        assert len(synced) == 1
+        assert wal.synced_seq == wal.last_seq == len(self.PAYLOADS)
+
+    @pytest.mark.parametrize("point", ["append", "fsync"])
+    def test_kill_at_record_k(self, tmp_path, point):
+        def hook(at, seq):
+            if at == point and seq == 3:
+                raise SimulatedCrash(f"kill at {at} {seq}")
+
+        wal = _wal(tmp_path, fsync_policy="always", fault_hook=hook)
+        with pytest.raises(SimulatedCrash) as caught:
+            wal.append_many(self.PAYLOADS)
+        assert caught.value.landed == 2
+        assert wal.closed
+        scan = scan_wal(wal.path)
+        whole = 2 if point == "append" else 3
+        assert [payload for _, payload in scan.records] == \
+            self.PAYLOADS[:whole]
+        assert (scan.torn_bytes > 0) == (point == "append")
 
 
 class TestTornTail:
