@@ -10,11 +10,13 @@ response time than subsequent updates.  This is due to the initial
 setup time taken by MiddleWhere."
 
 Reproduction: a Ubisense adapter feeds location updates for one person
-while N subscriptions (each one database trigger) are programmed; the
-response time is wall-clock from the sensor reading insert to the
-subscriber callback.  One bench per programmed-trigger count — the
-pytest-benchmark table is the figure's family of curves — and the
-10-update series per count is written to results/fig9_series.txt.
+while N subscriptions are programmed (one database trigger routes each
+insert to the service, which refines only the subscriptions the fused
+result can affect); the response time is wall-clock from the sensor
+reading insert to the subscriber callback.  One bench per
+programmed-trigger count — the pytest-benchmark table is the figure's
+family of curves — and the 10-update series per count is written to
+results/fig9_series.txt.
 """
 
 from __future__ import annotations
@@ -130,23 +132,24 @@ def test_fig9_series(benchmark, results_dir):
 SCALING_COUNTS = [10, 50, 200, 500]
 
 
-def _dispatch_rig(n_subscriptions: int):
-    """A service with N enter-only subscriptions programmed elsewhere.
+def _dispatch_rig(n_triggers: int):
+    """A database with N location triggers programmed elsewhere
+    (Section 5.3's user-programmed triggers: an enter-style region
+    condition with a matching region hint).
 
-    The probe inserts land outside every subscribed region, so the
+    The probe inserts land outside every triggered region, so the
     per-insert cost is pure trigger dispatch: the R-tree probe on the
     indexed path, the full condition scan on the reference path.
     """
     world = siebel_floor()
     db = SpatialDatabase(world)
     clock = SimClock()
-    service = LocationService(db, clock=clock)
     adapter = UbisenseAdapter("Ubi-1", "SC/3", frame="").attach(db)
     elsewhere = world.canonical_mbr("SC/3/3226")
-    for i in range(n_subscriptions):
-        service.subscribe(elsewhere.translated(0, -(i % 3)),
-                          consumer=lambda event: None, kind="enter",
-                          threshold=0.2)
+    for i in range(n_triggers):
+        db.create_location_trigger(f"trg-{i}",
+                                   elsewhere.translated(0, -(i % 3)),
+                                   lambda row: None)
     return world, db, clock, adapter
 
 
@@ -169,10 +172,10 @@ def _probe_row(db, clock, adapter):
 
 def test_query_index_scaling(benchmark, results_dir):
     """Tentpole table: per-insert trigger dispatch, indexed R-tree vs
-    the reference linear scan, across programmed-subscription counts.
-    The acceptance bar is >= 5x at 200 subscriptions."""
+    the reference linear scan, across programmed-trigger counts.
+    The acceptance bar is >= 5x at 200 triggers."""
     lines = ["Query-side index scaling: insert trigger dispatch (us)",
-             "subs    indexed  reference    speedup"]
+             "trgs    indexed  reference    speedup"]
     speedups = {}
     for count in SCALING_COUNTS:
         _, db, clock, adapter = _dispatch_rig(count)
@@ -188,7 +191,7 @@ def test_query_index_scaling(benchmark, results_dir):
                      f"{reference_us:>10.2f} {speedups[count]:>9.1f}x")
     write_result(results_dir, "query_index_scaling", lines)
     assert speedups[200] >= 5.0, (
-        f"indexed dispatch at 200 subscriptions is only "
+        f"indexed dispatch at 200 triggers is only "
         f"{speedups[200]:.1f}x faster than the linear scan")
 
     _, db, clock, adapter = _dispatch_rig(200)
@@ -198,9 +201,9 @@ def test_query_index_scaling(benchmark, results_dir):
 
 
 def test_perf_smoke_trigger_dispatch(results_dir):
-    """CI guard: indexed dispatch at 200 subscriptions must stay within
+    """CI guard: indexed dispatch at 200 triggers must stay within
     2x of the committed baseline (absolute floor for runner noise)."""
-    baseline_us = _committed_indexed_us(results_dir, subscriptions=200)
+    baseline_us = _committed_indexed_us(results_dir, triggers=200)
     if baseline_us is None:
         pytest.skip("no committed baseline in "
                     "benchmarks/results/query_index_scaling.txt")
@@ -210,17 +213,17 @@ def test_perf_smoke_trigger_dispatch(results_dir):
     current_us = _time_dispatch(db.sensor_readings, row, 400)
     limit = max(2.0 * baseline_us, 50.0)
     assert current_us <= limit, (
-        f"indexed dispatch at 200 subscriptions took {current_us:.2f} us; "
+        f"indexed dispatch at 200 triggers took {current_us:.2f} us; "
         f"committed baseline is {baseline_us:.2f} us (limit {limit:.2f} us)")
 
 
-def _committed_indexed_us(results_dir, subscriptions: int):
+def _committed_indexed_us(results_dir, triggers: int):
     path = results_dir / "query_index_scaling.txt"
     if not path.exists():
         return None
     for line in path.read_text().splitlines():
         parts = line.split()
-        if len(parts) >= 4 and parts[0] == str(subscriptions):
+        if len(parts) >= 4 and parts[0] == str(triggers):
             try:
                 return float(parts[1])  # the "indexed" column
             except ValueError:

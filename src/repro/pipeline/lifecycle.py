@@ -12,12 +12,11 @@ location adapters (paper Section 6) and the Location Service (Section
                                               flush → FusionEngine → notify
 
 The fusion thread flushes each batch into the spatial database with
-triggers suppressed (the pipeline replaces the per-insert trigger
-path), runs one fusion pass per batch, and hands the
+triggers suppressed, fuses once per batch, and hands the
 :class:`~repro.core.FusionResult` to
-:meth:`LocationService.apply_fusion_result` for subscription evaluation
-— optionally fanning the events out over an existing
-:class:`~repro.orb.EventChannel`.
+:meth:`LocationService.apply_fusion_result` — the dispatch step a
+synchronous insert reaches with a batch of one — optionally fanning
+the events out over an existing :class:`~repro.orb.EventChannel`.
 """
 
 from __future__ import annotations
@@ -46,7 +45,8 @@ from repro.pipeline.stats import PipelineStats, PipelineStatsRecorder
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from repro.orb.events import EventChannel
-    from repro.service.location_service import LocationService
+    from repro.service.location_service import (DispatchReport,
+                                                LocationService)
 
 Clock = Callable[[], float]
 
@@ -384,9 +384,8 @@ class LocationPipeline:
         at = max(entry.reading.detection_time for entry in flushed)
         self.stats_recorder.incr("fused", len(flushed))
         try:
-            readings = self.service.normalized_readings(batch.object_id, at)
-            result, from_cache = self.service.fuse_readings(
-                batch.object_id, readings, at)
+            result, from_cache = self.service.fuse_object(
+                batch.object_id, at)
         except Exception:  # noqa: BLE001 — readings are persisted
             self.stats_recorder.incr("fusion_failures")
             self._record_fused(flushed, self.clock())
@@ -398,7 +397,7 @@ class LocationPipeline:
         fused_at = self.clock()
         self._record_fused(flushed, fused_at)
 
-        def apply() -> int:
+        def apply() -> "DispatchReport":
             return self.service.apply_fusion_result(
                 result, channel=self.channel)
 
@@ -409,8 +408,8 @@ class LocationPipeline:
         # the batch's readings — already fused and persisted — keep
         # their terminal state.
         try:
-            notified = call_with_retry(apply, self.config.retry,
-                                       on_retry=self._count_retry)
+            report = call_with_retry(apply, self.config.retry,
+                                     on_retry=self._count_retry)
         except TRANSIENT_ERRORS:
             raise  # retries exhausted: _run records the failure
         except Exception as exc:  # noqa: BLE001 — not retryable
@@ -418,22 +417,15 @@ class LocationPipeline:
             self.dead_letters.add(flushed[0].reading,
                                   f"unexpected: {exc!r}", self.clock())
             return
-        dispatch = self.service.consume_dispatch_detail(result)
-        if dispatch is not None:
-            if dispatch["evaluated"]:
-                self.stats_recorder.incr("subscriptions_evaluated",
-                                         dispatch["evaluated"])
-            if dispatch["pruned"]:
-                self.stats_recorder.incr("subscriptions_pruned",
-                                         dispatch["pruned"])
-            if dispatch.get("semantic_evaluated"):
-                self.stats_recorder.incr("semantic_evaluated",
-                                         dispatch["semantic_evaluated"])
-            if dispatch.get("semantic_pruned"):
-                self.stats_recorder.incr("semantic_pruned",
-                                         dispatch["semantic_pruned"])
-        if notified:
-            self.stats_recorder.incr("notifications", notified)
+        for stat, count in (
+                ("subscriptions_evaluated", report.evaluated),
+                ("subscriptions_pruned", report.pruned),
+                ("semantic_evaluated", report.semantic_evaluated),
+                ("semantic_pruned", report.semantic_pruned)):
+            if count:
+                self.stats_recorder.incr(stat, count)
+        if report.delivered:
+            self.stats_recorder.incr("notifications", report.delivered)
             self.stats_recorder.fused_to_notified.record(
                 self.clock() - fused_at)
 

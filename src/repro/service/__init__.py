@@ -1,13 +1,13 @@
 """The Location Service (paper Section 4).
 
-Pull queries (object- and region-based), push notifications with
-database triggers behind them, the symbolic region lattice, privacy
+Pull queries (object- and region-based), push notifications through
+one dispatch step per fused result, the symbolic region lattice, privacy
 granularity and spatial relationship functions, plus the ORB servant
 that exposes it all to remote applications.
 """
 
 from repro.service.history import LocationHistory
-from repro.service.location_service import LocationService
+from repro.service.location_service import DispatchReport, LocationService
 from repro.service.privacy import (
     DEPTH_BLOCKED,
     DEPTH_BUILDING,
@@ -41,6 +41,7 @@ __all__ = [
     "DEPTH_FLOOR",
     "DEPTH_FULL",
     "DEPTH_ROOM",
+    "DispatchReport",
     "KIND_BOTH",
     "KIND_ENTER",
     "KIND_LEAVE",

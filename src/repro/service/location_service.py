@@ -13,7 +13,8 @@ from __future__ import annotations
 import threading
 import time as _time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Tuple, Union)
 
 from repro.core import (
     FusionEngine,
@@ -49,12 +50,34 @@ from repro.service.subscriptions import (
     Subscription,
     SubscriptionManager,
 )
-from repro.spatialdb import Row, SpatialDatabase
+from repro.spatialdb import Row, SpatialDatabase, Trigger
 
 Clock = Callable[[], float]
 
 # (object_id, fingerprint): see LocationService._fusion_fingerprint.
 FusionKey = Tuple[str, Tuple[int, float, Tuple[Any, ...]]]
+
+# The one insert trigger that routes synchronous readings to
+# LocationService.apply_fusion_result.
+DISPATCH_TRIGGER = "__dispatch__"
+
+
+class DispatchReport(NamedTuple):
+    """What one :meth:`LocationService.apply_fusion_result` did.
+
+    ``delivered`` counts region and semantic events; ``evaluated`` and
+    ``pruned`` split the region subscriptions matching the object into
+    those refined against the fused result and those skipped as
+    provable no-ops; the ``semantic_*`` fields are the rule engine's
+    share.
+    """
+
+    delivered: int
+    evaluated: int
+    pruned: int
+    semantic_delivered: int
+    semantic_evaluated: int
+    semantic_pruned: int
 
 
 def _dropping_consumer(event: Dict[str, Any]) -> None:
@@ -79,7 +102,7 @@ class LocationService:
             recorded into it (trajectories, speed — see
             :class:`repro.service.history.LocationHistory`).
         fusion_cache_capacity: entries kept in the shared fusion memo
-            (trigger storms evaluate against one fused distribution).
+            (queries at one instant share one fused distribution).
     """
 
     def __init__(self, db: SpatialDatabase,
@@ -105,10 +128,10 @@ class LocationService:
         # Memo of recent fusions, content-addressed: the key is a
         # fingerprint of the surviving readings (sensor ids, rects,
         # movement flags, detection times) plus the exact query instant
-        # and the sensor-table version — so a trigger storm or repeated
-        # pull at one instant costs one fusion, and no query is ever
-        # answered with another instant's temporal degradation.  This
-        # is the paper's shared lattice of Section 4.3.
+        # and the sensor-table version — so a dispatch and the pulls
+        # that follow it at one instant cost one fusion, and no query
+        # is ever answered with another instant's temporal degradation.
+        # This is the paper's shared lattice of Section 4.3.
         self._fusion_cache: "OrderedDict[FusionKey, FusionResult]" = \
             OrderedDict()
         self._fusion_cache_capacity = fusion_cache_capacity
@@ -131,12 +154,10 @@ class LocationService:
         # (rows only expire as time advances); otherwise region
         # queries fall back to the database's grow-only support union.
         self._object_support: Dict[str, Tuple[Rect, int, float]] = {}
-        self._pending_support: Dict[str, Tuple[int, float]] = {}
         self._support_lock = threading.Lock()
-        # Per-thread (result, detail) from the latest dispatch, so the
-        # pipeline can account evaluated/pruned while still calling the
-        # public (and monkeypatchable) apply_fusion_result.
-        self._dispatch_local = threading.local()
+        # Guards the one-time install of the DISPATCH_TRIGGER.
+        self._dispatch_lock = threading.Lock()
+        self._dispatch_installed = False
         self.region_queries_pruned = 0
         self.region_queries_refined = 0
         # Semantic (rule-based) subscriptions: created lazily on the
@@ -148,7 +169,6 @@ class LocationService:
         # them for the router's merged semantic engine).
         self.location_update_listener: \
             Optional[Callable[[LocationUpdate], None]] = None
-        self._semantic_trigger_installed = False
 
     # ------------------------------------------------------------------
     # Internals
@@ -183,23 +203,8 @@ class LocationService:
 
     def normalized_readings(self, object_id: str,
                             now: float) -> List[NormalizedReading]:
-        """Fresh, fully-specified readings for an object at ``now``.
-
-        The fusion engine's input; the ingestion pipeline calls this to
-        run its own batch fusion pass.  The reading version is captured
-        *before* the fetch and stashed; :meth:`apply_fusion_result`
-        promotes it into the support index only when the fused result
-        carries the same timestamp, so a support entry can never claim
-        a version newer than the rows it was computed from.
-        """
-        version = self.db.reading_version(object_id)
-        readings = self._readings_for(object_id, now)
-        with self._support_lock:
-            self._pending_support[object_id] = (version, now)
-        return readings
-
-    def _readings_for(self, object_id: str,
-                      now: float) -> List[NormalizedReading]:
+        """Fresh, fully-specified readings for an object at ``now`` —
+        the fusion engine's input."""
         specs = self.db.sensor_spec_map()
         rows = self.db.readings_for(object_id, now)
         readings: List[NormalizedReading] = []
@@ -241,21 +246,32 @@ class LocationService:
         """The full spatial probability distribution for an object.
 
         Fusions are memoized content-addressed (see
-        :meth:`_fusion_fingerprint`): evaluating 500 programmed
-        triggers against one reading costs one fusion, and repeated
-        queries at the same instant hit.  A new reading for the object,
-        or any other instant, fuses anew.
+        :meth:`_fusion_fingerprint`): programmed triggers and repeated
+        queries at the same instant share one fusion.  A new reading
+        for the object, or any other instant, fuses anew.
         """
-        at = self._now(now)
+        return self.fuse_object(object_id, self._now(now))[0]
+
+    def fuse_object(self, object_id: str,
+                    at: float) -> Tuple[FusionResult, bool]:
+        """Fuse an object's stored readings at ``at``; returns
+        ``(result, from_cache)``.
+
+        The body of :meth:`fusion_result`, which the ingestion
+        pipeline calls once per landed backlog.  The reading version
+        is read *before* the fetch, so the support entry stored here
+        can never claim a version newer than the rows it was computed
+        from.
+        """
         version = self.db.reading_version(object_id)
-        readings = self._readings_for(object_id, at)
+        readings = self.normalized_readings(object_id, at)
         if not readings:
             raise UnknownObjectError(
                 f"no fresh readings for {object_id!r} at t={at:.3f}")
-        result, _ = self.fuse_readings(object_id, readings, at)
+        fused = self.fuse_readings(object_id, readings, at)
         self._store_support(
             object_id, self._support_of(readings), version, at)
-        return result
+        return fused
 
     @staticmethod
     def _support_of(readings: List[NormalizedReading]) -> Optional[Rect]:
@@ -303,9 +319,8 @@ class LocationService:
                       at: float) -> Tuple[FusionResult, bool]:
         """Fuse through the content-addressed cache.
 
-        Returns ``(result, from_cache)``.  The pipeline's fusion thread
-        calls this directly with the readings it just flushed; pull
-        queries go through :meth:`fusion_result`.
+        Returns ``(result, from_cache)``; :meth:`fuse_object` is the
+        caller that fetches the readings.
         """
         key: FusionKey = (object_id,
                           self._fusion_fingerprint(readings, at))
@@ -545,10 +560,10 @@ class LocationService:
                   remote_reference: Optional[str] = None) -> str:
         """Subscribe to enter/leave events for a region.
 
-        Installs a database trigger as the coarse filter (Section 5.3);
-        each firing is refined with fused confidence before the event
-        is pushed to the local ``consumer`` or the ``remote_reference``
-        servant's ``notify`` method.
+        Each fused result for a matching object is refined against the
+        region (Section 5.3; see :meth:`apply_fusion_result`) and every
+        transition is pushed to the local ``consumer`` or the
+        ``remote_reference`` servant's ``notify`` method.
         """
         rect = self._region_rect(region)
         region_glob = str(region) if not isinstance(region, Rect) else None
@@ -571,29 +586,8 @@ class LocationService:
 
     def _install_region_subscription(self,
                                      subscription: Subscription) -> None:
-        """Register a subscription and its coarse database trigger."""
         self.subscriptions.add(subscription)
-        rect = subscription.region
-        # leave/both need off-region readings too.
-        watch_all = subscription.kind != KIND_ENTER
-
-        def condition(row: Row) -> bool:
-            if (subscription.object_id is not None
-                    and row["mobile_object_id"] != subscription.object_id):
-                return False
-            return watch_all or rect.intersects(row["rect"])
-
-        def action(row: Row) -> None:
-            self._on_trigger(subscription, row)
-
-        from repro.spatialdb import Trigger
-        # Enter-only conditions require the reading to intersect the
-        # region, so the R-tree dispatch can prune them spatially;
-        # leave/both watch every reading of the object (region=None).
-        trigger_region = rect if not watch_all else None
-        self.db.sensor_readings.create_trigger(
-            Trigger(subscription.subscription_id, "insert", condition,
-                    action, region=trigger_region))
+        self._ensure_dispatch_trigger()
 
     def subscribe_proximity(self, first: str, second: str,
                             threshold_ft: float,
@@ -607,7 +601,7 @@ class LocationService:
         Section 5.3's distance condition.  Edge-triggered: an "enter"
         event fires when the pair closes inside the threshold, a
         "leave" event when it opens (per ``kind``).  Evaluations run on
-        every reading of either object; pairs with either estimate
+        every fused result of either object; pairs with either estimate
         below ``min_confidence`` are treated as not-near.
         """
         subscription = ProximitySubscription(
@@ -629,20 +623,7 @@ class LocationService:
     def _install_proximity_subscription(self, subscription) -> None:
         self._proximity_subscriptions[subscription.subscription_id] = \
             subscription
-
-        def condition(row: Row) -> bool:
-            return subscription.involves(row["mobile_object_id"])
-
-        def action(row: Row) -> None:
-            self._on_proximity_trigger(subscription, row)
-
-        from repro.spatialdb import Trigger
-        self.db.sensor_readings.create_trigger(
-            Trigger(subscription.subscription_id, "insert", condition,
-                    action))
-
-    def _on_proximity_trigger(self, subscription, row: Row) -> None:
-        self._evaluate_proximity(subscription, row["detection_time"])
+        self._ensure_dispatch_trigger()
 
     def _evaluate_proximity(self, subscription, at: float) -> None:
         try:
@@ -705,7 +686,7 @@ class LocationService:
             consumer=consumer,
             remote_reference=remote_reference,
         )
-        self._ensure_semantic_trigger()
+        self._ensure_dispatch_trigger()
         deliveries = manager.add(subscription, self._now(now))
         self._deliver_semantic(deliveries, None)
         return subscription.subscription_id
@@ -748,31 +729,42 @@ class LocationService:
         """
         self.location_update_listener = listener
         if listener is not None:
-            self._ensure_semantic_trigger()
+            self._ensure_dispatch_trigger()
 
-    def _ensure_semantic_trigger(self) -> None:
-        """Install the shared per-insert trigger for the sync path.
+    def _ensure_dispatch_trigger(self) -> None:
+        """Route synchronous inserts through :meth:`apply_fusion_result`.
 
-        The pipeline inserts readings with triggers suppressed and
-        dispatches through :meth:`apply_fusion_result`; synchronous
-        inserts need one database trigger that re-fuses the object and
-        feeds the semantic engine on every reading.
+        One insert trigger serves every subscription kind and the
+        location-update feed: its condition asks whether anything can
+        act on the row's object, its action fuses once at the row's
+        detection time and dispatches that result — a batch of one.
+        The pipeline inserts with triggers suppressed and dispatches
+        each fused backlog itself.
         """
-        if self._semantic_trigger_installed:
-            return
-        from repro.spatialdb import Trigger
-
-        def action(row: Row) -> None:
-            try:
-                result = self.fusion_result(row["mobile_object_id"],
-                                            row["detection_time"])
-            except Exception:  # noqa: BLE001 — no fusable readings yet
+        with self._dispatch_lock:
+            if self._dispatch_installed:
                 return
-            self._dispatch_semantic(result, None)
+            self.db.sensor_readings.create_trigger(Trigger(
+                DISPATCH_TRIGGER, "insert", self._dispatch_wanted,
+                self._dispatch_row))
+            self._dispatch_installed = True
 
-        self.db.sensor_readings.create_trigger(
-            Trigger("__semantic__", "insert", lambda row: True, action))
-        self._semantic_trigger_installed = True
+    def _dispatch_wanted(self, row: Row) -> bool:
+        object_id = row["mobile_object_id"]
+        semantic = self.semantic
+        return (self.subscriptions.matching_count(object_id) > 0
+                or self.location_update_listener is not None
+                or (semantic is not None and semantic.count() > 0)
+                or any(subscription.involves(object_id) for subscription
+                       in list(self._proximity_subscriptions.values())))
+
+    def _dispatch_row(self, row: Row) -> None:
+        try:
+            result = self.fusion_result(row["mobile_object_id"],
+                                        row["detection_time"])
+        except UnknownObjectError:
+            return  # no fusable reading for the object
+        self.apply_fusion_result(result)
 
     def _semantic_update(self,
                          result: FusionResult) -> Optional[LocationUpdate]:
@@ -797,31 +789,28 @@ class LocationService:
         )
 
     def _dispatch_semantic(self, result: FusionResult,
-                           channel: Optional[Any]) -> Dict[str, int]:
-        """Feed one fused result to the semantic layer (if active)."""
-        zeros = {"delivered": 0, "evaluated": 0, "pruned": 0}
+                           channel: Optional[Any]) -> Tuple[int, int, int]:
+        """Feed one fused result to the semantic layer (if active);
+        returns (delivered, evaluated, pruned)."""
         manager = self.semantic
         listener = self.location_update_listener
         wants_events = manager is not None and manager.count() > 0
         if not wants_events and listener is None:
-            return zeros
+            return 0, 0, 0
         update = self._semantic_update(result)
         if update is None:
-            return zeros
+            return 0, 0, 0
         if listener is not None:
             listener(update)
         if not wants_events:
-            return zeros
+            return 0, 0, 0
         assert manager is not None
         before_evaluated = manager.engine.evaluated
         before_pruned = manager.engine.pruned
         deliveries = manager.on_update(update)
-        delivered = self._deliver_semantic(deliveries, channel)
-        return {
-            "delivered": delivered,
-            "evaluated": manager.engine.evaluated - before_evaluated,
-            "pruned": manager.engine.pruned - before_pruned,
-        }
+        return (self._deliver_semantic(deliveries, channel),
+                manager.engine.evaluated - before_evaluated,
+                manager.engine.pruned - before_pruned)
 
     def _deliver_semantic(self, deliveries: List[Any],
                           channel: Optional[Any]) -> int:
@@ -833,10 +822,9 @@ class LocationService:
         return len(deliveries)
 
     def unsubscribe(self, subscription_id: str) -> bool:
-        """Remove a subscription and its database trigger."""
+        """Remove a subscription of any kind."""
         if self.db.journal is not None:
             self.db.journal.log_unsubscribe(subscription_id)
-        self.db.sensor_readings.drop_trigger(subscription_id)
         if subscription_id in self._proximity_subscriptions:
             del self._proximity_subscriptions[subscription_id]
             return True
@@ -950,59 +938,27 @@ class LocationService:
             return
         self.subscriptions.get(subscription_id).consumer = consumer
 
-    def _on_trigger(self, subscription: Subscription, row: Row) -> None:
-        object_id = row["mobile_object_id"]
-        at = row["detection_time"]
-        try:
-            result = self.fusion_result(object_id, at)
-        except UnknownObjectError:
-            return
-        confidence = result.confidence_in_region(subscription.region)
-        grade = self.classifier().classify(min(1.0, max(0.0, confidence)))
-        self.subscriptions.evaluate(
-            subscription, object_id, confidence, grade, at, self._notify)
-
     def apply_fusion_result(self, result: FusionResult,
-                            channel: Optional[Any] = None) -> int:
-        """Evaluate push subscriptions against an external fusion.
+                            channel: Optional[Any] = None) -> DispatchReport:
+        """Dispatch one fused result to every push subscription.
 
-        The ingestion pipeline's entry point: its fusion thread
-        inserts readings with database triggers suppressed, fuses once
-        per batch, and hands the :class:`FusionResult` here.  The result is
-        memoized into the shared fusion cache (so follow-up pull
-        queries at the same instant are free), every matching region
-        subscription is evaluated exactly once, and proximity
-        subscriptions involving the object are re-checked.
+        The one route from a fusion to region, proximity and semantic
+        subscriptions: synchronous inserts reach it through the
+        dispatch trigger with a batch of one, the ingestion pipeline
+        once per fused backlog.  Region subscriptions are narrowed
+        through :meth:`SubscriptionManager.matching_for_result`: only
+        those whose region intersects the fused support, that are
+        currently inside, or that pass at zero confidence are
+        evaluated — the rest are provably no-ops.  Proximity
+        subscriptions involving the object are re-checked and the
+        semantic layer gets the derived location.
 
         ``channel`` (an :class:`repro.orb.EventChannel`) additionally
-        receives every event produced — the fused stream's remote
-        fan-out.  Returns the number of events delivered.
-        """
-        return self.apply_fusion_result_detailed(result, channel)[
-            "delivered"]
-
-    def apply_fusion_result_detailed(self, result: FusionResult,
-                                     channel: Optional[Any] = None
-                                     ) -> Dict[str, int]:
-        """Like :meth:`apply_fusion_result`, with dispatch accounting.
-
-        Subscriptions are narrowed through
-        :meth:`SubscriptionManager.matching_for_result`: only those
-        whose region intersects the fused support, that are currently
-        inside, or that pass at zero confidence are evaluated — the
-        rest are provably no-ops.  Returns ``{"delivered", "evaluated",
-        "pruned"}``.
+        receives every region and semantic event — the fused stream's
+        remote fan-out.
         """
         object_id = result.object_id
         at = result.now
-        self._cache_fusion(
-            (object_id, self._fusion_fingerprint(result.readings, at)),
-            result)
-        support = self._support_of(list(result.readings))
-        with self._support_lock:
-            pending = self._pending_support.pop(object_id, None)
-        if pending is not None and pending[1] == at:
-            self._store_support(object_id, support, pending[0], at)
         delivered = 0
 
         def deliver(subscription: Subscription,
@@ -1014,9 +970,8 @@ class LocationService:
             delivered += 1
 
         candidates = self.subscriptions.matching_for_result(
-            object_id, support)
-        evaluated = len(candidates)
-        pruned = self.subscriptions.matching_count(object_id) - evaluated
+            object_id, self._support_of(list(result.readings)))
+        pruned = self.subscriptions.matching_count(object_id) - len(candidates)
         for subscription in candidates:
             confidence = result.confidence_in_region(subscription.region)
             grade = self.classifier().classify(
@@ -1027,24 +982,8 @@ class LocationService:
             if subscription.involves(object_id):
                 self._evaluate_proximity(subscription, at)
         semantic = self._dispatch_semantic(result, channel)
-        detail = {"delivered": delivered + semantic["delivered"],
-                  "evaluated": evaluated,
-                  "pruned": max(0, pruned),
-                  "semantic_delivered": semantic["delivered"],
-                  "semantic_evaluated": semantic["evaluated"],
-                  "semantic_pruned": semantic["pruned"]}
-        self._dispatch_local.entry = (result, detail)
-        return detail
-
-    def consume_dispatch_detail(self, result: FusionResult
-                                ) -> Optional[Dict[str, int]]:
-        """The dispatch detail of this thread's last apply, if it was
-        for ``result``; consumed on read."""
-        entry = getattr(self._dispatch_local, "entry", None)
-        if entry is not None and entry[0] is result:
-            self._dispatch_local.entry = None
-            return entry[1]
-        return None
+        return DispatchReport(delivered + semantic[0], len(candidates),
+                              max(0, pruned), *semantic)
 
     def _notify(self, subscription: Subscription,
                 event: Dict[str, Any]) -> None:

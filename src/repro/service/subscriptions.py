@@ -6,9 +6,12 @@ of interest. ... Finally, if the probability that the person is
 within a notification rectangle exceeds a certain threshold, the
 application is notified."
 
-Each subscription becomes one database trigger (the coarse geometric
-filter of Section 5.3); when it fires, the Location Service refines
-with fused confidence, edge-detects enter/leave, and pushes an event.
+The Location Service hands every fused result to
+:meth:`SubscriptionManager.matching_for_result`, whose indexes play the
+coarse geometric filter of Section 5.3; each surviving subscription is
+refined with fused confidence, edge-detects enter/leave, and pushes an
+event.  A synchronous insert reaches that step through one shared
+database trigger, the ingestion pipeline once per fused backlog.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ class Subscription:
     """One application's interest in a region.
 
     Attributes:
-        subscription_id: unique id, also used as the database trigger id.
+        subscription_id: unique id.
         region: the notification rectangle (canonical frame).
         region_glob: optional symbolic name carried in events.
         kind: notify on "enter", "leave" or "both".

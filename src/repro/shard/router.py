@@ -11,8 +11,8 @@ land — with the order the single-process engine pins.
 
 Two ingest paths mirror the single-process engine's two:
 
-* :meth:`insert_reading` — synchronous, triggers fire per insert on
-  the owning shard (the reference-equivalent path);
+* :meth:`insert_reading` — synchronous, each insert dispatched to
+  subscriptions on the owning shard (the reference-equivalent path);
 * :meth:`submit` — the :class:`~repro.sensors.base.ReadingSink`
   contract: readings queue per shard and a background sender thread
   per shard ships its whole queue in one ``submit_batch`` RPC whenever
@@ -244,7 +244,7 @@ class ShardRouter:
                        rect: Rect, detection_time: float,
                        location: Optional[Point] = None,
                        detection_radius: float = 0.0) -> int:
-        """Synchronous insert on the owning shard (triggers fire there)."""
+        """Synchronous insert on the owning shard (dispatched there)."""
         shard = self.shard_of(mobile_object_id, glob_prefix)
         try:
             return self._proxies[shard].insert_reading(

@@ -165,8 +165,8 @@ class ShardServant:
                        location: Optional[Point] = None,
                        detection_radius: float = 0.0) -> int:
         """Synchronous insert with triggers — the reference-equivalent
-        path (one insert, one trigger evaluation, same as the
-        single-process engine's ``fire_triggers=True``)."""
+        path (one insert, one dispatch, same as the single-process
+        engine's ``fire_triggers=True``)."""
         with self._event_lock:
             self.sync_inserts += 1
         return self.db.insert_reading(

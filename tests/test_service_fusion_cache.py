@@ -27,12 +27,23 @@ class TestFusionCache:
     def test_many_triggers_one_fusion(self, rig):
         world, db, clock, service, ubi = rig
         room = world.canonical_mbr("SC/3/3105")
+        events = []
         for _ in range(50):
-            service.subscribe(room, consumer=lambda e: None,
+            service.subscribe(room, consumer=events.append,
                               kind="both", threshold=0.2)
+        fuse_calls = []
+        fuse = service.engine.fuse
+
+        def counting_fuse(*args):
+            fuse_calls.append(args[0])
+            return fuse(*args)
+
+        service.engine.fuse = counting_fuse
         ubi.tag_sighting("alice", Point(150, 20), clock.advance(1.0))
-        # 50 trigger evaluations, one fusion: 49 hits.
-        assert service.fusion_cache_hits == 49
+        # 50 subscriptions refined, one fusion.
+        assert len(events) == 50
+        assert fuse_calls == ["alice"]
+        assert service.cache_stats()["misses"] == 1
 
     def test_new_reading_invalidates(self, rig):
         world, db, clock, service, ubi = rig
@@ -82,8 +93,8 @@ class TestFusionCache:
         assert service.cache_stats()["hits"] == 0
 
     def test_same_instant_trigger_fan_out_hits(self, rig):
-        """Every trigger fired by one insert fuses at that insert's
-        instant: the whole fan-out shares one fusion."""
+        """An insert dispatches one fusion at its instant; every pull
+        at that instant afterwards shares it."""
         world, db, clock, service, ubi = rig
         room = world.canonical_mbr("SC/3/3105")
         events = []
@@ -91,11 +102,14 @@ class TestFusionCache:
             service.subscribe(room, consumer=events.append,
                               kind="both", threshold=threshold)
         ubi.tag_sighting("alice", Point(150, 20), clock.advance(1.0))
+        assert len(events) == 5
+        assert service.cache_stats()["misses"] == 1
+        assert service.cache_stats()["hits"] == 0
+        first = service.fusion_result("alice")  # same instant: cached
+        for _ in range(3):
+            assert service.fusion_result("alice") is first
         assert service.cache_stats()["misses"] == 1
         assert service.cache_stats()["hits"] == 4
-        before = service.cache_stats()["hits"]
-        service.fusion_result("alice")  # same instant: still cached
-        assert service.cache_stats()["hits"] == before + 1
 
     def test_recalibration_invalidates(self, rig):
         """The fingerprint embeds the sensor-table version: a respec'd

@@ -145,7 +145,6 @@ class TestLifecycle:
         assert service.unsubscribe(sub_id)
         ubi.tag_sighting("alice", Point(150, 20), 0.0)
         assert events == []
-        assert db.sensor_readings.trigger_count() == 0
 
     def test_unsubscribe_unknown(self, rig):
         _, _, _, service, _ = rig
@@ -157,11 +156,19 @@ class TestLifecycle:
         ubi.tag_sighting("alice", Point(150, 20), 0.0)
         assert service.subscriptions.notifications_sent == 1
 
-    def test_each_subscription_is_a_db_trigger(self, rig):
+    def test_subscriptions_share_one_dispatch_trigger(self, rig):
         _, db, _, service, _ = rig
+        assert db.sensor_readings.trigger_count() == 0
         for _ in range(5):
             service.subscribe("SC/3/3105", consumer=lambda e: None)
-        assert db.sensor_readings.trigger_count() == 5
+        service.subscribe_proximity("alice", "bob", 10.0,
+                                    consumer=lambda e: None)
+        service.subscribe_semantic(
+            "here(P) :- located_within(P, 'SC/3/3105')",
+            consumer=lambda e: None)
+        service.set_location_update_listener(lambda update: None)
+        assert [t.trigger_id for t in db.sensor_readings.triggers()] \
+            == ["__dispatch__"]
 
 
 class TestRemoteSubscription:
