@@ -17,7 +17,7 @@ Three variants are timed per reading count:
   pipeline's per-batch shape.
 
 A final section replays a pipeline-like flow against a
-``LocationService`` to report the content-addressed fusion cache's hit
+``LocationService`` to report its per-object fusion states' hit
 rate, and ``test_perf_smoke_no_regression`` guards the n=16 latency
 against the committed baseline.
 """
@@ -90,7 +90,7 @@ def _best_of(fn, repeats: int) -> float:
 
 @pytest.mark.parametrize("count", [1, 2, 4, 8, 12, 16, 24, 32])
 def test_fusion_scaling(benchmark, count):
-    engine = FusionEngine(incremental=False)
+    engine = FusionEngine()
     readings = make_readings(count)
     result = benchmark(lambda: engine.fuse("tom", readings, UNIVERSE,
                                            0.0))
@@ -107,28 +107,32 @@ def test_fusion_scaling_table(benchmark, results_dir):
     speedup_at_16 = None
     for count in COUNTS:
         readings = make_readings(count)
-        cold = FusionEngine(incremental=False)
+        engine = FusionEngine()
         after_ms = _best_of(
-            lambda: cold.fuse("tom", readings, UNIVERSE, 0.0),
+            lambda: engine.fuse("tom", readings, UNIVERSE, 0.0),
             3 if count <= 16 else 2)
         before_repeats = 2 if count <= 16 else 1
         before_ms = _best_of(lambda: fuse_reference(readings),
                              before_repeats)
 
-        # Steady state: one reading swapped between consecutive fuses.
-        warm = FusionEngine(incremental=True)
+        # Steady state: one reading swapped between consecutive fuses,
+        # each evolving its predecessor's lattice.
         shifted = make_readings(count, shift=1.0)
-        warm.fuse("tom", readings, UNIVERSE, 0.0)
         flip = [shifted, readings]
+        state = {"i": 0, "last": engine.fuse("tom", readings, UNIVERSE,
+                                             0.0),
+                 "reuses": 0}
 
-        def incremental_step(state={"i": 0}):
+        def incremental_step():
             state["i"] += 1
-            return warm.fuse("tom", flip[state["i"] % 2], UNIVERSE, 0.0)
+            state["last"] = engine.fuse("tom", flip[state["i"] % 2],
+                                        UNIVERSE, 0.0, state["last"])
+            state["reuses"] += state["last"].incremental
 
         incr_ms = _best_of(incremental_step, 3)
-        assert warm.stats()["incremental_reuses"] >= 3
+        assert state["reuses"] >= 3
 
-        result = cold.fuse("tom", readings, UNIVERSE, 0.0)
+        result = engine.fuse("tom", readings, UNIVERSE, 0.0)
         speedup = before_ms / after_ms if after_ms > 0 else float("inf")
         if count == 16:
             speedup_at_16 = speedup
@@ -141,14 +145,14 @@ def test_fusion_scaling_table(benchmark, results_dir):
     # An unloaded machine measures ~5-6x (the committed table); the
     # in-run gate tolerates contention from sibling benchmarks.
     assert speedup_at_16 is not None and speedup_at_16 >= 3.5
-    benchmark(lambda: FusionEngine(incremental=False).fuse(
+    benchmark(lambda: FusionEngine().fuse(
         "tom", make_readings(8), UNIVERSE, 0.0))
 
 
 def _cache_hit_rate_section():
     """Replay a pipeline-shaped flow (advancing clock, steady
-    rectangles) through a LocationService and report the
-    content-addressed fusion cache's effectiveness."""
+    rectangles) through a LocationService and report its per-object
+    fusion states' effectiveness."""
     from repro.sensors import UbisenseAdapter
     from repro.service import LocationService
     from repro.sim import siebel_floor
@@ -190,11 +194,11 @@ def test_perf_smoke_no_regression(results_dir):
     if baseline_ms is None:
         pytest.skip("no committed baseline in "
                     "benchmarks/results/ablation_fusion_scaling.txt")
-    engine = FusionEngine(incremental=False)
+    engine = FusionEngine()
     readings = make_readings(16)
     engine.fuse("tom", readings, UNIVERSE, 0.0)  # warm-up
     current_ms = _best_of(
-        lambda: FusionEngine(incremental=False).fuse(
+        lambda: FusionEngine().fuse(
             "tom", readings, UNIVERSE, 0.0), 5)
     # 2x the committed number, but never tighter than 20 ms: shared CI
     # runners jitter far more than a laptop's best-of-5.

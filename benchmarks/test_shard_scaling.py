@@ -1,29 +1,24 @@
 """Shard fleet scaling: readings/second at 1, 2, 4 and 8 shards.
 
-The bench was built to show *partitioned working sets*.  Each shard
-owns its slice of the tracked-object population and its own
-content-addressed fusion cache (capacity 32 entries).  The workload
+The bench was built to show *partitioned working sets*.  The workload
 tracks 64 stationary objects, each sighted by ten sensors whose
-rectangles overlap (an expensive ten-set lattice per cache miss), in
-an order that cycles all 64 fusion keys round-robin:
+rectangles overlap (an expensive ten-set lattice per fusion), in an
+order that cycles all 64 objects round-robin.  It dates from a bounded
+32-entry fusion memo, which one shard overflowed and four shards did
+not; every process now keeps one fusion state per object, so each
+shard holds its whole slice of the population at any fleet size and
+cache capacity is no longer a variable (the old same-capacity control
+row is gone).
 
-* 1 shard: 64 distinct fusion fingerprints cycle through one
-  32-entry LRU, which evicts every key before it comes around again;
-* 4 shards: ~16 objects per shard fit each cache.
-
-That only matters while the engine fuses once per reading or per
-small batch.  Shard pipelines now fuse each object's whole queued
-backlog in one pass and the router ships a shard's whole queue per
-RPC, so a 1-shard fleet fuses each object only a handful of times and
-the cache hardly comes into play (see the ``cache hits`` column).
-
-The last row is the control: one process whose cache holds all 64
-keys, as the 4-shard fleet's caches do between them.  What 4 shards
-gain over the control is what sharding adds beyond cache capacity.
+Shard pipelines fuse each object's whole queued backlog in one pass
+and the router ships a shard's whole queue per RPC, so a fleet fuses
+each object only a handful of times (see the ``cache hits`` column:
+backlogs answered from a state without a fetch).  What 4 shards gain
+over 1 is what sharding adds: parallel fusion minus the ORB hop.
 
 Results go to benchmarks/results/shard_scaling.txt; the
 ``test_perf_smoke_shard_scaling`` gate holds the 4-shard speedup over
-one 32-entry process at 2x.
+one shard at 2x.
 """
 
 from __future__ import annotations
@@ -31,7 +26,6 @@ from __future__ import annotations
 import time
 from typing import Dict, List
 
-import pytest
 
 from _support import write_result
 from repro.core import SensorSpec
@@ -44,7 +38,6 @@ SHARD_COUNTS = [1, 2, 4, 8]
 OBJECTS = 64
 ROUNDS = 5
 SENSOR_COUNT = 10
-CACHE_CAPACITY = 32  # the engine default, stated here for the story
 
 SENSOR_IDS = [f"Sensor-{i}" for i in range(SENSOR_COUNT)]
 _SPEC = SensorSpec(sensor_type="Ubisense", carry_probability=0.9,
@@ -59,8 +52,7 @@ def _object_rects() -> Dict[str, List[Rect]]:
     Staggering (each rect shifted diagonally from the last) maximizes
     the number of distinct lattice cells the fusion sweep must
     evaluate — nested rectangles would collapse to onion rings.
-    Per-object distinctness gives every object its own fusion
-    fingerprint: 64 cache keys fleet-wide.
+    Per-object distinctness gives every object its own lattice.
     """
     rects: Dict[str, List[Rect]] = {}
     for obj in range(OBJECTS):
@@ -79,17 +71,11 @@ def _stream() -> List[PipelineReading]:
     """ROUNDS re-sightings of every object at identical rectangles.
 
     Identical rects mean ``moving`` stays False and (with the hour
-    TTL keeping the freshness bucket at zero) the fusion fingerprint
-    of every object is *stable from round 2 on* — exactly the
-    situation the content-addressed cache exists for, if only it
-    were big enough to hold the population.
+    TTL) every object's input set is stable from round 2 on.
 
     The stream interleaves sensor-major (every consecutive reading
     is a different object), the realistic arrival order when ten
-    independent sensor feeds each sweep the floor.  It is also the
-    adversarial order for a too-small LRU: each round touches all 64
-    fusion keys round-robin, so a 32-entry cache evicts every key
-    before its next use.
+    independent sensor feeds each sweep the floor.
     """
     rects = _object_rects()
     out: List[PipelineReading] = []
@@ -105,12 +91,9 @@ def _stream() -> List[PipelineReading]:
     return out
 
 
-def _run(num_shards: int, stream: List[PipelineReading],
-         cache_capacity: int = CACHE_CAPACITY) -> tuple:
+def _run(num_shards: int, stream: List[PipelineReading]) -> tuple:
     """One configuration; returns (seconds, fleet stats)."""
-    cluster = ShardCluster(
-        num_shards, world=siebel_floor(),
-        fusion_cache_capacity=cache_capacity)
+    cluster = ShardCluster(num_shards, world=siebel_floor())
     try:
         router = cluster.router
         for sensor_id in SENSOR_IDS:
@@ -129,15 +112,13 @@ def _run(num_shards: int, stream: List[PipelineReading],
         cluster.shutdown()
 
 
-def _row(num_shards: int, stream: List[PipelineReading],
-         cache_capacity: int = CACHE_CAPACITY) -> dict:
+def _row(num_shards: int, stream: List[PipelineReading]) -> dict:
     # Best-of-two per configuration, like the smoke gate: one bad
     # scheduler moment should not misprice a whole row.
-    elapsed, fleet = min((_run(num_shards, stream, cache_capacity)
-                          for _ in range(2)), key=lambda r: r[0])
+    elapsed, fleet = min((_run(num_shards, stream) for _ in range(2)),
+                         key=lambda r: r[0])
     return {
         "shards": num_shards,
-        "cache": cache_capacity,
         "seconds": elapsed,
         "rps": len(stream) / elapsed,
         "cache_hits": fleet["fusion_cache_hits"],
@@ -146,48 +127,36 @@ def _row(num_shards: int, stream: List[PipelineReading],
 
 
 def _series(shard_counts: List[int]) -> List[dict]:
-    """One row per shard count, then the same-capacity control: one
-    process whose cache holds the whole population."""
+    """One row per shard count."""
     stream = _stream()
-    rows = [_row(num_shards, stream) for num_shards in shard_counts]
-    rows.append(_row(1, stream, cache_capacity=OBJECTS))
-    return rows
+    return [_row(num_shards, stream) for num_shards in shard_counts]
 
 
 def test_shard_scaling(results_dir):
     rows = _series(SHARD_COUNTS)
     base = rows[0]
-    control = rows[-1]
     lines = [
         "Shard fleet scaling - readings/s through the router sink",
         f"({OBJECTS} stationary objects x {SENSOR_COUNT} overlapping "
-        f"sensors x {ROUNDS} rounds; per-shard fusion cache "
-        f"{CACHE_CAPACITY} entries unless noted; best of 2 per row)",
+        f"sensors x {ROUNDS} rounds; one fusion state per object in "
+        "every shard; best of 2 per row)",
         "",
-        f"{'shards':>6} {'cache':>6} {'seconds':>9} {'readings/s':>11} "
+        f"{'shards':>6} {'seconds':>9} {'readings/s':>11} "
         f"{'speedup':>8} {'cache hits':>11}",
     ]
     for row in rows:
         speedup = row["rps"] / base["rps"]
         lines.append(
-            f"{row['shards']:>6} {row['cache']:>6} {row['seconds']:>9.3f} "
+            f"{row['shards']:>6} {row['seconds']:>9.3f} "
             f"{row['rps']:>11.0f} {speedup:>7.2f}x "
             f"{row['cache_hits']:>11}")
     four = next(r for r in rows if r["shards"] == 4)
     lines += [
         "",
         f"4-shard speedup: {four['rps'] / base['rps']:.2f}x over one "
-        f"{CACHE_CAPACITY}-entry process (acceptance floor: 2x), "
-        f"{four['rps'] / control['rps']:.2f}x over the control.",
-        f"Control (last row): one process whose {OBJECTS}-entry cache "
-        "holds the whole population, as the 4-shard fleet's caches do "
-        "between them.  Speedup over the control is what sharding "
-        "adds beyond cache capacity.",
+        "shard (acceptance floor: 2x).",
     ]
     write_result(results_dir, "shard_scaling", lines)
-    # The population must not fit one shard's cache but must fit four.
-    assert OBJECTS > CACHE_CAPACITY
-    assert OBJECTS <= 4 * CACHE_CAPACITY
     assert four["rps"] / base["rps"] >= 2.0
 
 

@@ -6,8 +6,6 @@ resolution (case 3) and probability classification (Section 4.4).
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -36,6 +34,9 @@ class FusionResult:
 
     Wraps the lattice with per-node probabilities, plus everything
     needed to answer follow-up region queries at the same timestamp.
+    The lattice's clipped input rectangles and closure boxes are what
+    :meth:`FusionEngine.fuse` evolves when this result is passed back
+    as ``previous``.
     """
 
     object_id: str
@@ -46,8 +47,12 @@ class FusionResult:
     lattice: RegionLattice
     winning_component: Set[int]
     discarded: Set[int]
+    # The MBR of the fused readings.  Every minimal region lies inside
+    # some reading rectangle, so any region disjoint from it has fused
+    # confidence exactly 0.
+    support: Rect
     mode: str = MODE_EXACT
-    # True when the lattice was evolved from the object's previous
+    # True when the lattice was evolved from the previous result's
     # closure instead of being closed from scratch.
     incremental: bool = field(default=False, compare=False)
 
@@ -117,8 +122,18 @@ class FusionResult:
         return {n.node_id: max(0.0, n.probability) / total for n in nodes}
 
 
+def _mbr(rects: Sequence[Rect]) -> Rect:
+    support = rects[0]
+    for rect in rects[1:]:
+        support = support.union_mbr(rect)
+    return support
+
+
 class FusionEngine:
     """Multi-sensor fusion with pluggable conflict rules and math mode.
+
+    Stateless: the caller keeps each object's last result and hands it
+    back as ``previous`` (see :meth:`fuse`).
 
     Args:
         resolver: conflict-resolution rule chain (defaults to the
@@ -129,85 +144,44 @@ class FusionEngine:
             printed Equation 7 verbatim; dimensionally inconsistent for
             two or more sensors, kept for reproduction benches — see
             :mod:`repro.core.fusion`).
-        incremental: reuse each object's previous closure when
-            consecutive ``fuse()`` calls differ by at most one added
-            and one expired rectangle — the pipeline's steady-state
-            shape.  The evolved lattice is identical to a from-scratch
-            build (the closure of a set differing by one rectangle is
-            derivable in one pass); property tests assert this.
-        incremental_capacity: number of objects whose previous closure
-            is retained (LRU).
     """
 
     def __init__(self, resolver: Optional[ConflictResolver] = None,
-                 mode: str = MODE_EXACT, incremental: bool = True,
-                 incremental_capacity: int = 256) -> None:
+                 mode: str = MODE_EXACT) -> None:
         if mode not in (MODE_EQ7, MODE_EXACT):
             raise FusionError(f"unknown fusion mode {mode!r}")
-        if incremental_capacity <= 0:
-            raise FusionError(
-                f"incremental_capacity must be positive, "
-                f"got {incremental_capacity}")
         self.resolver = resolver if resolver is not None else ConflictResolver()
         self.mode = mode
-        self.incremental = incremental
-        self._incremental_capacity = incremental_capacity
-        # object_id -> (input box set, universe box, closure boxes)
-        self._previous: "OrderedDict[str, Tuple[FrozenSet[Box], Box, List[Box]]]" = OrderedDict()
-        self._previous_lock = threading.Lock()
-        self.incremental_reuses = 0
-        self.full_builds = 0
 
-    def stats(self) -> Dict[str, int]:
-        """Counters for the incremental fast path."""
-        with self._previous_lock:
-            return {
-                "incremental_reuses": self.incremental_reuses,
-                "full_builds": self.full_builds,
-                "tracked_objects": len(self._previous),
-            }
-
-    def _build_lattice(self, object_id: str, rects: Sequence[Rect],
-                       universe: Rect) -> Tuple[RegionLattice, bool]:
-        """Build the containment lattice, evolving the object's
-        previous closure when the input set changed by at most one
+    def _build_lattice(self, rects: Sequence[Rect], universe: Rect,
+                       previous: Optional[FusionResult]
+                       ) -> Tuple[RegionLattice, bool]:
+        """Build the containment lattice, evolving ``previous``'s
+        closure when the clipped input set changed by at most one
         added and one removed rectangle."""
-        if not self.incremental:
-            return RegionLattice(rects, universe), False
-        universe_box = (universe.min_x, universe.min_y,
-                        universe.max_x, universe.max_y)
-        clipped = [r.clipped_to(universe) for r in rects]
-        key: FrozenSet[Box] = frozenset(
-            (c.min_x, c.min_y, c.max_x, c.max_y)
-            for c in clipped if c is not None)
-        with self._previous_lock:
-            prev = self._previous.get(object_id)
         seed: Optional[List[Box]] = None
-        if prev is not None and prev[1] == universe_box:
-            prev_key, _, prev_boxes = prev
+        if previous is not None and previous.universe == universe:
+            clipped = [r.clipped_to(universe) for r in rects]
+            key: FrozenSet[Box] = frozenset(
+                (c.min_x, c.min_y, c.max_x, c.max_y)
+                for c in clipped if c is not None)
+            prev_lattice = previous.lattice
+            prev_key: FrozenSet[Box] = frozenset(
+                (c.min_x, c.min_y, c.max_x, c.max_y)
+                for c in prev_lattice.input_rects)
             added = key - prev_key
             removed = prev_key - key
             if len(added) <= 1 and len(removed) <= 1:
-                boxes = prev_boxes
+                boxes = prev_lattice.closure_boxes()
                 if removed:
                     boxes = self._surviving_boxes(
-                        prev_boxes, prev_key, next(iter(removed)), key)
+                        boxes, prev_key, next(iter(removed)), key)
                 if added:
                     boxes = RegionLattice.closure_with_added(
                         boxes, next(iter(added)))
                 seed = boxes
-        lattice = RegionLattice(rects, universe, seed_boxes=seed)
-        with self._previous_lock:
-            self._previous[object_id] = (key, universe_box,
-                                         lattice.closure_boxes())
-            self._previous.move_to_end(object_id)
-            while len(self._previous) > self._incremental_capacity:
-                self._previous.popitem(last=False)
-            if seed is not None:
-                self.incremental_reuses += 1
-            else:
-                self.full_builds += 1
-        return lattice, seed is not None
+        return (RegionLattice(rects, universe, seed_boxes=seed),
+                seed is not None)
 
     @staticmethod
     def _surviving_boxes(prev_boxes: List[Box], prev_key: FrozenSet[Box],
@@ -256,13 +230,21 @@ class FusionEngine:
     # ------------------------------------------------------------------
 
     def fuse(self, object_id: str, readings: Sequence[NormalizedReading],
-             universe: Rect, now: float) -> FusionResult:
+             universe: Rect, now: float,
+             previous: Optional[FusionResult] = None) -> FusionResult:
         """Fuse readings for one object into a spatial distribution.
 
         Expired readings are dropped; disjoint components are resolved
         with the conflict rules; every lattice node's probability is
         computed with the configured formula over the winning
         component's readings.
+
+        ``previous`` is the object's last result.  When its input set
+        differs from this one by at most one added and one expired
+        rectangle (the pipeline's steady-state shape), its closure is
+        evolved instead of closing the new set from scratch; the
+        lattice is identical either way (property tests assert this).
+        ``None`` is the cold, cache-free build.
         """
         fresh = [r for r in readings if not r.is_expired_at(now)]
         if not fresh:
@@ -277,7 +259,7 @@ class FusionEngine:
             (r.rect, *r.pq_at(now, universe.area)) for r in fresh
         ]
         lattice, reused = self._build_lattice(
-            object_id, [r.rect for r in fresh], universe)
+            [r.rect for r in fresh], universe, previous)
         components = lattice.components()
         if len(components) > 1:
             winner_index = self.resolver.resolve(
@@ -296,6 +278,7 @@ class FusionEngine:
             lattice=lattice,
             winning_component=winning,
             discarded=discarded,
+            support=_mbr([r.rect for r in fresh]),
             mode=self.mode,
             incremental=reused,
         )

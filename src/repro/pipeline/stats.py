@@ -129,8 +129,9 @@ class PipelineStats:
             non-transient exception (surfaced to the dead-letter queue
             with reason ``"unexpected"`` instead of being retried; the
             readings stay fused).
-        fusion_cache_hits: batches answered from the service's
-            content-addressed fusion cache without running the engine.
+        fusion_cache_hits: batches answered from the object's fusion
+            state (same instant, no reading change) without a fetch or
+            an engine run.
         incremental_fusions: batches fused by evolving the object's
             previous lattice instead of rebuilding from scratch.
         subscriptions_evaluated: region subscriptions actually refined

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import threading
 import time as _time
-from collections import OrderedDict
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
                     Tuple, Union)
 
@@ -54,22 +53,29 @@ from repro.spatialdb import Row, SpatialDatabase, Trigger
 
 Clock = Callable[[], float]
 
-# (object_id, fingerprint): see LocationService._fusion_fingerprint.
-FusionKey = Tuple[str, Tuple[int, float, Tuple[Any, ...]]]
-
 # The one insert trigger that routes synchronous readings to
 # LocationService.apply_fusion_result.
 DISPATCH_TRIGGER = "__dispatch__"
 
 
+class FusionState(NamedTuple):
+    """One object's fusion state: its last fused result, valid while
+    the object's reading version and the sensor-table version both
+    still read what they read before that result's fetch."""
+
+    reading_version: int
+    spec_version: int
+    result: FusionResult
+
+
 class DispatchReport(NamedTuple):
     """What one :meth:`LocationService.apply_fusion_result` did.
 
-    ``delivered`` counts region and semantic events; ``evaluated`` and
-    ``pruned`` split the region subscriptions matching the object into
-    those refined against the fused result and those skipped as
-    provable no-ops; the ``semantic_*`` fields are the rule engine's
-    share.
+    ``delivered`` counts region, proximity and semantic events;
+    ``evaluated`` and ``pruned`` split the region subscriptions
+    matching the object into those refined against the fused result
+    and those skipped as provable no-ops; the ``semantic_*`` fields are
+    the rule engine's share.
     """
 
     delivered: int
@@ -101,8 +107,6 @@ class LocationService:
         history: when given, every successful :meth:`locate` is
             recorded into it (trajectories, speed — see
             :class:`repro.service.history.LocationHistory`).
-        fusion_cache_capacity: entries kept in the shared fusion memo
-            (queries at one instant share one fused distribution).
     """
 
     def __init__(self, db: SpatialDatabase,
@@ -110,10 +114,7 @@ class LocationService:
                  orb: Optional[Orb] = None,
                  clock: Optional[Clock] = None,
                  privacy: Optional[PrivacyPolicy] = None,
-                 history: Optional["LocationHistory"] = None,
-                 fusion_cache_capacity: int = 32) -> None:
-        if fusion_cache_capacity <= 0:
-            raise ServiceError("fusion cache capacity must be positive")
+                 history: Optional["LocationHistory"] = None) -> None:
         self.db = db
         self.engine = engine if engine is not None else FusionEngine()
         self.orb = orb
@@ -125,36 +126,24 @@ class LocationService:
         self.knowledge = build_knowledge_base(db.world)
         self.subscriptions = SubscriptionManager()
         self._proximity_subscriptions: Dict[str, Any] = {}
-        # Memo of recent fusions, content-addressed: the key is a
-        # fingerprint of the surviving readings (sensor ids, rects,
-        # movement flags, detection times) plus the exact query instant
-        # and the sensor-table version — so a dispatch and the pulls
-        # that follow it at one instant cost one fusion, and no query
-        # is ever answered with another instant's temporal degradation.
-        # This is the paper's shared lattice of Section 4.3.
-        self._fusion_cache: "OrderedDict[FusionKey, FusionResult]" = \
-            OrderedDict()
-        self._fusion_cache_capacity = fusion_cache_capacity
-        # The pipeline thread, ORB query threads and sync writers share
-        # this cache.
-        self._fusion_cache_lock = threading.RLock()
-        self.fusion_cache_hits = 0
-        self.fusion_cache_misses = 0
-        self.fusion_cache_evictions = 0
+        # One FusionState per object — the paper's shared lattice of
+        # Section 4.3: a dispatch and the pulls that follow it at one
+        # instant cost one fusion, a fusion at another instant evolves
+        # the state's lattice, and no query is ever answered with
+        # another instant's temporal degradation.
+        self._fusion_states: Dict[str, FusionState] = {}
+        # Guards the counters below; the pipeline thread, ORB query
+        # threads and sync writers all fuse.
+        self._fusion_lock = threading.Lock()
+        self.fusion_hits = 0
+        self.fusion_misses = 0
+        self.incremental_reuses = 0
+        self.full_builds = 0
         self.history = history
         # (subscription_id, error message) for every failed delivery;
         # a crashing application must not stall sensor ingest.
         self.notification_failures: List[Tuple[str, str]] = []
         self._classifier_cache: Optional[Tuple[int, ProbabilityClassifier]] = None
-        # Last-known-estimate support per object: the MBR of the
-        # readings behind the newest fusion, tagged with the reading
-        # version captured BEFORE those readings were fetched and the
-        # fusion timestamp.  Sound for pruning only while the version
-        # is unchanged and the query is not earlier than the entry
-        # (rows only expire as time advances); otherwise region
-        # queries fall back to the database's grow-only support union.
-        self._object_support: Dict[str, Tuple[Rect, int, float]] = {}
-        self._support_lock = threading.Lock()
         # Guards the one-time install of the DISPATCH_TRIGGER.
         self._dispatch_lock = threading.Lock()
         self._dispatch_installed = False
@@ -223,31 +212,12 @@ class LocationService:
             ))
         return readings
 
-    def _fusion_fingerprint(self, readings: List[NormalizedReading],
-                            at: float) -> Tuple[int, float, Tuple[Any, ...]]:
-        """Content address of a fusion input at one exact instant.
-
-        Fusion degrades each reading's p/q by its exact age (paper
-        Sections 3.2 and 4.1.1) and stamps the result with ``at``, so
-        two fusions are interchangeable only when they run at the same
-        instant over the same sensors, rectangles, movement flags and
-        detection times — which together pin every reading's exact
-        age.  The sensor-table version guards against recalibration
-        serving stale math.
-        """
-        parts = sorted(
-            (r.sensor_id, r.rect.min_x, r.rect.min_y, r.rect.max_x,
-             r.rect.max_y, bool(r.moving), r.time)
-            for r in readings)
-        return (self.db.sensor_specs.version, at, tuple(parts))
-
     def fusion_result(self, object_id: str,
                       now: Optional[float] = None) -> FusionResult:
         """The full spatial probability distribution for an object.
 
-        Fusions are memoized content-addressed (see
-        :meth:`_fusion_fingerprint`): programmed triggers and repeated
-        queries at the same instant share one fusion.  A new reading
+        Every query and notification at one instant shares the
+        object's one fusion (see :meth:`fuse_object`); a new reading
         for the object, or any other instant, fuses anew.
         """
         return self.fuse_object(object_id, self._now(now))[0]
@@ -258,106 +228,83 @@ class LocationService:
         ``(result, from_cache)``.
 
         The body of :meth:`fusion_result`, which the ingestion
-        pipeline calls once per landed backlog.  The reading version
-        is read *before* the fetch, so the support entry stored here
-        can never claim a version newer than the rows it was computed
-        from.
+        pipeline calls once per landed backlog.  The object's state
+        answers without a fetch when its instant is ``at`` and both
+        versions are unchanged.  Otherwise the readings are fetched,
+        :meth:`fuse_readings` evolves the state's lattice, and the
+        result becomes the new state.  Both versions are read *before*
+        the fetch, so a state never claims a version newer than the
+        rows it was fused from.
         """
         version = self.db.reading_version(object_id)
+        spec_version = self.db.sensor_specs.version
+        state = self._fusion_states.get(object_id)
+        if (state is not None and state.result.now == at
+                and state.reading_version == version
+                and state.spec_version == spec_version):
+            with self._fusion_lock:
+                self.fusion_hits += 1
+            return state.result, True
         readings = self.normalized_readings(object_id, at)
         if not readings:
             raise UnknownObjectError(
                 f"no fresh readings for {object_id!r} at t={at:.3f}")
-        fused = self.fuse_readings(object_id, readings, at)
-        self._store_support(
-            object_id, self._support_of(readings), version, at)
-        return fused
+        result = self.fuse_readings(
+            object_id, readings, at,
+            state.result if state is not None else None)
+        self._fusion_states[object_id] = FusionState(
+            version, spec_version, result)
+        return result, False
 
-    @staticmethod
-    def _support_of(readings: List[NormalizedReading]) -> Optional[Rect]:
-        """The MBR of a reading set — the fused distribution's support.
-
-        Every minimal region of the fused lattice lies inside some
-        reading rectangle, so any query rectangle disjoint from this
-        MBR has fused confidence exactly 0.
-        """
-        if not readings:
-            return None
-        support = readings[0].rect
-        for reading in readings[1:]:
-            support = support.union_mbr(reading.rect)
-        return support
-
-    def _store_support(self, object_id: str, support: Optional[Rect],
-                       version: int, at: float) -> None:
-        if support is None:
-            return
-        with self._support_lock:
-            entry = self._object_support.get(object_id)
-            if entry is None or entry[1] != version or at >= entry[2]:
-                self._object_support[object_id] = (support, version, at)
+    def fuse_readings(self, object_id: str,
+                      readings: List[NormalizedReading], at: float,
+                      previous: Optional[FusionResult] = None
+                      ) -> FusionResult:
+        """The miss path of :meth:`fuse_object`: fuse ``readings`` at
+        ``at``, evolving ``previous``'s lattice when it is close."""
+        result = self.engine.fuse(object_id, readings, self.db.universe(),
+                                  at, previous)
+        with self._fusion_lock:
+            self.fusion_misses += 1
+            if result.incremental:
+                self.incremental_reuses += 1
+            else:
+                self.full_builds += 1
+        return result
 
     def _current_support(self, object_id: str,
                          at: float) -> Optional[Rect]:
         """A rectangle guaranteed to contain all probability mass.
 
-        The tight last-fusion entry when still valid (same reading
-        version, query not earlier than the fusion), else the
-        database's grow-only union of every reading rectangle ever
-        inserted for the object.  ``None`` means nothing is known and
-        the object must be refined.
+        The object's state support while both its versions hold and
+        either ``at`` is the state's instant or no stored reading was
+        detected after that instant: rows then only expire as time
+        advances, so the readings fresh at ``at`` are a subset of the
+        state's.  Otherwise the database's grow-only union of every
+        reading rectangle ever inserted for the object.  ``None``
+        means nothing is known and the object must be refined.
         """
         version = self.db.reading_version(object_id)
-        with self._support_lock:
-            entry = self._object_support.get(object_id)
-        if entry is not None and entry[1] == version and at >= entry[2]:
-            return entry[0]
+        state = self._fusion_states.get(object_id)
+        if (state is not None and state.reading_version == version
+                and state.spec_version == self.db.sensor_specs.version):
+            fused_at = state.result.now
+            if at == fused_at or (
+                    at > fused_at
+                    and self.db.latest_detection(object_id) <= fused_at):
+                return state.result.support
         return self.db.reading_support(object_id)
 
-    def fuse_readings(self, object_id: str,
-                      readings: List[NormalizedReading],
-                      at: float) -> Tuple[FusionResult, bool]:
-        """Fuse through the content-addressed cache.
-
-        Returns ``(result, from_cache)``; :meth:`fuse_object` is the
-        caller that fetches the readings.
-        """
-        key: FusionKey = (object_id,
-                          self._fusion_fingerprint(readings, at))
-        with self._fusion_cache_lock:
-            cached = self._fusion_cache.get(key)
-            if cached is not None:
-                self.fusion_cache_hits += 1
-                self._fusion_cache.move_to_end(key)
-                return cached, True
-            self.fusion_cache_misses += 1
-        result = self.engine.fuse(object_id, readings,
-                                  self.db.universe(), at)
-        self._cache_fusion(key, result)
-        return result, False
-
-    def _cache_fusion(self, key: FusionKey,
-                      result: FusionResult) -> None:
-        with self._fusion_cache_lock:
-            self._fusion_cache[key] = result
-            while len(self._fusion_cache) > self._fusion_cache_capacity:
-                self._fusion_cache.popitem(last=False)
-                self.fusion_cache_evictions += 1
-
     def cache_stats(self) -> Dict[str, int]:
-        """Fusion-memo and incremental-engine effectiveness counters."""
-        engine_stats = self.engine.stats() if hasattr(
-            self.engine, "stats") else {}
-        with self._fusion_cache_lock:
+        """Fusion-state effectiveness counters: same-instant hits,
+        misses, and how many misses evolved the previous lattice
+        versus closing a new one."""
+        with self._fusion_lock:
             return {
-                "hits": self.fusion_cache_hits,
-                "misses": self.fusion_cache_misses,
-                "evictions": self.fusion_cache_evictions,
-                "size": len(self._fusion_cache),
-                "capacity": self._fusion_cache_capacity,
-                "incremental_reuses": engine_stats.get(
-                    "incremental_reuses", 0),
-                "full_builds": engine_stats.get("full_builds", 0),
+                "hits": self.fusion_hits,
+                "misses": self.fusion_misses,
+                "incremental_reuses": self.incremental_reuses,
+                "full_builds": self.full_builds,
             }
 
     # ------------------------------------------------------------------
@@ -625,7 +572,9 @@ class LocationService:
             subscription
         self._ensure_dispatch_trigger()
 
-    def _evaluate_proximity(self, subscription, at: float) -> None:
+    def _evaluate_proximity(
+            self, subscription, at: float,
+            deliver: Callable[[Any, Dict[str, Any]], None]) -> None:
         try:
             first = self.locate(subscription.first, at)
             second = self.locate(subscription.second, at)
@@ -655,7 +604,7 @@ class LocationService:
             "distance_ft": first.rect.center_distance(second.rect),
             "time": at,
         }
-        self._notify(subscription, event)
+        deliver(subscription, event)
         self.subscriptions.notifications_sent += 1
 
     def subscribe_semantic(self, rule: str,
@@ -783,7 +732,7 @@ class LocationService:
             object_id=result.object_id,
             region=symbolic,
             center=(center.x, center.y),
-            support=self._support_of(list(result.readings)),
+            support=result.support,
             confidence=estimate.probability,
             time=result.now,
         )
@@ -954,8 +903,8 @@ class LocationService:
         semantic layer gets the derived location.
 
         ``channel`` (an :class:`repro.orb.EventChannel`) additionally
-        receives every region and semantic event — the fused stream's
-        remote fan-out.
+        receives every region, proximity and semantic event — the
+        fused stream's remote fan-out.
         """
         object_id = result.object_id
         at = result.now
@@ -970,7 +919,7 @@ class LocationService:
             delivered += 1
 
         candidates = self.subscriptions.matching_for_result(
-            object_id, self._support_of(list(result.readings)))
+            object_id, result.support)
         pruned = self.subscriptions.matching_count(object_id) - len(candidates)
         for subscription in candidates:
             confidence = result.confidence_in_region(subscription.region)
@@ -980,7 +929,7 @@ class LocationService:
                 subscription, object_id, confidence, grade, at, deliver)
         for subscription in list(self._proximity_subscriptions.values()):
             if subscription.involves(object_id):
-                self._evaluate_proximity(subscription, at)
+                self._evaluate_proximity(subscription, at, deliver)
         semantic = self._dispatch_semantic(result, channel)
         return DispatchReport(delivered + semantic[0], len(candidates),
                               max(0, pruned), *semantic)

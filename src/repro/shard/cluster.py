@@ -47,8 +47,9 @@ class ShardCluster:
         pipeline: per-shard :class:`PipelineConfig` overrides (dict,
             e.g. ``{"queue_capacity": 64}``); an unknown key raises
             ``TypeError`` before any shard spawns.
-        fusion_cache_capacity: per-shard fusion memo entries.
         region_affinity: ``{glob_prefix: shard_index}`` placement hints.
+        start: spawn the shards and the router now (``False`` defers
+            that to :meth:`start`).
     """
 
     def __init__(self, num_shards: int,
@@ -56,7 +57,6 @@ class ShardCluster:
                  wal_root: Optional[str] = None,
                  durability_mode: str = "buffered",
                  pipeline: Optional[Dict[str, Any]] = None,
-                 fusion_cache_capacity: int = 32,
                  region_affinity: Optional[Dict[str, int]] = None,
                  start: bool = True) -> None:
         if num_shards < 1:
@@ -69,7 +69,6 @@ class ShardCluster:
         self.pipeline_config = dict(pipeline or {})
         # Fail here on an unknown key, not inside a spawned shard.
         PipelineConfig(**self.pipeline_config)
-        self.fusion_cache_capacity = fusion_cache_capacity
         self.region_affinity = region_affinity
         self._ctx = multiprocessing.get_context("spawn")
         self._processes: List[Optional[Any]] = [None] * num_shards
@@ -92,7 +91,6 @@ class ShardCluster:
             "shard_index": index,
             "num_shards": self.num_shards,
             "pipeline": dict(self.pipeline_config),
-            "fusion_cache_capacity": self.fusion_cache_capacity,
         }
         if self.wal_root is not None:
             config["wal_dir"] = self._wal_dir(index,

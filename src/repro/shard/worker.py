@@ -48,7 +48,6 @@ class ShardServant:
     * ``pipeline`` — :class:`PipelineConfig` keyword overrides
       (``queue_capacity``, ``overflow_policy``,
       ``dead_letter_capacity``).
-    * ``fusion_cache_capacity`` — per-shard fusion memo size.
     * ``wal_dir`` — when set, attach a
       :class:`repro.storage.DurabilityManager` journaling into it.
     * ``durability_mode`` — ``"buffered"`` | ``"strict"``.
@@ -119,10 +118,7 @@ class ShardServant:
                 self.db, wal_dir, mode=mode,
                 snapshot_interval=config.get("snapshot_interval"),
             ).attach()
-        self.service = LocationService(
-            self.db,
-            fusion_cache_capacity=config.get("fusion_cache_capacity", 32),
-        )
+        self.service = LocationService(self.db)
         if restored_subs:
             consumers = {record["subscription_id"]: self._event_consumer
                          for record in restored_subs}

@@ -134,7 +134,6 @@ class Scenario:
 
     def use_shards(self, num_shards: int, *, wal_root: Optional[str] = None,
                    durability_mode: str = "buffered", pipeline=None,
-                   fusion_cache_capacity: int = 32,
                    region_affinity=None):
         """Scale the scenario out across shard processes.
 
@@ -160,7 +159,6 @@ class Scenario:
         self.shard_cluster = ShardCluster(
             num_shards, world=self.world, wal_root=wal_root,
             durability_mode=durability_mode, pipeline=pipeline,
-            fusion_cache_capacity=fusion_cache_capacity,
             region_affinity=region_affinity)
         router = self.shard_cluster.router
         for row in self.db.sensor_specs.select():

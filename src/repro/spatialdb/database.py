@@ -104,13 +104,15 @@ class SpatialDatabase:
         self._history_limit = history_limit
         # (sensor_id, object_id) -> recent [(time, rect)] for movement
         self._history: Dict[Tuple[str, str], List[Tuple[float, Rect]]] = {}
-        # Per-object MBR of every reading rect ever inserted, plus a
-        # version bumped on each insert.  The support only grows (row
-        # deletion leaves it a superset), which is what makes it a
-        # sound pruning bound for region queries: an object whose
-        # support is disjoint from a query region has zero fused
+        # Per-object MBR of every reading rect ever inserted, the
+        # latest detection time ever inserted, and a version bumped on
+        # each insert and delete.  Support and latest time only grow
+        # (row deletion leaves them a superset), which is what makes
+        # them sound pruning bounds for region queries: an object
+        # whose support is disjoint from a query region has zero fused
         # confidence there at any timestamp.
         self._reading_support: Dict[str, Rect] = {}
+        self._latest_detection: Dict[str, float] = {}
         self._reading_version: Dict[str, int] = {}
         # Guards reading-id allocation and movement history: the
         # pipeline thread and synchronous writers insert concurrently.
@@ -443,9 +445,10 @@ class SpatialDatabase:
         return [row["reading_id"] for row in rows]
 
     def _advance(self, rows: Sequence[Row]) -> Dict[str, int]:
-        """Movement history and support MBRs for rows about to land.
+        """Movement history, support MBRs and latest detection times for
+        rows about to land.
 
-        Caller holds the ingest lock.  The support grows BEFORE the
+        Caller holds the ingest lock.  The bounds grow BEFORE the
         rows land, so a concurrent region query never sees a row
         without its bound; the reading version is bumped only after
         they land (:meth:`_count_landed`), so it never counts a row
@@ -454,12 +457,16 @@ class SpatialDatabase:
         """
         limit = self._history_limit
         by_object: Dict[str, List[Rect]] = {}
+        latest = self._latest_detection
         for row in rows:
             object_id = row["mobile_object_id"]
             rect = row["rect"]
+            detected = row["detection_time"]
+            if detected > latest.get(object_id, float("-inf")):
+                latest[object_id] = detected
             history = self._history.setdefault(
                 (row["sensor_id"], object_id), [])
-            history.append((row["detection_time"], rect))
+            history.append((detected, rect))
             if len(history) > limit:
                 history.pop(0)
             group = by_object.get(object_id)
@@ -545,7 +552,7 @@ class SpatialDatabase:
             return sensor_id is None or row["sensor_id"] == sensor_id
         journal = self.journal
         if journal is None:
-            return self.sensor_readings.delete(doomed)
+            return self._delete_readings(doomed)
         rows = self.sensor_readings.select(doomed)
         journal.log_expire(mobile_object_id, sensor_id,
                            [row["reading_id"] for row in rows])
@@ -561,7 +568,7 @@ class SpatialDatabase:
             return now - row["detection_time"] > ttl
         journal = self.journal
         if journal is None:
-            return self.sensor_readings.delete(expired)
+            return self._delete_readings(expired)
         rows = self.sensor_readings.select(expired)
         journal.log_purge(now, [row["reading_id"] for row in rows])
         return self._delete_logged_rows(rows)
@@ -576,11 +583,33 @@ class SpatialDatabase:
         """
         if not rows:
             return 0
-        ids = {row["reading_id"] for row in rows}
-        count = self.sensor_readings.delete(
-            lambda row: row["reading_id"] in ids)
+        count = self.delete_reading_ids(
+            [row["reading_id"] for row in rows])
         self.journal.note_deleted(rows)
         return count
+
+    def delete_reading_ids(self, reading_ids: Sequence[int]) -> int:
+        """Delete the readings with these ids (also WAL replay's delete).
+        """
+        doomed = set(reading_ids)
+        if not doomed:
+            return 0
+        return self._delete_readings(lambda row: row["reading_id"] in doomed)
+
+    def _delete_readings(self, where: Callable[[Row], bool]) -> int:
+        """Delete matching reading rows; returns the count.
+
+        Each affected object's reading version is bumped once its rows
+        are gone — after, like the insert bump — so a version read
+        before a fetch never vouches for rows deleted since.
+        """
+        def landed(rows: List[Row]) -> None:
+            counts: Dict[str, int] = {}
+            for row in rows:
+                object_id = row["mobile_object_id"]
+                counts[object_id] = counts.get(object_id, 0) + 1
+            self._count_landed(counts)
+        return self.sensor_readings.delete(where, landed=landed)
 
     def tracked_objects(self) -> List[str]:
         """All mobile-object ids that have at least one stored reading.
@@ -605,21 +634,34 @@ class SpatialDatabase:
         with self._ingest_lock:
             return self._reading_support.get(mobile_object_id)
 
-    def reading_version(self, mobile_object_id: str) -> int:
-        """Monotonic per-object counter bumped on every reading insert.
+    def latest_detection(self, mobile_object_id: str) -> float:
+        """The latest detection time of any reading ever inserted for
+        an object (``-inf`` when none).
 
-        Lets callers validate cached per-object state (e.g. the
-        Location Service's last-fusion support MBRs): a version read
-        *before* fetching readings is stale — and the cached entry is
-        discarded — whenever a newer reading has landed since.
+        Grow-only like :meth:`reading_support`, so a value ``<= t``
+        proves no stored reading of the object is newer than ``t``.
+        """
+        with self._ingest_lock:
+            return self._latest_detection.get(mobile_object_id,
+                                              float("-inf"))
+
+    def reading_version(self, mobile_object_id: str) -> int:
+        """Monotonic per-object counter bumped on every reading insert
+        and delete.
+
+        Lets callers validate cached per-object state (the Location
+        Service's fusion states): a version read *before* fetching
+        readings is stale — and the state is discarded — whenever a
+        reading has landed or been deleted since.
         """
         with self._ingest_lock:
             return self._reading_version.get(mobile_object_id, 0)
 
     def rebuild_reading_support(self) -> None:
-        """Recompute the support MBRs from the rows actually present.
+        """Recompute the support MBRs and latest detection times from
+        the rows actually present.
 
-        The live support is a grow-only union (sound but ever-looser
+        The live bounds are grow-only (sound but ever-looser
         as readings churn).  After a snapshot restore, WAL replay or
         retention compaction, the union over the *live* rows is the
         tightest bound that is still sound — every future fusion reads
@@ -629,17 +671,21 @@ class SpatialDatabase:
         accidentally revalidated.
         """
         support: Dict[str, Rect] = {}
+        latest: Dict[str, float] = {}
         for row in self.sensor_readings.select():
             object_id = row["mobile_object_id"]
             prior = support.get(object_id)
             support[object_id] = \
                 row["rect"] if prior is None \
                 else prior.union_mbr(row["rect"])
+            latest[object_id] = max(latest.get(object_id, float("-inf")),
+                                    row["detection_time"])
         with self._ingest_lock:
             versions = dict(self._reading_version)
             for object_id in set(support) | set(self._reading_support):
                 versions[object_id] = versions.get(object_id, 0) + 1
             self._reading_support = support
+            self._latest_detection = latest
             self._reading_version = versions
 
     # ------------------------------------------------------------------

@@ -264,8 +264,15 @@ class Table:
         return count
 
     @_synchronized
-    def delete(self, where: Predicate) -> int:
-        """Delete matching rows; returns the count.  Fires delete triggers."""
+    def delete(self, where: Predicate,
+               landed: Optional[Callable[[List[Row]], None]] = None
+               ) -> int:
+        """Delete matching rows; returns the count.  Fires delete triggers.
+
+        ``landed`` gets the deleted rows under the table lock once they
+        are gone and before any delete trigger fires — the delete
+        counterpart of :meth:`insert_many`'s hook.
+        """
         doomed = [(rowid, row) for rowid, row in self._rows.items()
                   if where(row)]
         for rowid, row in doomed:
@@ -276,6 +283,8 @@ class Table:
                 index.get(row.get(column), set()).discard(rowid)
         if doomed:
             self.version += len(doomed)
+            if landed is not None:
+                landed([row for _, row in doomed])
         for _, row in doomed:
             self._fire("delete", row)
         return len(doomed)

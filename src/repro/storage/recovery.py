@@ -120,10 +120,7 @@ def apply_op(db, op: Dict[str, Any],
         # Deletes are logged with the exact doomed ids, so replay never
         # re-evaluates a time/TTL predicate whose answer could depend
         # on how live threads interleaved around the delete.
-        doomed = set(op["reading_ids"])
-        if doomed:
-            db.sensor_readings.delete(
-                lambda row: row["reading_id"] in doomed)
+        db.delete_reading_ids(op["reading_ids"])
     elif name == rec.OP_CREATE_TRIGGER:
         _registry_apply(registry, op)
     elif name in (rec.OP_SUBSCRIBE, rec.OP_SUBSCRIBE_PROXIMITY):

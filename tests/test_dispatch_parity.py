@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Point
+from repro.orb import EventChannel
 from repro.pipeline import LocationPipeline
 from repro.sensors import RfBadgeAdapter, UbisenseAdapter
 from repro.service import LocationService
@@ -91,6 +92,41 @@ class TestEnterOnlyReentry:
                 rig.close()
             assert _transitions(rig.events) == [("enter", 0.0),
                                                 ("enter", 20.0)], piped
+
+
+class TestPipelineChannel:
+    def test_every_event_is_published_and_counted(self):
+        """Region and proximity events alike reach the pipeline's
+        channel and its ``notifications`` stat."""
+        db = SpatialDatabase(siebel_floor())
+        service = LocationService(db, clock=SimClock())
+        channel = EventChannel()
+        published: List[Dict[str, Any]] = []
+        channel.subscribe(published.append)
+        pipeline = LocationPipeline(service, channel=channel).start()
+        ubi = UbisenseAdapter("Ubi-1", "SC/3", frame="")
+        ubi.attach(db)
+        ubi.set_sink(pipeline)
+        events: List[Dict[str, Any]] = []
+        try:
+            service.subscribe("SC/3/3105", consumer=events.append,
+                              kind="both")
+            service.subscribe_proximity("alice", "bob", 30.0,
+                                        consumer=events.append,
+                                        kind="both")
+            for object_id, at, point in (
+                    ("alice", 1.0, IN_3105), ("bob", 1.5, IN_3105),
+                    ("bob", 10.0, CORRIDOR), ("alice", 11.0, CORRIDOR)):
+                ubi.tag_sighting(object_id, point, at)
+                assert pipeline.drain(timeout=30.0)
+        finally:
+            pipeline.stop()
+        assert pipeline.errors == []
+        kinds = {"region" if "object_id" in e else "proximity"
+                 for e in events}
+        assert kinds == {"region", "proximity"}
+        assert published == events
+        assert pipeline.stats().notifications == len(events)
 
 
 class TestDispatchTrigger:

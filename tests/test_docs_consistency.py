@@ -1,5 +1,6 @@
 """The documentation must match the repository it describes."""
 
+import inspect
 import pathlib
 import re
 
@@ -106,3 +107,33 @@ class TestTestReferences:
                 assert re.search(pattern, source, re.MULTILINE), \
                     f"{doc} cites {test_file}{names}: no {name}"
                 indent = r"\s+"
+
+
+class TestDocstringSignatureParity:
+    """A class's ``Args:`` section names exactly its constructor's
+    parameters, so adding or deleting an option also updates the
+    docstring that documents it."""
+
+    @staticmethod
+    def documented(cls):
+        lines = inspect.getdoc(cls).split("Args:\n", 1)[1].splitlines()
+        names = []
+        for line in lines:
+            if not line.startswith("    "):
+                break
+            match = re.match(r"    (\w+):", line)
+            if match:
+                names.append(match.group(1))
+        return names
+
+    @pytest.mark.parametrize("path", [
+        "repro.service.LocationService",
+        "repro.core.FusionEngine",
+        "repro.shard.ShardCluster",
+    ])
+    def test_args_match_init(self, path):
+        import importlib
+        module, name = path.rsplit(".", 1)
+        cls = getattr(importlib.import_module(module), name)
+        parameters = list(inspect.signature(cls.__init__).parameters)
+        assert self.documented(cls) == parameters[1:]

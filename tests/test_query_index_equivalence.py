@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ProbabilityClassifier
+from repro.errors import UnknownObjectError
 from repro.geometry import Point, Polygon, Rect
 from repro.reasoning.navgraph import Graph
 from repro.sensors import UbisenseAdapter
@@ -255,31 +256,79 @@ class TestNavgraphMemoEquivalence:
 # ----------------------------------------------------------------------
 
 def _tracked_service(placements):
+    """Ubisense sightings ``(person, point, time)``; the clock ends at
+    1.0, after every sighting."""
     world = siebel_floor()
     db = SpatialDatabase(world)
     clock = SimClock()
     service = LocationService(db, clock=clock)
     ubi = UbisenseAdapter("Ubi-1", "SC/3", frame="").attach(db)
-    for i, point in enumerate(placements):
-        ubi.tag_sighting(f"person-{i:02d}", point, 0.0)
+    for person, point, at in sorted(placements, key=lambda p: p[2]):
+        ubi.tag_sighting(f"person-{person:02d}", point, at)
     clock.advance(1.0)
     return service
 
 
+def _pull_everyone(service, at):
+    for object_id in service.db.tracked_objects():
+        try:
+            service.fusion_result(object_id, now=at)
+        except UnknownObjectError:
+            pass
+
+
+# Room centres and extents: sightings and queries that hit each other
+# often, so a too-trusting support bound shows.
+ROOMS = ("SC/3/3105", "SC/3/3216", "SC/3/3102", "SC/3/ConferenceRoom")
+room_points = st.sampled_from(
+    [siebel_floor().canonical_mbr(room).center for room in ROOMS])
+room_rects = st.sampled_from(
+    [siebel_floor().canonical_mbr(room) for room in ROOMS])
+
+
 class TestObjectsInRegionEquivalence:
-    @settings(max_examples=15, deadline=None)
-    @given(st.lists(grid_points(), min_size=1, max_size=6),
-           st.lists(grid_rects(), min_size=1, max_size=4),
-           st.sampled_from([0.0, 0.2, 0.5]))
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=2),
+                              st.one_of(grid_points(), room_points),
+                              st.sampled_from([0.0, 0.5, 1.0])),
+                    min_size=1, max_size=8),
+           st.lists(st.one_of(grid_rects(), room_rects),
+                    min_size=1, max_size=4),
+           st.sampled_from([0.0, 0.2, 0.5]),
+           st.sampled_from([None, 0.0, 0.25, 0.75]))
     def test_pruned_matches_reference(self, placements, queries,
-                                      min_confidence):
+                                      min_confidence, pull_at):
+        """Including after an earlier-instant pull (before every query)
+        whose fused states predate some of the stored readings."""
         service = _tracked_service(placements)
         for rect in queries:
+            if pull_at is not None:
+                _pull_everyone(service, pull_at)
             pruned = service.objects_in_region(
                 rect, min_confidence=min_confidence)
             reference = service.objects_in_region_reference(
                 rect, min_confidence=min_confidence)
             assert pruned == reference
+
+    def test_earlier_pull_does_not_prune_a_later_reading(self):
+        """A pull between two sightings fuses only the first; that
+        fusion's support must not prune the object at a later instant,
+        when the second sighting is fresh."""
+        world = siebel_floor()
+        db = SpatialDatabase(world)
+        service = LocationService(db, clock=SimClock())
+        ubi = UbisenseAdapter("Ubi-1", "SC/3", frame="").attach(db)
+        ubi.tag_sighting("alice", world.canonical_mbr("SC/3/3105").center,
+                         1.0)
+        ubi.tag_sighting("alice", world.canonical_mbr("SC/3/3216").center,
+                         2.0)
+        service.fusion_result("alice", now=1.5)
+        # Pruned first: the reference scan fuses at t=3 itself.
+        pruned = service.objects_in_region("SC/3/3216", now=3.0)
+        reference = service.objects_in_region_reference("SC/3/3216",
+                                                        now=3.0)
+        assert [oid for oid, _ in reference] == ["alice"]
+        assert pruned == reference
 
     def test_result_order_is_confidence_desc_then_object_id(self):
         """Satellite pin: (confidence desc, object_id asc), independent

@@ -1,11 +1,14 @@
-"""Tests for the shared-fusion memo behind trigger evaluation."""
+"""Tests for the per-object fusion state behind queries and dispatch."""
+
+import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import FusionEngine
-from repro.errors import ServiceError, UnknownObjectError
+from repro.errors import UnknownObjectError
 from repro.geometry import Point
 from repro.sensors import RfBadgeAdapter, UbisenseAdapter
 from repro.service import LocationService
@@ -66,12 +69,13 @@ class TestFusionCache:
         assert late.now == 2.5
 
     def test_cache_bounded(self, rig):
+        """One state per object, however many instants it is fused at."""
         world, db, clock, service, ubi = rig
         ubi.tag_sighting("alice", Point(150, 20), 0.0)
         for i in range(100):
             service.fusion_result("alice", now=1.0 + i * 0.01)
-        assert len(service._fusion_cache) <= \
-            service._fusion_cache_capacity
+        assert list(service._fusion_states) == ["alice"]
+        assert service._fusion_states["alice"].result.now == 1.0 + 99 * 0.01
 
     def test_estimates_unaffected_by_caching(self, rig):
         world, db, clock, service, ubi = rig
@@ -112,7 +116,7 @@ class TestFusionCache:
         assert service.cache_stats()["hits"] == 4
 
     def test_recalibration_invalidates(self, rig):
-        """The fingerprint embeds the sensor-table version: a respec'd
+        """The state is keyed on the sensor-table version: a respec'd
         sensor must not serve stale fused math."""
         world, db, clock, service, ubi = rig
         ubi.tag_sighting("alice", Point(150, 20), 0.0)
@@ -133,90 +137,140 @@ def _signature(result):
             tuple(sorted(result.discarded)), result.mode, tuple(nodes))
 
 
-sightings = st.lists(
-    st.tuples(st.sampled_from(["ubi", "rf"]),
-              st.floats(min_value=0.0, max_value=8.0),
-              st.floats(min_value=120.0, max_value=180.0),
-              st.floats(min_value=10.0, max_value=30.0)),
-    min_size=1, max_size=5)
 # Query times: a coarse grid plus jitter well inside one ttl/8 bucket
 # (0.375 s for Ubisense), with repeats, so the sequence both revisits
 # instants and lands close to earlier ones.
-query_times = st.lists(
-    st.builds(lambda base, jitter: base * 0.5 + jitter,
-              st.integers(min_value=0, max_value=24),
-              st.sampled_from([0.0, 0.0, 0.01, 0.1, 0.2])),
-    min_size=1, max_size=12)
+query_times = st.builds(lambda base, jitter: base * 0.5 + jitter,
+                        st.integers(min_value=0, max_value=24),
+                        st.sampled_from([0.0, 0.0, 0.01, 0.1, 0.2]))
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("sight"), st.sampled_from(["ubi", "rf"]),
+                  st.floats(min_value=0.0, max_value=8.0),
+                  st.floats(min_value=120.0, max_value=180.0),
+                  st.floats(min_value=10.0, max_value=30.0)),
+        st.tuples(st.just("expire"),
+                  st.sampled_from([None, "Ubi-1", "RF-1"])),
+        st.tuples(st.just("query"), query_times)),
+    min_size=1, max_size=16)
 
 
 class TestExactInstantProperty:
-    @settings(max_examples=40, deadline=None,
+    @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(sightings=sightings, times=query_times)
-    def test_cached_equals_cache_free_engine(self, sightings, times):
+    @given(operations=operations)
+    def test_cached_equals_cache_free_engine(self, operations):
         """``fusion_result(obj, t)`` is bit-identical to a fresh,
         cache-free engine's fusion of the same readings at ``t``, over
-        any query-time sequence."""
+        any interleaving of sightings (at any detection time, so
+        inserts land after queries), forced expiries and queries.
+        After every sighting or expiry the last queried instant is
+        checked again: a state surviving a row change would serve it.
+        """
         db = SpatialDatabase(siebel_floor())
-        service = LocationService(db, fusion_cache_capacity=4)
+        service = LocationService(db)
         ubi = UbisenseAdapter("Ubi-1", "SC/3", frame="").attach(db)
         rf = RfBadgeAdapter("RF-1", "SC/3", Point(150, 20),
                             frame="").attach(db)
-        for kind, at, x, y in sorted(sightings, key=lambda s: s[1]):
-            if kind == "ubi":
-                ubi.tag_sighting("alice", Point(x, y), at)
-            else:
-                rf.badge_sighting("alice", at)
-        for t in times:
-            try:
-                cached = service.fusion_result("alice", now=t)
-            except UnknownObjectError:
-                continue
+
+        def check(t):
             readings = service.normalized_readings("alice", t)
-            fresh = FusionEngine(incremental=False).fuse(
+            if not readings:
+                with pytest.raises(UnknownObjectError):
+                    service.fusion_result("alice", now=t)
+                return
+            cached = service.fusion_result("alice", now=t)
+            fresh = FusionEngine().fuse(
                 "alice", readings, db.universe(), t)
             assert _signature(cached) == _signature(fresh)
 
+        last = None
+        for op in operations:
+            if op[0] == "query":
+                last = op[1]
+                check(last)
+                continue
+            if op[0] == "expire":
+                db.expire_object_readings("alice", op[1])
+            elif op[1] == "ubi":
+                ubi.tag_sighting("alice", Point(op[3], op[4]), op[2])
+            else:
+                rf.badge_sighting("alice", op[2])
+            if last is not None:
+                check(last)
+
 
 class TestCacheStats:
-    def test_capacity_is_configurable(self):
+    def test_cache_stats_reports_hits_and_misses(self):
         db = SpatialDatabase(siebel_floor())
-        service = LocationService(db, fusion_cache_capacity=4)
-        adapter = UbisenseAdapter("Ubi-1", "SC/3", frame="").attach(db)
-        adapter.tag_sighting("alice", Point(150, 20), 0.0)
-        for i in range(10):
-            service.fusion_result("alice", now=1.0 + i * 0.01)
-        assert len(service._fusion_cache) <= 4
-
-    def test_invalid_capacity_rejected(self):
-        db = SpatialDatabase(siebel_floor())
-        with pytest.raises(ServiceError):
-            LocationService(db, fusion_cache_capacity=0)
-        with pytest.raises(ServiceError):
-            LocationService(db, fusion_cache_capacity=-3)
-
-    def test_cache_stats_reports_hits_misses_evictions(self):
-        db = SpatialDatabase(siebel_floor())
-        service = LocationService(db, fusion_cache_capacity=2)
+        service = LocationService(db)
         adapter = UbisenseAdapter("Ubi-1", "SC/3", frame="").attach(db)
         adapter.tag_sighting("alice", Point(150, 20), 0.0)
 
         stats = service.cache_stats()
-        assert stats == {"hits": 0, "misses": 0, "evictions": 0,
-                         "size": 0, "capacity": 2,
+        assert stats == {"hits": 0, "misses": 0,
                          "incremental_reuses": 0, "full_builds": 0}
 
         service.fusion_result("alice", now=1.0)   # miss
         service.fusion_result("alice", now=1.0)   # hit
         service.fusion_result("alice", now=2.0)   # miss
-        service.fusion_result("alice", now=3.0)   # miss -> eviction
+        service.fusion_result("alice", now=3.0)   # miss
 
         stats = service.cache_stats()
         assert stats["hits"] == 1
         assert stats["misses"] == 3
-        assert stats["evictions"] == 1
-        assert stats["size"] == 2
-        assert stats["capacity"] == 2
+        assert stats["incremental_reuses"] + stats["full_builds"] == 3
+
+
+class TestConcurrentFusion:
+    def test_threads_share_states_without_lost_counts(self):
+        """More threads than cores fuse shared objects at overlapping
+        instants: every answer equals the cache-free engine's, and no
+        hit or miss count is lost."""
+        db = SpatialDatabase(siebel_floor())
+        service = LocationService(db)
+        ubi = UbisenseAdapter("Ubi-1", "SC/3", frame="").attach(db)
+        objects = ["alice", "bob", "carol"]
+        for i, object_id in enumerate(objects):
+            ubi.tag_sighting(object_id, Point(150 + i, 20), 0.0)
+            ubi.tag_sighting(object_id, Point(152 + i, 21), 0.5)
+        instants = [1.0, 1.0, 1.5, 2.0]
+        expected = {
+            (object_id, t): _signature(FusionEngine().fuse(
+                object_id, service.normalized_readings(object_id, t),
+                db.universe(), t))
+            for object_id in objects for t in instants}
+        calls_per_thread = 60
+        errors = []
+
+        def worker(seed):
+            try:
+                for k in range(calls_per_thread):
+                    object_id = objects[(seed + k) % len(objects)]
+                    t = instants[(seed * 7 + k) % len(instants)]
+                    result = service.fusion_result(object_id, now=t)
+                    assert _signature(result) == expected[(object_id, t)]
+            except Exception as exc:  # noqa: BLE001 — asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        stats = service.cache_stats()
+        assert stats["hits"] + stats["misses"] == 6 * calls_per_thread
+        assert stats["incremental_reuses"] + stats["full_builds"] == \
+            stats["misses"]
+        assert sorted(service._fusion_states) == objects
 
 
 class TestClassifierCache:
