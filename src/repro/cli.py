@@ -244,6 +244,8 @@ def _run_sharded(args: argparse.Namespace) -> int:
                   f"readings={shard['readings']} "
                   f"fused={shard['pipeline']['fused']} "
                   f"tracked={shard['tracked']} "
+                  f"peak_rss_mb={shard['peak_rss_mb']:.1f} "
+                  f"warm_start={shard['warm_start']} "
                   f"queue_depth={sender.get('queue_depth', 0)} "
                   f"batches={sender.get('batches', 0)} "
                   f"queue_peak={sender.get('queue_peak', 0)}")

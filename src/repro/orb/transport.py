@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import queue
 import select
+import selectors
 import socket
 import socketserver
 import struct
@@ -337,6 +338,7 @@ class TcpServer:
         self._server.pool = _WorkerPool(  # type: ignore[attr-defined]
             _MUX_WORKERS, f"orb-mux-{self.address[1]}")
         self._thread: Optional[threading.Thread] = None
+        self._wake: Optional[Tuple[socket.socket, socket.socket]] = None
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -345,21 +347,42 @@ class TcpServer:
     def start(self) -> "TcpServer":
         if self._thread is not None:
             raise TransportError("server already started")
+        self._wake = socket.socketpair()
         self._thread = threading.Thread(
-            target=self._server.serve_forever,
+            target=self._serve, args=(self._wake[0],),
             name=f"orb-tcp-{self.address[1]}", daemon=True)
         self._thread.start()
         return self
 
+    def _serve(self, wake: socket.socket) -> None:
+        """Accept connections until :meth:`stop` writes to ``wake``.
+
+        Unlike ``serve_forever``, which notices a shutdown only at its
+        next 0.5 s poll tick, this loop blocks on the listening socket
+        and the wake socket together, so a stop takes effect at once.
+        """
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._server, selectors.EVENT_READ)
+            selector.register(wake, selectors.EVENT_READ)
+            while True:
+                ready = [key.fileobj for key, _ in selector.select()]
+                if wake in ready:
+                    return
+                # What serve_forever runs per readable listener.
+                self._server._handle_request_noblock()
+
     def stop(self) -> None:
-        if self._thread is None:
+        if self._thread is None or self._wake is None:
             return
-        self._server.shutdown()
+        self._wake[1].send(b"\0")
+        self._thread.join(timeout=5.0)
         self._server.close_connections()
         self._server.server_close()
         self._server.pool.shutdown()  # type: ignore[attr-defined]
-        self._thread.join(timeout=5.0)
+        for sock in self._wake:
+            sock.close()
         self._thread = None
+        self._wake = None
 
 
 # ----------------------------------------------------------------------

@@ -64,7 +64,7 @@ class Batcher:
 
     def next_batch(self, timeout: float = 0.05) -> Optional[Batch]:
         """The oldest-waiting object's whole queue, or ``None`` if the
-        intake stays empty for ``timeout`` seconds.
+        intake stays empty for ``timeout`` seconds or is closed.
 
         The returned batch counts as in flight until :meth:`complete`.
         """
@@ -82,7 +82,7 @@ class Batcher:
                 entries = self.intake.take(candidate, self.intake.capacity)
                 return Batch(candidate, entries, self.clock())
             remaining = deadline - self.clock()
-            if remaining <= 0.0:
+            if remaining <= 0.0 or self.intake.closed:
                 return None
             self.intake.wait_for_change(version, remaining)
 

@@ -1,9 +1,18 @@
-"""Shard-fleet lifecycle: spawn, kill, recover, tear down.
+"""Shard-fleet lifecycle: start, kill, recover, tear down.
 
-A :class:`ShardCluster` owns N shard *processes* (``multiprocessing``
-spawn context — no forked locks, same behaviour everywhere), collects
-each one's bound TCP port through a pipe, and fronts them with a
+A :class:`ShardCluster` owns N shard *processes*, collects each one's
+bound TCP port through a pipe, and fronts them with a
 :class:`~repro.shard.router.ShardRouter`.
+
+Shards are forked from a ``multiprocessing`` forkserver that has
+already imported :mod:`repro.shard.worker`, so a shard starts without
+a fresh interpreter or a cold import of the package; the server is
+single-threaded, so no lock is ever forked held.  Every shard of a
+start is launched before the first port is awaited, so the starts
+overlap.  The forkserver ignores the ``sys_path`` it is handed, so it
+is launched with the package root on ``PYTHONPATH``; otherwise, when
+the package reached ``sys.path`` only at runtime, the preload would
+fail silently and every shard would import cold.
 
 The chaos suite drives the failure story through this class:
 :meth:`kill_shard` SIGKILLs a worker mid-stream (no goodbye, exactly
@@ -17,8 +26,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from typing import Any, Dict, List, Optional
+import threading
+import time
+from typing import Any, Dict, List, Optional, Tuple
 
+import repro
 from repro.errors import ServiceError, TransportError
 from repro.model import WorldModel
 from repro.model.serialize import world_to_json
@@ -30,6 +42,31 @@ from repro.shard.worker import SHARD_OBJECT_ID, shard_worker_main
 from repro.sim.building import siebel_floor
 
 _STARTUP_TIMEOUT = 60.0
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(
+    os.path.abspath(repro.__file__)))
+_LAUNCH_LOCK = threading.Lock()
+
+
+def _forkserver_context() -> Any:
+    """The forkserver context, its server running with the worker
+    module preloaded."""
+    # Imported here: its dozen multiprocessing modules would otherwise
+    # load into every process that imports the package.
+    from multiprocessing import forkserver
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload([shard_worker_main.__module__])
+    with _LAUNCH_LOCK:
+        saved = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            path for path in (_PACKAGE_ROOT, saved) if path)
+        try:
+            forkserver.ensure_running()
+        finally:
+            if saved is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = saved
+    return context
 
 
 class ShardCluster:
@@ -46,9 +83,9 @@ class ShardCluster:
         durability_mode: ``"buffered"`` | ``"strict"`` (with wal_root).
         pipeline: per-shard :class:`PipelineConfig` overrides (dict,
             e.g. ``{"queue_capacity": 64}``); an unknown key raises
-            ``TypeError`` before any shard spawns.
+            ``TypeError`` before any shard starts.
         region_affinity: ``{glob_prefix: shard_index}`` placement hints.
-        start: spawn the shards and the router now (``False`` defers
+        start: start the shards and the router now (``False`` defers
             that to :meth:`start`).
     """
 
@@ -67,10 +104,9 @@ class ShardCluster:
         self.wal_root = wal_root
         self.durability_mode = durability_mode
         self.pipeline_config = dict(pipeline or {})
-        # Fail here on an unknown key, not inside a spawned shard.
+        # Fail here on an unknown key, not inside a started shard.
         PipelineConfig(**self.pipeline_config)
         self.region_affinity = region_affinity
-        self._ctx = multiprocessing.get_context("spawn")
         self._processes: List[Optional[Any]] = [None] * num_shards
         self._ports: List[Optional[int]] = [None] * num_shards
         self._generations = [0] * num_shards
@@ -105,29 +141,66 @@ class ShardCluster:
         return os.path.join(self.wal_root, f"shard-{index}",
                             f"g{generation}")
 
-    def _spawn(self, index: int,
-               recover_from: Optional[str] = None) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=shard_worker_main,
-            args=(self._shard_config(index, recover_from), child_conn),
-            name=f"shard-{index}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        if not parent_conn.poll(_STARTUP_TIMEOUT):
-            process.terminate()
-            raise TransportError(f"shard {index} failed to start")
-        self._ports[index] = parent_conn.recv()
-        parent_conn.close()
-        self._processes[index] = process
+    def _launch(self, index: int, config: Dict[str, Any]
+                ) -> Tuple[Any, Any]:
+        """Fork shard ``index``; returns the process and the pipe end
+        its port arrives on, without waiting for it."""
+        context = _forkserver_context()
+        parent_conn, child_conn = context.Pipe(duplex=False)
+        process = context.Process(
+            target=shard_worker_main, args=(config, child_conn),
+            name=f"shard-{index}", daemon=True)
+        try:
+            process.start()
+        finally:
+            child_conn.close()
+        return process, parent_conn
+
+    def _await_port(self, index: int, process: Any, conn: Any,
+                    deadline: float) -> int:
+        if not conn.poll(max(0.0, deadline - time.monotonic())):
+            raise TransportError(
+                f"shard {index} did not report its port within "
+                f"{_STARTUP_TIMEOUT:.0f} s")
+        try:
+            return conn.recv()
+        except EOFError:
+            process.join(timeout=5.0)
+            raise TransportError(
+                f"shard {index} exited during start-up with exit code "
+                f"{process.exitcode}") from None
+
+    def _start_shards(self, configs: Dict[int, Dict[str, Any]]) -> None:
+        """Launch every shard in ``configs``, then collect their ports.
+
+        If any shard fails to come up, every shard launched here is
+        terminated and joined before the error propagates.
+        """
+        launched: List[Tuple[int, Any, Any]] = []
+        try:
+            for index, config in configs.items():
+                launched.append((index, *self._launch(index, config)))
+            deadline = time.monotonic() + _STARTUP_TIMEOUT
+            ports = [self._await_port(index, process, conn, deadline)
+                     for index, process, conn in launched]
+        except BaseException:
+            for _, process, _ in launched:
+                process.terminate()
+            for _, process, _ in launched:
+                process.join()
+            raise
+        finally:
+            for _, _, conn in launched:
+                conn.close()
+        for (index, process, _), port in zip(launched, ports):
+            self._processes[index] = process
+            self._ports[index] = port
 
     def start(self) -> "ShardCluster":
         if self.router is not None:
             raise ServiceError("cluster already started")
-        for index in range(self.num_shards):
-            self._spawn(index)
+        self._start_shards({index: self._shard_config(index)
+                            for index in range(self.num_shards)})
         partitioner = HashPartitioner(self.num_shards,
                                       self.region_affinity)
         self.router = ShardRouter(self.orb, self.references(),
@@ -173,7 +246,7 @@ class ShardCluster:
                 raise ServiceError("cannot recover without wal_root")
             recover_from = self._wal_dir(index, self._generations[index])
             self._generations[index] += 1
-        self._spawn(index, recover_from)
+        self._start_shards({index: self._shard_config(index, recover_from)})
         reference = self.reference(index)
         if self.router is not None:
             self.router.rebind(index, reference)
@@ -186,15 +259,19 @@ class ShardCluster:
     # ------------------------------------------------------------------
 
     def shutdown(self) -> None:
+        """Ask every shard to stop, then join them all: the shards
+        tear down concurrently."""
         if self.router is not None:
             self.router.close()
-        for index, process in enumerate(self._processes):
-            if process is None:
-                continue
+        running = [(index, process)
+                   for index, process in enumerate(self._processes)
+                   if process is not None]
+        for index, _ in running:
             try:
                 self.orb.resolve(self.reference(index)).shutdown()
             except Exception:  # noqa: BLE001 — dying shard, force below
                 pass
+        for index, process in running:
             process.join(timeout=10.0)
             if process.is_alive():
                 process.terminate()

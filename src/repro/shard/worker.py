@@ -8,15 +8,18 @@ world model (the symbolic lattice, classifier inputs and universe
 rectangle must match the single-process reference exactly for fused
 results to be bit-identical); only the mobile objects are partitioned.
 
-:func:`shard_worker_main` is the ``multiprocessing`` spawn target: it
-builds the engine from a plain-dict config, reports its bound TCP
-port back through the pipe, and serves until ``shutdown`` arrives.
+:func:`shard_worker_main` is the ``multiprocessing`` process target
+(forked from the cluster's forkserver, which has this module
+preloaded): it builds the engine from a plain-dict config, reports its
+bound TCP port back through the pipe, and serves until ``shutdown``
+arrives.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import resource
 import threading
 from typing import Any, Dict, List, Optional
 
@@ -36,12 +39,16 @@ from repro.storage.records import decode_spec
 # differ only in the port: tcp://127.0.0.1:<port>/shard.
 SHARD_OBJECT_ID = "shard"
 
+# The pid that imported this module: a shard forked from a forkserver
+# that preloaded it reports a different pid (a warm start).
+_IMPORT_PID = os.getpid()
+
 
 class ShardServant:
     """The remote face of one shard.
 
     Config keys (all plain JSON-able values so the dict survives the
-    spawn pickle):
+    pickle to the shard process):
 
     * ``world_json`` — the full world model, serialized.
     * ``shard_index`` / ``num_shards`` — identity, for stats.
@@ -305,6 +312,10 @@ class ShardServant:
         return {
             "shard": self.shard_index,
             "pid": os.getpid(),
+            "warm_start": _IMPORT_PID != os.getpid(),
+            # ru_maxrss is in KiB on Linux.
+            "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF)
+                            .ru_maxrss / 1024.0),
             "pipeline": snapshot,
             "cache": self.service.cache_stats(),
             "query": self.service.query_stats(),
@@ -378,7 +389,7 @@ class ShardServant:
 
 
 def shard_worker_main(config: Dict[str, Any], conn) -> None:
-    """Spawn target: serve one shard until told to shut down."""
+    """Process target: serve one shard until told to shut down."""
     orb = Orb(f"shard-{config.get('shard_index', 0)}")
     servant = ShardServant(config)
     orb.register(SHARD_OBJECT_ID, servant)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.core import SensorSpec
@@ -23,6 +25,19 @@ def pytest_collection_modifyitems(config: pytest.Config,
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip_slow)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def no_leaked_processes():
+    """Fail the module that leaves a multiprocessing child (a shard,
+    say) running after its last test.  The leaked children are then
+    stopped, so the next module starts clean and is judged on its own."""
+    yield
+    leaked = multiprocessing.active_children()
+    for child in leaked:
+        child.terminate()
+        child.join()
+    assert leaked == [], f"processes left running: {leaked}"
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -153,6 +154,21 @@ class TestTransportFailures:
         proxy = client_orb.resolve(tcp_ref)
         proxy.increment()
         server.shutdown()
+        with pytest.raises(TransportError):
+            proxy.increment()
+
+    def test_stop_does_not_wait_for_a_poll_tick(self, client_orb):
+        """``socketserver.serve_forever`` notices a shutdown only at its
+        next 0.5 s poll tick, so ten stops used to take about 2.5 s."""
+        started = time.perf_counter()
+        for _ in range(10):
+            server = Orb("stopper")
+            server.register("counter", Counter())
+            host, port = server.listen()
+            proxy = client_orb.resolve(f"tcp://{host}:{port}/counter")
+            assert proxy.increment() == 1
+            server.shutdown()
+        assert time.perf_counter() - started < 1.0
         with pytest.raises(TransportError):
             proxy.increment()
 

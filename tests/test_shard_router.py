@@ -119,9 +119,9 @@ class TestWorkConservingSender:
 
 class TestBatchSizeKnobIsGone:
     def test_cluster_rejects_batch_size_before_spawning(self, monkeypatch):
-        def no_spawn(self, index, recover_from=None):
-            raise AssertionError("a shard was spawned")
-        monkeypatch.setattr(ShardCluster, "_spawn", no_spawn)
+        def no_launch(self, index, config):
+            raise AssertionError("a shard process was started")
+        monkeypatch.setattr(ShardCluster, "_launch", no_launch)
         with pytest.raises(TypeError):
             ShardCluster(1, batch_size=8)
 

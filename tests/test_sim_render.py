@@ -121,6 +121,18 @@ class TestCli:
         assert "batches=" in line and "queue_peak=" in line
         assert "flush_latency" not in line
 
+    def test_sharded_pipeline_prints_shard_memory_and_warm_start(
+            self, capsys):
+        from repro.cli import main
+        assert main(["pipeline", "--shards", "2", "--people", "3",
+                     "--seconds", "10"]) == 0
+        lines = [text for text in capsys.readouterr().out.splitlines()
+                 if text.startswith("  shard ")]
+        assert len(lines) == 2
+        for line in lines:
+            assert "peak_rss_mb=" in line
+            assert "warm_start=True" in line
+
     def test_pipeline_command_has_no_batching_flags(self, capsys):
         from repro.cli import main
         with pytest.raises(SystemExit) as exc:
