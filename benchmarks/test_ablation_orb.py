@@ -13,8 +13,9 @@ share a GIL and the numbers reflect real socket round-trips rather
 than two threads fighting over one interpreter.
 
 Results go to benchmarks/results/ablation_orb.txt.  Two CI gates ride
-along: ``test_perf_smoke_orb_codec`` (binary codec >= 2.5x the JSON
-codec on the locate() response shape) and
+along: ``test_perf_smoke_orb_codec`` (the wire codec >= 2.5x the
+tagged-JSON oracle, ``repro.oracles.orb_json``, on the locate()
+response shape) and
 ``test_perf_smoke_orb_transport`` (pipelined locate() >= 1.5x over
 serial calls on the same connection).
 """
@@ -29,7 +30,8 @@ import pytest
 
 from _support import write_result
 from repro.geometry import Point
-from repro.orb import Orb, serialization, wire
+from repro.oracles import orb_json
+from repro.orb import Orb, wire
 from repro.orb.transport import TcpTransport
 from repro.sensors import UbisenseAdapter
 from repro.service import LocationService, publish_service
@@ -179,7 +181,7 @@ def _locate_response():
 
 
 def test_perf_smoke_orb_codec():
-    """CI gate: the binary codec holds >= 2.5x over the JSON codec on
+    """CI gate: the binary codec holds >= 2.5x over the JSON oracle on
     the locate() response shape (encode+decode).
 
     The lanes alternate lap by lap and the gate reads the median of
@@ -196,11 +198,11 @@ def test_perf_smoke_orb_codec():
         return time.perf_counter() - start
 
     lap(wire.dumps, wire.loads)  # warm both lanes
-    lap(serialization.dumps, serialization.loads)
+    lap(orb_json.dumps, orb_json.loads)
     laps = []
     for _ in range(pairs):
         binary = lap(wire.dumps, wire.loads)
-        laps.append((binary, lap(serialization.dumps, serialization.loads)))
+        laps.append((binary, lap(orb_json.dumps, orb_json.loads)))
     ratio = statistics.median(json_ / binary for binary, json_ in laps)
     binary_us = statistics.median(b for b, _ in laps) / rounds * 1e6
     json_us = statistics.median(j for _, j in laps) / rounds * 1e6

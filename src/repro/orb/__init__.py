@@ -9,13 +9,12 @@ discovery and event channels push trigger notifications.
 from repro.orb.core import ObjectAdapter, Orb, Proxy
 from repro.orb.events import EventChannel
 from repro.orb.naming import NamingService
-from repro.orb.serialization import dumps, loads, register_type
 from repro.orb.transport import (
     InProcTransport,
     TcpServer,
     TcpTransport,
 )
-from repro.orb.wire import register_packed
+from repro.orb.wire import dumps, loads, register_packed
 
 __all__ = [
     "EventChannel",
@@ -29,5 +28,4 @@ __all__ = [
     "dumps",
     "loads",
     "register_packed",
-    "register_type",
 ]

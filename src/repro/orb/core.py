@@ -211,13 +211,11 @@ class Orb:
     endpoint).
     """
 
-    def __init__(self, name: str = "orb",
-                 debug_roundtrip: bool = False) -> None:
+    def __init__(self, name: str = "orb") -> None:
         self.name = name
         self.adapter = ObjectAdapter()
         self._tcp_server: Optional[TcpServer] = None
-        self._inproc = InProcTransport(self.adapter.dispatch,
-                                       debug_roundtrip=debug_roundtrip)
+        self._inproc = InProcTransport(self.adapter.dispatch)
         self._transports: Dict[Tuple[str, int], TcpTransport] = {}
         self._lock = threading.Lock()
 

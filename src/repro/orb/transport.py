@@ -11,11 +11,11 @@ transports expose the same two-sided contract:
   handle on transports that support pipelining).
 
 The TCP transport speaks one framing from a connection's first byte:
-13-byte headers ``(length: u32, codec: u8, correlation id: u64)``
-followed by the payload.  One socket carries many in-flight requests;
-each payload is binary-encoded, with a per-frame tagged-JSON fallback
-for messages the binary codec cannot pack.  The server dispatches
-concurrently and answers out of order.
+12-byte headers ``(length: u32, correlation id: u64)`` followed by a
+:mod:`repro.orb.wire` payload.  One socket carries many in-flight
+requests; the server dispatches concurrently and answers out of
+order.  A frame the server cannot serve is answered by an ordinary
+``{"error": {"type", "message"}}`` reply.
 """
 
 from __future__ import annotations
@@ -32,35 +32,16 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import OrbError, TransportError
-from repro.orb import serialization, wire
+from repro.orb import wire
 
 Dispatcher = Callable[[Dict[str, Any]], Dict[str, Any]]
 
-_MUX_HEADER = struct.Struct(">IBQ")
+_MUX_HEADER = struct.Struct(">IQ")
 _MAX_FRAME = 64 * 1024 * 1024
-
-CODEC_JSON = 0
-CODEC_BINARY = 1
 
 #: Pool threads serving multiplexed requests; this bounds out-of-order
 #: concurrency per server, not per connection.
 _MUX_WORKERS = 8
-
-
-def _encode_with(message: Any) -> Tuple[int, bytes]:
-    """Encode for the wire: binary, falling back to JSON per message."""
-    try:
-        return CODEC_BINARY, wire.dumps(message)
-    except wire.BinaryUnsupported:
-        return CODEC_JSON, serialization.dumps(message)
-
-
-def _decode_with(codec: int, payload: bytes) -> Any:
-    if codec == CODEC_BINARY:
-        return wire.loads(payload)
-    if codec == CODEC_JSON:
-        return serialization.loads(payload)
-    raise TransportError(f"unknown frame codec {codec}")
 
 
 class InProcTransport:
@@ -72,35 +53,25 @@ class InProcTransport:
     caller's copy), tuples become lists, and frozen value objects
     pass by reference — observably identical to the round-trip, minus
     the bytes.  Anything the fast marshal cannot prove safe falls
-    back to the full serialize/deserialize round-trip, so behaviour
-    (including serialization failures) still matches the TCP path.
-
-    ``debug_roundtrip=True`` disables the fast path and forces every
-    message through the serializer — the mode to run when chasing a
-    serialization-failure discrepancy between in-proc and TCP
-    deployments.
+    back to the full ``wire`` round-trip, so behaviour (including
+    marshalling failures) matches the TCP path.
     """
 
-    def __init__(self, dispatcher: Dispatcher,
-                 debug_roundtrip: bool = False) -> None:
+    def __init__(self, dispatcher: Dispatcher) -> None:
         self._dispatcher = dispatcher
-        self.debug_roundtrip = debug_roundtrip
         self.fast_invocations = 0
         self.fallback_invocations = 0
 
     def _marshal(self, message: Any, count: bool) -> Any:
-        if not self.debug_roundtrip:
-            try:
-                marshaled = wire.fast_marshal(message)
-            except wire.BinaryUnsupported:
-                pass
-            else:
-                if count:
-                    self.fast_invocations += 1
-                return marshaled
+        try:
+            marshaled = wire.fast_marshal(message)
+        except wire.BinaryUnsupported:
+            if count:
+                self.fallback_invocations += 1
+            return wire.loads(wire.dumps(message))
         if count:
-            self.fallback_invocations += 1
-        return serialization.loads(serialization.dumps(message))
+            self.fast_invocations += 1
+        return marshaled
 
     def invoke(self, request: Dict[str, Any]) -> Dict[str, Any]:
         response = self._dispatcher(self._marshal(request, count=True))
@@ -147,25 +118,23 @@ class _RequestHandler(socketserver.BaseRequestHandler):
         inflight = [0]
         inflight_lock = threading.Lock()
 
-        def serve_burst(frames: List[Tuple[int, int, bytes]]) -> None:
+        def serve_burst(frames: List[Tuple[int, bytes]]) -> None:
             # Responses for the whole burst are coalesced into one
             # send: fewer syscalls and write-lock handoffs, and the
             # client's reader drains them in a single wakeup.
             try:
                 chunks = []
-                for codec, corr, payload in frames:
+                for corr, payload in frames:
                     try:
-                        request = _decode_with(codec, payload)
-                        response = server.dispatcher(request)
-                        out_codec, out_payload = _encode_with(response)
+                        out_payload = wire.dumps(
+                            server.dispatcher(wire.loads(payload)))
                     except Exception as exc:  # broad: server survives
-                        out_codec = CODEC_JSON
-                        out_payload = serialization.dumps({
+                        out_payload = wire.dumps({
                             "error": {"type": type(exc).__name__,
                                       "message": str(exc)},
                         })
-                    chunks.append(_MUX_HEADER.pack(
-                        len(out_payload), out_codec, corr) + out_payload)
+                    chunks.append(_MUX_HEADER.pack(len(out_payload), corr)
+                                  + out_payload)
                 try:
                     with write_lock:
                         sock.sendall(b"".join(chunks))
@@ -177,21 +146,20 @@ class _RequestHandler(socketserver.BaseRequestHandler):
 
         buffer = bytearray()
 
-        def pop_frames() -> List[Tuple[int, int, bytes]]:
+        def pop_frames() -> List[Tuple[int, bytes]]:
             # Offset-based parse: one buffer shift for the whole batch
             # instead of an O(n) del per frame.
             frames = []
             header_size = _MUX_HEADER.size
             pos, size = 0, len(buffer)
             while size - pos >= header_size:
-                length, codec, corr = _MUX_HEADER.unpack_from(buffer, pos)
+                length, corr = _MUX_HEADER.unpack_from(buffer, pos)
                 if length > _MAX_FRAME:
                     raise TransportError("oversized frame")
                 end = pos + header_size + length
                 if end > size:
                     break
-                frames.append((codec, corr,
-                               bytes(buffer[pos + header_size:end])))
+                frames.append((corr, bytes(buffer[pos + header_size:end])))
                 pos = end
             if pos:
                 del buffer[:pos]
@@ -457,7 +425,7 @@ class _MuxConnection:
             return self._dead is None
 
     def submit(self, request: Dict[str, Any]) -> _Pending:
-        codec, payload = _encode_with(request)
+        payload = wire.dumps(request)
         if len(payload) > _MAX_FRAME:
             raise TransportError(
                 f"outbound frame of {len(payload)} bytes exceeds the "
@@ -469,7 +437,7 @@ class _MuxConnection:
             corr = next(self._corr)
             self._pending[corr] = pending
             self.inflight_max = max(self.inflight_max, len(self._pending))
-        frame = _MUX_HEADER.pack(len(payload), codec, corr) + payload
+        frame = _MUX_HEADER.pack(len(payload), corr) + payload
         try:
             with self._send_lock:
                 self._sock.sendall(frame)
@@ -486,26 +454,25 @@ class _MuxConnection:
         the peer's reader sees the burst in a single wakeup."""
         encoded = []
         for request in requests:
-            codec, payload = _encode_with(request)
+            payload = wire.dumps(request)
             if len(payload) > _MAX_FRAME:
                 raise TransportError(
                     f"outbound frame of {len(payload)} bytes exceeds "
                     f"the {_MAX_FRAME}-byte cap")
-            encoded.append((codec, payload))
+            encoded.append(payload)
         pendings: List[_Pending] = []
         corrs: List[int] = []
         frames: List[bytes] = []
         with self._plock:
             if self._dead is not None:
                 raise _ConnectionLost(str(self._dead))
-            for codec, payload in encoded:
+            for payload in encoded:
                 corr = next(self._corr)
                 pending = _Pending()
                 self._pending[corr] = pending
                 pendings.append(pending)
                 corrs.append(corr)
-                frames.append(_MUX_HEADER.pack(len(payload), codec, corr)
-                              + payload)
+                frames.append(_MUX_HEADER.pack(len(payload), corr) + payload)
             self.inflight_max = max(self.inflight_max,
                                     len(self._pending))
         try:
@@ -594,32 +561,31 @@ class _MuxConnection:
         request it answers."""
         rbuf = self._rbuf
         header_size = _MUX_HEADER.size
-        arrived: List[Tuple[int, int, bytes]] = []
+        arrived: List[Tuple[int, bytes]] = []
         oversized = False
         pos, size = 0, len(rbuf)
         while size - pos >= header_size:
-            length, codec, corr = _MUX_HEADER.unpack_from(rbuf, pos)
+            length, corr = _MUX_HEADER.unpack_from(rbuf, pos)
             if length > _MAX_FRAME:
                 oversized = True
                 break
             end = pos + header_size + length
             if end > size:
                 break
-            arrived.append((corr, codec,
-                            bytes(rbuf[pos + header_size:end])))
+            arrived.append((corr, bytes(rbuf[pos + header_size:end])))
             pos = end
         if pos:
             del rbuf[:pos]
         if arrived:
             with self._plock:
-                matched = [(self._pending.pop(corr, None), codec, payload)
-                           for corr, codec, payload in arrived]
-            for pending, codec, payload in matched:
+                matched = [(self._pending.pop(corr, None), payload)
+                           for corr, payload in arrived]
+            for pending, payload in matched:
                 if pending is None:
                     continue  # timed-out request's late response
                 try:
-                    response = _decode_with(codec, payload)
-                except (OrbError, TransportError) as exc:
+                    response = wire.loads(payload)
+                except OrbError as exc:
                     # A response arrived but could not be decoded: the
                     # request is NOT retried (the server acted on it).
                     pending.fail(exc)
@@ -648,7 +614,7 @@ class _MuxConnection:
                 self._dead = exc
             doomed, self._pending = self._pending, {}
             torn = bytes(self._rbuf[:_MUX_HEADER.size])
-            owner = (_MUX_HEADER.unpack(torn)[2]
+            owner = (_MUX_HEADER.unpack(torn)[1]
                      if len(torn) == _MUX_HEADER.size else None)
             for corr, pending in doomed.items():
                 if torn and owner in (None, corr):

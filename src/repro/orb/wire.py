@@ -1,11 +1,7 @@
-"""Binary wire codec for the object request broker.
+"""The object request broker's wire codec.
 
-The tagged-JSON codec in :mod:`repro.orb.serialization` is the ORB's
-lingua franca, but on the shard hot path (``submit_batch`` readings,
-``locate()`` estimates, the semantic-event feed) the recursive tagged
-encode/decode dominates the cost of an RPC — ablation A4 priced the
-broker at ~6x a direct call, almost all of it marshalling.  This
-module is the fast lane: a struct-packed binary format covering
+CORBA marshals each IDL type one way; so does this broker.  Every
+message on either transport is this struct-packed binary format:
 
 * the JSON value model (``None``, bools, ints, floats, strings,
   lists, string-keyed dicts), and
@@ -17,15 +13,14 @@ module is the fast lane: a struct-packed binary format covering
   :mod:`repro.pipeline` is imported, ``PipelineReading``) — each with
   a fixed type code and a hand-written ``struct`` body.
 
-The contract mirrors the JSON codec value-for-value:
-``loads(dumps(x)) == serialization.loads(serialization.dumps(x))``
-for every message both codecs accept.  A registered wire type without
-a packed codec raises :class:`BinaryUnsupported`; the transport
-catches that and falls back to a tagged-JSON frame for that one
-message, so the binary lane never has to cover the long tail.
-Like the JSON codec, non-finite floats are rejected at encode time
-(`NaN` on the wire is a silent interop break) and unknown types raise
-:class:`~repro.errors.OrbError` instead of pickling.
+Values the codec cannot pack raise :class:`~repro.errors.OrbError` in
+the sender: unknown types (nothing is pickled), subclasses of the
+primitives, packed types with oddly-typed fields, non-finite floats
+(`NaN` on the wire is a silent interop break) and non-string or
+reserved dict keys.  The tagged-JSON codec in
+:mod:`repro.oracles.orb_json` is the reference it is tested against:
+``loads(dumps(x)) == orb_json.loads(orb_json.dumps(x))`` for every
+message both accept.
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ from repro.core.estimate import LocationEstimate
 from repro.errors import OrbError
 from repro.geometry import Point, Polygon, Rect, Segment
 from repro.model import Glob
-from repro.orb import serialization
 
 # ----------------------------------------------------------------------
 # Tags
@@ -79,16 +73,21 @@ _F64x6 = struct.Struct(">6d")
 # one pack — byte-identical to the fields packed one struct at a time.
 _EST_HEAD = struct.Struct(">5dBd")
 
+# Rejected as a dict key, as by the JSON oracle that tags its value
+# types with it, so both codecs accept exactly the same messages.
+_RESERVED_KEY = "__type__"
+
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
 
 class BinaryUnsupported(Exception):
-    """Raised when a message needs the tagged-JSON fallback.
+    """Raised by :func:`fast_marshal` when a message needs the full
+    ``loads(dumps(m))`` round-trip.
 
-    Internal to the ORB: the transport catches this, encodes the
-    message with the JSON codec instead, and marks the frame
-    accordingly.  It must never escape to application code.
+    Internal to the ORB: the in-process transport catches it and takes
+    the round-trip, which either succeeds or raises the canonical
+    :class:`~repro.errors.OrbError`.  It never escapes to callers.
     """
 
 
@@ -111,7 +110,7 @@ def register_packed(code: int, cls: type, packer: Packer,
     protocol and must be identical on every peer.  ``immutable``
     declares that instances are deeply immutable, which lets the
     in-process transport pass them by reference instead of
-    round-tripping them through the serializer.
+    round-tripping them through :func:`dumps`/:func:`loads`.
     """
     if code < 0x10 or code > 0xFF:
         raise OrbError(f"packed type code {code:#x} out of range")
@@ -122,12 +121,6 @@ def register_packed(code: int, cls: type, packer: Packer,
     _UNPACKERS[code] = unpacker
     _DECODE_BY_TAG[code] = unpacker
     _IMMUTABLE[cls] = immutable
-
-
-def is_passable(cls: type) -> bool:
-    """True when instances may cross the in-proc fast path by
-    reference (registered packed type declared immutable)."""
-    return _IMMUTABLE.get(cls, False)
 
 
 # ----------------------------------------------------------------------
@@ -175,9 +168,8 @@ def _encode_dict(value: Dict[str, Any], out: bytearray) -> None:
     for key, item in value.items():
         if not isinstance(key, str):
             raise OrbError(f"non-string dict key {key!r} on the wire")
-        if key == serialization._TYPE_KEY:
-            raise OrbError(
-                f"dict key {serialization._TYPE_KEY!r} is reserved")
+        if key == _RESERVED_KEY:
+            raise OrbError(f"dict key {_RESERVED_KEY!r} is reserved")
         _write_str(out, key)
         _encode_value(item, out)
 
@@ -195,10 +187,9 @@ _ENCODE_BY_TYPE: Dict[type, Packer] = {
 
 
 def _encode_value(value: Any, out: bytearray) -> None:
-    # Packed types first for the same reason the JSON codec checks its
-    # registry first: a str-subclassing enum must hit its packer, not
-    # the bare-string branch.  Exact-type dispatch means subclasses of
-    # the primitives miss both tables and fall through below.
+    # Packed types first: a str-subclassing enum must hit its packer,
+    # not the bare-string branch.  Exact-type dispatch means subclasses
+    # of the primitives miss both tables and are rejected below.
     tp = type(value)
     packed = _PACKERS.get(tp)
     if packed is not None:
@@ -210,25 +201,20 @@ def _encode_value(value: Any, out: bytearray) -> None:
     if handler is not None:
         handler(value, out)
         return
-    # Subclasses of the primitives and registered-but-unpacked wire
-    # types take the tagged-JSON fallback; genuinely unknown types
-    # raise there with the canonical error.
-    if isinstance(value, (bool, int, float, str, list, tuple, dict)) \
-            or tp in serialization._ENCODERS:
-        raise BinaryUnsupported(tp.__name__)
     raise OrbError(f"cannot serialize {tp.__name__}")
 
 
 def dumps(message: Any) -> bytes:
     """Serialize a message to binary wire bytes.
 
-    Raises :class:`BinaryUnsupported` when the message contains a
-    registered-but-unpacked wire type (the caller falls back to the
-    JSON codec) and :class:`~repro.errors.OrbError` for values neither
-    codec accepts.
+    Raises :class:`~repro.errors.OrbError` for any value the codec
+    cannot pack.
     """
     out = bytearray()
-    _encode_value(message, out)
+    try:
+        _encode_value(message, out)
+    except UnicodeEncodeError as exc:  # a lone surrogate in a string
+        raise OrbError(f"cannot encode: {exc}") from exc
     return bytes(out)
 
 
@@ -338,7 +324,7 @@ def loads(data: bytes) -> Any:
     try:
         message = _decode_value(reader)
     except (struct.error, UnicodeDecodeError, ValueError, IndexError) as exc:
-        raise OrbError(f"binary deserialization failed: {exc}") from exc
+        raise OrbError(f"undecodable wire message: {exc}") from exc
     if reader.pos != len(data):
         raise OrbError("trailing bytes after binary message")
     return message
@@ -352,14 +338,16 @@ def loads(data: bytes) -> Any:
 def fast_marshal(value: Any) -> Any:
     """Marshal a value across an in-process boundary without bytes.
 
-    Observably identical to ``serialization.loads(dumps(value))`` for
-    the values it accepts: scalars pass through, tuples become fresh
-    lists, lists/dicts are rebuilt (so a servant mutating its copy
-    cannot reach the caller's), and deeply-immutable packed value
-    types pass by reference.  Anything else — including non-finite
-    floats and reserved dict keys, whose canonical errors the slow
-    path owns — raises :class:`BinaryUnsupported` so the caller falls
-    back to the full serializer round-trip.
+    Observably identical to ``loads(dumps(value))`` for the values it
+    accepts: scalars pass through, tuples become fresh lists,
+    lists/dicts are rebuilt (so a servant mutating its copy cannot
+    reach the caller's), and deeply-immutable packed value types pass
+    by reference once their packer has checked their fields (an
+    oddly-typed one raises :class:`~repro.errors.OrbError` here, as
+    :func:`dumps` would).  Anything else — including non-finite floats
+    and reserved dict keys, whose canonical errors :func:`dumps` owns —
+    raises :class:`BinaryUnsupported` so the caller falls back to the
+    full round-trip.
     """
     tp = type(value)
     if value is None or tp is bool or tp is str or tp is int:
@@ -373,11 +361,12 @@ def fast_marshal(value: Any) -> Any:
     if tp is dict:
         out = {}
         for key, item in value.items():
-            if type(key) is not str or key == serialization._TYPE_KEY:
+            if type(key) is not str or key == _RESERVED_KEY:
                 raise BinaryUnsupported("bad dict key")
             out[key] = fast_marshal(item)
         return out
     if _IMMUTABLE.get(tp, False):
+        _PACKERS[tp][1](value, bytearray())  # field checks only
         return value
     raise BinaryUnsupported(tp.__name__)
 
@@ -392,10 +381,11 @@ _BUCKET_INDEX: Dict[ProbabilityBucket, int] = {
 
 
 def _require(condition: bool) -> None:
-    """Packers guard field types; oddly-typed instances take the JSON
-    fallback, where the generic encoders handle (or reject) them."""
+    """Packers guard field types: an oddly-typed instance is refused
+    in the sender instead of being coerced onto the wire."""
     if not condition:
-        raise BinaryUnsupported("unpackable field")
+        raise OrbError(
+            "cannot serialize a value-type field of that type or value")
 
 
 def _num(value: Any) -> float:

@@ -56,37 +56,11 @@ class PipelineReading:
     detection_radius: float = 0.0
 
 
-# Readings are the shard fleet's hottest wire type: register them with
-# both ORB codecs so `submit_batch` ships PipelineReading objects
-# directly (struct-packed on binary connections) instead of
-# hand-rolled field dicts.  Safe from circular imports — the orb
-# package never imports the pipeline at module level.
-from repro.orb import serialization as _orb_serialization  # noqa: E402
+# Readings are the shard fleet's hottest wire type: register a packed
+# ORB codec so `submit_batch` ships PipelineReading objects directly
+# instead of hand-rolled field dicts.  Safe from circular imports —
+# the orb package never imports the pipeline at module level.
 from repro.orb import wire as _orb_wire  # noqa: E402
-
-_orb_serialization.register_type(
-    "PipelineReading", PipelineReading,
-    lambda r: {
-        "sensor_id": r.sensor_id,
-        "glob_prefix": r.glob_prefix,
-        "sensor_type": r.sensor_type,
-        "object_id": r.object_id,
-        "rect": r.rect,
-        "detection_time": r.detection_time,
-        "location": r.location,
-        "detection_radius": r.detection_radius,
-    },
-    lambda d: PipelineReading(
-        sensor_id=d["sensor_id"],
-        glob_prefix=d["glob_prefix"],
-        sensor_type=d["sensor_type"],
-        object_id=d["object_id"],
-        rect=d["rect"],
-        detection_time=d["detection_time"],
-        location=d.get("location"),
-        detection_radius=d.get("detection_radius", 0.0),
-    ),
-)
 
 
 def _pack_reading(reading: "PipelineReading", out: bytearray) -> None:

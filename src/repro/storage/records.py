@@ -176,61 +176,6 @@ def encode_op(op: Dict[str, Any]) -> bytes:
                       separators=(",", ":")).encode("utf-8")
 
 
-def encode_insert_op(row: Dict[str, Any]) -> bytes:
-    """Fast path for the hot ``insert_reading`` record.
-
-    Byte-identical to ``encode_op({"op": OP_INSERT_READING, "row":
-    encode_reading_row(row)})`` — the keys are emitted in sorted order,
-    numbers as their ``repr`` (what ``json.dumps`` emits for int and
-    finite float), strings through json's own C escaper — but without
-    building the intermediate dicts.  The journal itself writes the
-    split form (:func:`encode_insert_parts` + :func:`assemble_insert_op`),
-    whose JSON fallback must stay byte-identical to this whole-row form.
-    """
-    rect = row["rect"]
-    loc = row["location"]
-    if loc is None:
-        loc_json = "null"
-    else:
-        loc_json = f"[{loc.x!r},{loc.y!r},{loc.z!r}]"
-    return (
-        '{"op":"insert_reading","row":{'
-        f'"detection_radius":{row["detection_radius"]!r},'
-        f'"detection_time":{row["detection_time"]!r},'
-        f'"glob_prefix":{_escape(row["glob_prefix"])},'
-        f'"location":{loc_json},'
-        f'"mobile_object_id":{_escape(row["mobile_object_id"])},'
-        f'"moving":{"true" if row["moving"] else "false"},'
-        f'"reading_id":{row["reading_id"]!r},'
-        f'"rect":[{rect.min_x!r},{rect.min_y!r},'
-        f'{rect.max_x!r},{rect.max_y!r}],'
-        f'"sensor_id":{_escape(row["sensor_id"])},'
-        f'"sensor_type":{_escape(row["sensor_type"])}'
-        "}}").encode("utf-8")
-
-
-# repr() of a float is ~0.3us and an insert record carries up to nine
-# of them; sensor coordinates and detection times quantize heavily in
-# practice, so a small memo pays for itself on the ingestion hot path.
-# Floats only — int keys would collide (hash(1) == hash(1.0) but json
-# renders them differently), and zeros stay out because 0.0 and -0.0
-# are one dict key with two renderings.  Cleared wholesale when full.
-_FLOAT_REPR_MEMO: Dict[float, str] = {}
-
-
-def _num(value: Any) -> str:
-    """json.dumps' rendering of one int or finite float."""
-    if type(value) is float and value:
-        memo = _FLOAT_REPR_MEMO
-        out = memo.get(value)
-        if out is None:
-            if len(memo) >= 16384:
-                memo.clear()
-            out = memo[value] = repr(value)
-        return out
-    return repr(value)
-
-
 # ----------------------------------------------------------------------
 # Hot-path insert wire form
 # ----------------------------------------------------------------------
@@ -297,7 +242,8 @@ def encode_insert_parts(sensor_id: str, glob_prefix: str,
                 len(s1), len(s2), len(s3), len(s4)) + s1 + s2 + s3 + s4
             return (b"", head)
     # JSON fallback: int-typed coordinates or oversized strings.
-    num = _num
+    # repr() is json.dumps' rendering of an int or a finite float.
+    num = repr
     if location is None:
         loc_json = "null"
     else:

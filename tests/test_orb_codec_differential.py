@@ -1,12 +1,13 @@
-"""Differential suite: binary wire codec vs tagged JSON.
+"""Differential suite: the ORB's wire codec vs the tagged-JSON oracle.
 
-The binary codec's contract is value-for-value identity with the JSON
-codec: for every message both accept,
-``wire.loads(wire.dumps(x)) == serialization.loads(serialization.dumps(x))``.
+The wire codec's contract is value-for-value identity with the JSON
+oracle (:mod:`repro.oracles.orb_json`): for every message both accept,
+``wire.loads(wire.dumps(x)) == orb_json.loads(orb_json.dumps(x))``.
 Randomized messages over the full JSON value model and every
-registered wire type pin that here, plus the fallback rules (a
-registered-but-unpacked type raises :class:`BinaryUnsupported`, never
-a wrong answer) and the per-message JSON fallback on a live connection.
+registered wire type pin that here, plus the rejection rules (values
+the codec cannot pack raise :class:`OrbError` in the sender, on both
+transports) and the in-process fast marshal, which must equal the
+wire round-trip and raise exactly where it raises.
 """
 
 import math
@@ -20,8 +21,8 @@ from repro.core.estimate import LocationEstimate
 from repro.errors import OrbError
 from repro.geometry import Point, Polygon, Rect, Segment
 from repro.model import Glob
-from repro.orb import Orb, serialization, wire
-from repro.orb.transport import TcpServer, TcpTransport
+from repro.oracles import orb_json
+from repro.orb import Orb, wire
 from repro.pipeline import PipelineReading
 
 # ----------------------------------------------------------------------
@@ -130,7 +131,7 @@ messages = st.recursive(
 
 
 def json_roundtrip(message):
-    return serialization.loads(serialization.dumps(message))
+    return orb_json.loads(orb_json.dumps(message))
 
 
 def binary_roundtrip(message):
@@ -177,7 +178,7 @@ class TestDifferentialIdentity:
 
 
 # ----------------------------------------------------------------------
-# Fallback rules
+# Rejection rules
 # ----------------------------------------------------------------------
 
 
@@ -185,50 +186,47 @@ class _Opaque:
     pass
 
 
+class _MyInt(int):
+    pass
+
+
+def _odd_estimate():
+    """A LocationEstimate whose bucket is a plain str, not a
+    ProbabilityBucket: the packer refuses it."""
+    return LocationEstimate(
+        object_id="tom", rect=Rect(0, 0, 1, 1), probability=0.9,
+        bucket="HIGH", time=1.0)
+
+
 class TestFallbackRules:
-    def test_registered_but_unpacked_type_falls_back(self):
-        class OnlyJson:
-            def __init__(self, n):
-                self.n = n
+    def test_primitive_subclass_rejected(self):
+        with pytest.raises(OrbError):
+            wire.dumps({"n": _MyInt(3)})
 
-            def __eq__(self, other):
-                return isinstance(other, OnlyJson) and other.n == self.n
-
-        serialization.register_type(
-            "OnlyJsonDiffTest", OnlyJson,
-            lambda v: {"n": v.n}, lambda d: OnlyJson(d["n"]))
-        value = OnlyJson(7)
-        with pytest.raises(wire.BinaryUnsupported):
-            wire.dumps(value)
-        assert json_roundtrip(value) == value  # the fallback lane works
-
-    def test_primitive_subclass_falls_back(self):
-        class MyInt(int):
-            pass
-
-        with pytest.raises(wire.BinaryUnsupported):
-            wire.dumps({"n": MyInt(3)})
+    def test_oddly_typed_packed_field_rejected(self):
+        with pytest.raises(OrbError):
+            wire.dumps({"estimate": _odd_estimate()})
 
     def test_unknown_type_raises_same_as_json(self):
         with pytest.raises(OrbError):
             wire.dumps(_Opaque())
         with pytest.raises(OrbError):
-            serialization.dumps(_Opaque())
+            orb_json.dumps(_Opaque())
 
     def test_non_finite_floats_rejected_by_both(self):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(OrbError):
                 wire.dumps({"x": bad})
             with pytest.raises(OrbError):
-                serialization.dumps({"x": bad})
+                orb_json.dumps({"x": bad})
 
     def test_reserved_key_rejected_by_both(self):
-        for codec_dumps in (wire.dumps, serialization.dumps):
+        for codec_dumps in (wire.dumps, orb_json.dumps):
             with pytest.raises(OrbError):
                 codec_dumps({"__type__": "sneaky"})
 
     def test_non_string_key_rejected_by_both(self):
-        for codec_dumps in (wire.dumps, serialization.dumps):
+        for codec_dumps in (wire.dumps, orb_json.dumps):
             with pytest.raises(OrbError):
                 codec_dumps({3: "x"})
 
@@ -242,7 +240,56 @@ class TestFallbackRules:
 
 
 # ----------------------------------------------------------------------
-# Per-message fallback on the wire
+# In-process fast marshal
+# ----------------------------------------------------------------------
+
+
+def _outcome(marshal, message):
+    """``("ok", value)`` or ``("raises", None)`` for one marshal path."""
+    try:
+        return "ok", marshal(message)
+    except (OrbError, wire.BinaryUnsupported):
+        return "raises", None
+
+
+unmarshalable = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.just({"__type__": "sneaky"}),
+    st.dictionaries(st.integers(), scalars, min_size=1, max_size=2),
+    st.builds(_Opaque),
+    st.builds(_MyInt, st.integers()),
+    st.just(_odd_estimate()),
+)
+
+
+class TestInProcMarshal:
+    """``fast_marshal`` is the in-process transport's shortcut past
+    the bytes: it must return what the wire round-trip returns, and
+    refuse (so the transport's round-trip raises) exactly what the
+    wire refuses."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(messages)
+    def test_fast_marshal_equals_wire_roundtrip(self, message):
+        assert wire.fast_marshal(message) == binary_roundtrip(message)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(
+        st.one_of(unmarshalable, leaves),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.dictionaries(dict_keys, children, max_size=4)),
+        max_leaves=6))
+    def test_both_paths_raise_for_the_same_inputs(self, message):
+        fast = _outcome(wire.fast_marshal, message)
+        slow = _outcome(binary_roundtrip, message)
+        assert fast[0] == slow[0]
+        if fast[0] == "ok":
+            assert fast[1] == slow[1]
+
+
+# ----------------------------------------------------------------------
+# Rejection on both transports
 # ----------------------------------------------------------------------
 
 
@@ -251,36 +298,32 @@ class EchoServant:
         return value
 
 
-def _serve():
-    orb = Orb("fallback-server")
-    orb.register("echo", EchoServant())
-    server = TcpServer(orb.adapter.dispatch).start()
-    return orb, server
+@pytest.fixture(params=["inproc", "tcp"])
+def echo_proxy(request):
+    server = Orb("echo-server")
+    server.register("echo", EchoServant())
+    client = server
+    if request.param == "tcp":
+        host, port = server.listen()
+        client = Orb("echo-client")
+        reference = f"tcp://{host}:{port}/echo"
+    else:
+        reference = "inproc://echo"
+    try:
+        yield client.resolve(reference)
+    finally:
+        client.shutdown()
+        server.shutdown()
 
 
-class TestMixedCodecFleet:
-    def test_binary_connection_falls_back_per_message(self):
-        """A message the binary codec cannot pack still crosses the
-        connection (as a tagged-JSON frame)."""
-        class JsonOnly:
-            def __init__(self, n):
-                self.n = n
+class TestOddlyTypedValuesRejected:
+    """What the wire codec cannot pack fails in the caller, with
+    :class:`OrbError`, whichever transport carries the call."""
 
-            def __eq__(self, other):
-                return isinstance(other, JsonOnly) and other.n == self.n
-
-        serialization.register_type(
-            "JsonOnlyInteropTest", JsonOnly,
-            lambda v: {"n": v.n}, lambda d: JsonOnly(d["n"]))
-        orb, server = _serve()
-        host, port = server.address
-        transport = TcpTransport(host, port)
-        try:
-            response = transport.invoke({
-                "object": "echo", "method": "echo",
-                "args": [JsonOnly(42)], "kwargs": {}})
-            assert response["result"] == JsonOnly(42)
-        finally:
-            transport.close()
-            server.stop()
-            orb.shutdown()
+    @pytest.mark.parametrize("value", [_odd_estimate(), _MyInt(3)],
+                             ids=["str-bucket-estimate", "int-subclass"])
+    def test_proxy_call_raises(self, echo_proxy, value):
+        with pytest.raises(OrbError):
+            echo_proxy.echo(value)
+        # The failed call leaves the proxy usable.
+        assert echo_proxy.echo(3) == 3

@@ -299,17 +299,6 @@ class TestInProcFastPath:
         # JSON has no tuple; the fast path matches that observable.
         assert proxy.echo((1, 2, 3)) == [1, 2, 3]
 
-    def test_debug_roundtrip_equivalent_but_counted_as_fallback(self):
-        fast = Orb("fast")
-        slow = Orb("slow", debug_roundtrip=True)
-        for orb in (fast, slow):
-            orb.register("calc", Calculator())
-        fast_result = fast.resolve("inproc://calc").rect()
-        slow_result = slow.resolve("inproc://calc").rect()
-        assert fast_result == slow_result
-        assert slow.transport_stats()["inproc_fast_invocations"] == 0
-        assert slow.transport_stats()["inproc_fallback_invocations"] >= 1
-
     def test_serialization_failure_parity(self):
         class Opaque:
             pass

@@ -1,21 +1,20 @@
 """ORB robustness: malformed clients must not take the server down.
 
 Raw clients here speak the multiplexed framing every connection opens
-in: a 13-byte ``>IBQ`` header (length, codec, correlation id) and the
-payload.
+in: a 12-byte ``>IQ`` header (length, correlation id) and a
+:mod:`repro.orb.wire` payload.  Error replies are ordinary wire
+messages.
 """
 
 import socket
 
 import pytest
 
-from repro.orb import Orb, serialization
-from repro.orb.transport import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    _MUX_HEADER,
-    _decode_with,
-)
+from repro.orb import Orb, wire
+from repro.orb.transport import _MUX_HEADER
+
+PING = wire.dumps({"object": "echo", "method": "ping", "args": [],
+                   "kwargs": {}})
 
 
 class Echo:
@@ -40,8 +39,8 @@ def good_client_works(host: str, port: int) -> bool:
         client.shutdown()
 
 
-def frame(payload: bytes, codec: int = CODEC_JSON, corr: int = 1) -> bytes:
-    return _MUX_HEADER.pack(len(payload), codec, corr) + payload
+def frame(payload: bytes, corr: int = 1) -> bytes:
+    return _MUX_HEADER.pack(len(payload), corr) + payload
 
 
 def recv_exact(raw: socket.socket, count: int) -> bytes:
@@ -54,10 +53,9 @@ def recv_exact(raw: socket.socket, count: int) -> bytes:
 
 
 def read_reply(raw: socket.socket):
-    """One reply frame: (codec, correlation id, decoded payload)."""
-    length, codec, corr = _MUX_HEADER.unpack(
-        recv_exact(raw, _MUX_HEADER.size))
-    return codec, corr, _decode_with(codec, recv_exact(raw, length))
+    """One reply frame: (correlation id, decoded payload)."""
+    length, corr = _MUX_HEADER.unpack(recv_exact(raw, _MUX_HEADER.size))
+    return corr, wire.loads(recv_exact(raw, length))
 
 
 def connect(host: str, port: int) -> socket.socket:
@@ -70,10 +68,13 @@ class TestMalformedClients:
     def test_garbage_bytes_then_server_still_serves(self, server):
         orb, host, port = server
         raw = connect(host, port)
-        raw.sendall(frame(b"notjs", corr=7))
-        _, corr, reply = read_reply(raw)
+        raw.sendall(frame(b"\xfenot wire", corr=7))
+        corr, reply = read_reply(raw)
         assert corr == 7
-        assert "error" in reply
+        assert reply["error"]["type"] == "OrbError"
+        # The connection keeps serving after the bad frame.
+        raw.sendall(frame(PING, corr=8))
+        assert read_reply(raw) == (8, {"result": "pong"})
         raw.close()
         assert good_client_works(host, port)
 
@@ -82,7 +83,7 @@ class TestMalformedClients:
         raw = connect(host, port)
         # Claim a 1 GiB frame; the server must drop the connection
         # rather than try to buffer it.
-        raw.sendall(_MUX_HEADER.pack(1 << 30, CODEC_JSON, 1))
+        raw.sendall(_MUX_HEADER.pack(1 << 30, 1))
         assert raw.recv(4096) == b""
         raw.close()
         assert good_client_works(host, port)
@@ -90,33 +91,18 @@ class TestMalformedClients:
     def test_half_frame_then_disconnect(self, server):
         orb, host, port = server
         raw = connect(host, port)
-        raw.sendall(_MUX_HEADER.pack(100, CODEC_JSON, 1) + b"only-part")
+        raw.sendall(_MUX_HEADER.pack(100, 1) + PING[:9])
         raw.close()
         assert good_client_works(host, port)
 
     def test_valid_json_wrong_shape(self, server):
         orb, host, port = server
         raw = connect(host, port)
-        raw.sendall(frame(b'["not", "a", "request"]', corr=42))
-        _, corr, reply = read_reply(raw)
+        raw.sendall(frame(wire.dumps(["not", "a", "request"]), corr=42))
+        corr, reply = read_reply(raw)
         # The error answers the request that caused it.
         assert corr == 42
-        assert "error" in reply
-        raw.close()
-        assert good_client_works(host, port)
-
-    def test_unknown_codec_byte_gets_transport_error(self, server):
-        orb, host, port = server
-        raw = connect(host, port)
-        raw.sendall(frame(b"{}", codec=9, corr=3))
-        _, corr, reply = read_reply(raw)
-        assert corr == 3
-        assert reply["error"]["type"] == "TransportError"
-        # The connection keeps serving after the bad frame.
-        request = serialization.dumps({"object": "echo", "method": "ping",
-                                       "args": [], "kwargs": {}})
-        raw.sendall(frame(request, corr=4))
-        assert read_reply(raw)[1:] == (4, {"result": "pong"})
+        assert set(reply["error"]) == {"type", "message"}
         raw.close()
         assert good_client_works(host, port)
 
@@ -134,9 +120,6 @@ class TestNoHandshake:
         request, answered by a multiplexed reply — no hello."""
         orb, host, port = server
         raw = connect(host, port)
-        request = serialization.dumps({"object": "echo", "method": "ping",
-                                       "args": [], "kwargs": {}})
-        raw.sendall(frame(request, corr=11))
-        # Replies try the binary codec first.
-        assert read_reply(raw) == (CODEC_BINARY, 11, {"result": "pong"})
+        raw.sendall(frame(PING, corr=11))
+        assert read_reply(raw) == (11, {"result": "pong"})
         raw.close()

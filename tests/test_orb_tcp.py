@@ -8,8 +8,8 @@ import pytest
 
 from repro.errors import RemoteInvocationError, TransportError
 from repro.geometry import Rect
-from repro.orb import Orb, TcpTransport, serialization
-from repro.orb.transport import CODEC_JSON, _MUX_HEADER
+from repro.orb import Orb, TcpTransport, wire
+from repro.orb.transport import _MUX_HEADER
 
 
 class Counter:
@@ -27,6 +27,11 @@ class Counter:
 
     def fail(self):
         raise KeyError("kaboom")
+
+    def fail_unencodable(self):
+        # A lone surrogate has no UTF-8 form, so the wire codec cannot
+        # carry this message verbatim.
+        raise ValueError("bad \udc80 text")
 
 
 @pytest.fixture
@@ -63,6 +68,16 @@ class TestTcpInvocation:
         with pytest.raises(RemoteInvocationError) as exc_info:
             proxy.fail()
         assert exc_info.value.remote_type == "KeyError"
+
+    def test_unencodable_response_becomes_error_reply(self, server_orb,
+                                                      client_orb):
+        # The servant's error reply cannot be packed; the server says
+        # so with an OrbError reply and keeps serving.
+        proxy = client_orb.resolve(server_orb.reference_for("counter"))
+        with pytest.raises(RemoteInvocationError) as exc_info:
+            proxy.fail_unencodable()
+        assert exc_info.value.remote_type == "OrbError"
+        assert proxy.increment() == 1
 
     def test_many_sequential_requests_one_connection(self, server_orb,
                                                      client_orb):
@@ -362,7 +377,7 @@ class _ScriptedMuxServer:
             if not chunk:
                 return None
             data += chunk
-        length, _, corr = _MUX_HEADER.unpack(data)
+        length, corr = _MUX_HEADER.unpack(data)
         body = b""
         while len(body) < length:
             body += conn.recv(length - len(body))
@@ -370,8 +385,8 @@ class _ScriptedMuxServer:
 
     @staticmethod
     def _response(corr):
-        payload = serialization.dumps({"result": "ok"})
-        return _MUX_HEADER.pack(len(payload), CODEC_JSON, corr) + payload
+        payload = wire.dumps({"result": "ok"})
+        return _MUX_HEADER.pack(len(payload), corr) + payload
 
     def _serve(self):
         for behaviour in self.behaviours:

@@ -289,11 +289,10 @@ class TestRecordCodec:
 class TestInsertFastPath:
     """The specialized insert codecs used on the ingestion hot path.
 
-    Three encoders must agree: the generic ``encode_op``, the
-    single-pass JSON ``encode_insert_op``, and the split
-    ``encode_insert_parts`` / ``assemble_insert_op`` pair (which emits
-    the packed binary wire form when every numeric is a float, and the
-    JSON form otherwise).
+    Two encoders must agree: the generic ``encode_op`` and the split
+    ``encode_insert_parts`` / ``assemble_insert_op`` pair, which emits
+    the packed binary wire form when every numeric is a float and a
+    JSON form byte-identical to ``encode_op`` otherwise.
     """
 
     ROW = {
@@ -322,13 +321,25 @@ class TestInsertFastPath:
             row["detection_radius"], row["rect"],
             row["detection_time"])
 
+    @classmethod
+    def _json_form(cls, row):
+        head, tail = cls._parts(row)
+        assert head != b"", "expected the JSON form"
+        return rec.assemble_insert_op((head, tail), row["reading_id"],
+                                      row["moving"])
+
     def test_fast_json_encoder_byte_identical_to_generic(self):
-        assert rec.encode_insert_op(self.ROW) == self._generic(self.ROW)
+        # One int field forces the JSON form; the float fields and the
+        # escaped non-ASCII object id still go through it.
+        row = dict(self.ROW, detection_radius=2)
+        assert self._json_form(row) == self._generic(row)
 
     def test_fast_json_encoder_handles_negative_zero(self):
-        row = dict(self.ROW, detection_time=-0.0,
+        row = dict(self.ROW, detection_time=-0.0, detection_radius=0,
                    rect=Rect(-0.0, 0.0, 1.0, 1.0), location=None)
-        assert rec.encode_insert_op(row) == self._generic(row)
+        payload = self._json_form(row)
+        assert payload == self._generic(row)
+        assert b'"detection_time":-0.0' in payload
 
     def test_all_float_row_takes_binary_form(self):
         empty, head = self._parts(self.ROW)
