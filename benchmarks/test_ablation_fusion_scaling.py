@@ -5,16 +5,14 @@ and probability evaluation over it — grows with overlapping readings.
 This bench measures fuse() latency as readings per object scale, which
 bounds how many technologies can reasonably cover one space.
 
-Three variants are timed per reading count:
+Two variants are timed per reading count:
 
 * ``before`` — the pre-optimization path (quadratic-rescan closure,
-  cubic Hasse, per-node scalar probabilities), reconstructed from
-  ``RegionLattice.build_reference``;
-* ``after`` — the shipped sweep-based builder with batched
-  probabilities (a cold, from-scratch fuse);
-* ``incr`` — the engine's incremental steady state: the previous
-  closure is evolved after one reading is swapped, which is the
-  pipeline's per-batch shape.
+  cubic Hasse, per-node scalar probabilities), built by the lattice
+  oracle :func:`repro.oracles.lattice.build_reference`;
+* ``after`` — the shipped engine: a sweep-based lattice build with
+  batched probabilities.  Every fusion is this cold build; the
+  simulated workloads fuse at most a handful of readings per object.
 
 A final section replays a pipeline-like flow against a
 ``LocationService`` to report its per-object fusion states' hit
@@ -36,8 +34,8 @@ from repro.core import (
     exact_region_probability,
     support_confidence,
 )
-from repro.core.lattice import RegionLattice
 from repro.geometry import Point, Rect
+from repro.oracles.lattice import build_reference
 
 UNIVERSE = Rect(0.0, 0.0, 500.0, 100.0)
 SPEC = SensorSpec("T", 1.0, 0.9, 0.1, resolution=5.0, time_to_live=1e9)
@@ -50,12 +48,12 @@ COUNTS = (1, 2, 4, 8, 12, 16, 24, 32)
 _BASELINE_NOTE = "before = quadratic reference builder, timed here"
 
 
-def make_readings(count: int, shift: float = 0.0):
+def make_readings(count: int):
     """Overlapping readings around one location (worst realistic case:
     every technology sees the same person)."""
     readings = []
     for i in range(count):
-        x = 100.0 + (i % 5) * 4.0 + (shift if i == count - 1 else 0.0)
+        x = 100.0 + (i % 5) * 4.0
         y = 40.0 + (i // 5) * 3.0
         size = 10.0 + (i % 3) * 6.0
         rect = Rect(x, y, x + size, y + size)
@@ -68,8 +66,7 @@ def fuse_reference(readings):
     """The pre-optimization fuse, for the ``before`` column: naive
     lattice construction plus one scalar probability call per node."""
     weighted = [(r.rect, *r.pq_at(0.0, UNIVERSE.area)) for r in readings]
-    lattice = RegionLattice.build_reference(
-        [r.rect for r in readings], UNIVERSE)
+    lattice = build_reference([r.rect for r in readings], UNIVERSE)
     lattice.components()
     for node in lattice.region_nodes():
         node.probability = exact_region_probability(
@@ -102,7 +99,7 @@ def test_fusion_scaling_table(benchmark, results_dir):
         "Ablation A1: fusion latency vs readings per object",
         f"({_BASELINE_NOTE})",
         f"{'readings':>9} {'lattice nodes':>14} {'before (ms)':>12} "
-        f"{'after (ms)':>11} {'speedup':>8} {'incr (ms)':>10}",
+        f"{'after (ms)':>11} {'speedup':>8}",
     ]
     speedup_at_16 = None
     for count in COUNTS:
@@ -114,31 +111,13 @@ def test_fusion_scaling_table(benchmark, results_dir):
         before_repeats = 2 if count <= 16 else 1
         before_ms = _best_of(lambda: fuse_reference(readings),
                              before_repeats)
-
-        # Steady state: one reading swapped between consecutive fuses,
-        # each evolving its predecessor's lattice.
-        shifted = make_readings(count, shift=1.0)
-        flip = [shifted, readings]
-        state = {"i": 0, "last": engine.fuse("tom", readings, UNIVERSE,
-                                             0.0),
-                 "reuses": 0}
-
-        def incremental_step():
-            state["i"] += 1
-            state["last"] = engine.fuse("tom", flip[state["i"] % 2],
-                                        UNIVERSE, 0.0, state["last"])
-            state["reuses"] += state["last"].incremental
-
-        incr_ms = _best_of(incremental_step, 3)
-        assert state["reuses"] >= 3
-
         result = engine.fuse("tom", readings, UNIVERSE, 0.0)
         speedup = before_ms / after_ms if after_ms > 0 else float("inf")
         if count == 16:
             speedup_at_16 = speedup
         lines.append(
             f"{count:>9} {len(result.lattice):>14} {before_ms:>12.3f} "
-            f"{after_ms:>11.3f} {speedup:>7.1f}x {incr_ms:>10.3f}")
+            f"{after_ms:>11.3f} {speedup:>7.1f}x")
 
     lines.extend(_cache_hit_rate_section())
     write_result(results_dir, "ablation_fusion_scaling", lines)
@@ -182,18 +161,19 @@ def _cache_hit_rate_section():
         f"  cache hits          {stats['hits']}",
         f"  cache misses        {stats['misses']}",
         f"  hit rate            {rate:.1%}",
-        f"  incremental reuses  {stats['incremental_reuses']}",
-        f"  full builds         {stats['full_builds']}",
     ]
 
 
 def test_perf_smoke_no_regression(results_dir):
     """CI guard: n=16 cold-fuse latency must stay within 2x of the
-    committed baseline (plus an absolute floor for CI-runner noise)."""
-    baseline_ms = _committed_after_ms(results_dir, readings=16)
-    if baseline_ms is None:
+    committed baseline (plus an absolute floor for CI-runner noise).
+    Skips only when no table is committed; a table whose n=16 row
+    does not parse fails."""
+    path = results_dir / "ablation_fusion_scaling.txt"
+    if not path.exists():
         pytest.skip("no committed baseline in "
                     "benchmarks/results/ablation_fusion_scaling.txt")
+    baseline_ms = _committed_after_ms(path, readings=16)
     engine = FusionEngine()
     readings = make_readings(16)
     engine.fuse("tom", readings, UNIVERSE, 0.0)  # warm-up
@@ -208,15 +188,14 @@ def test_perf_smoke_no_regression(results_dir):
         f"{baseline_ms:.3f} ms (limit {limit:.3f} ms)")
 
 
-def _committed_after_ms(results_dir, readings: int):
-    path = results_dir / "ablation_fusion_scaling.txt"
-    if not path.exists():
-        return None
+def _committed_after_ms(path, readings: int) -> float:
+    """The committed table's ``after (ms)`` value for ``readings``."""
     for line in path.read_text().splitlines():
         parts = line.split()
         if len(parts) >= 4 and parts[0] == str(readings):
             try:
                 return float(parts[3])  # the "after (ms)" column
             except ValueError:
-                return None
-    return None
+                break
+    pytest.fail(f"{path.name} has no parsable 'after (ms)' value for "
+                f"{readings} readings")

@@ -6,8 +6,8 @@ resolution (case 3) and probability classification (Section 4.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.classify import ProbabilityClassifier
 from repro.core.conflict import ConflictResolver
@@ -19,7 +19,7 @@ from repro.core.fusion import (
     exact_region_probability,
     support_confidence,
 )
-from repro.core.lattice import _AREA_EPS, Box, LatticeNode, RegionLattice
+from repro.core.lattice import LatticeNode, RegionLattice
 from repro.core.reading import NormalizedReading
 from repro.errors import FusionError
 from repro.geometry import Rect
@@ -34,9 +34,6 @@ class FusionResult:
 
     Wraps the lattice with per-node probabilities, plus everything
     needed to answer follow-up region queries at the same timestamp.
-    The lattice's clipped input rectangles and closure boxes are what
-    :meth:`FusionEngine.fuse` evolves when this result is passed back
-    as ``previous``.
     """
 
     object_id: str
@@ -52,9 +49,6 @@ class FusionResult:
     # confidence exactly 0.
     support: Rect
     mode: str = MODE_EXACT
-    # True when the lattice was evolved from the previous result's
-    # closure instead of being closed from scratch.
-    incremental: bool = field(default=False, compare=False)
 
     def _region_probability(self, region: Rect) -> float:
         active = [self.weighted[i] for i in sorted(self.winning_component)]
@@ -132,8 +126,8 @@ def _mbr(rects: Sequence[Rect]) -> Rect:
 class FusionEngine:
     """Multi-sensor fusion with pluggable conflict rules and math mode.
 
-    Stateless: the caller keeps each object's last result and hands it
-    back as ``previous`` (see :meth:`fuse`).
+    Stateless: every :meth:`fuse` builds its lattice from the readings
+    alone.
 
     Args:
         resolver: conflict-resolution rule chain (defaults to the
@@ -153,98 +147,18 @@ class FusionEngine:
         self.resolver = resolver if resolver is not None else ConflictResolver()
         self.mode = mode
 
-    def _build_lattice(self, rects: Sequence[Rect], universe: Rect,
-                       previous: Optional[FusionResult]
-                       ) -> Tuple[RegionLattice, bool]:
-        """Build the containment lattice, evolving ``previous``'s
-        closure when the clipped input set changed by at most one
-        added and one removed rectangle."""
-        seed: Optional[List[Box]] = None
-        if previous is not None and previous.universe == universe:
-            clipped = [r.clipped_to(universe) for r in rects]
-            key: FrozenSet[Box] = frozenset(
-                (c.min_x, c.min_y, c.max_x, c.max_y)
-                for c in clipped if c is not None)
-            prev_lattice = previous.lattice
-            prev_key: FrozenSet[Box] = frozenset(
-                (c.min_x, c.min_y, c.max_x, c.max_y)
-                for c in prev_lattice.input_rects)
-            added = key - prev_key
-            removed = prev_key - key
-            if len(added) <= 1 and len(removed) <= 1:
-                boxes = prev_lattice.closure_boxes()
-                if removed:
-                    boxes = self._surviving_boxes(
-                        boxes, prev_key, next(iter(removed)), key)
-                if added:
-                    boxes = RegionLattice.closure_with_added(
-                        boxes, next(iter(added)))
-                seed = boxes
-        return (RegionLattice(rects, universe, seed_boxes=seed),
-                seed is not None)
-
-    @staticmethod
-    def _surviving_boxes(prev_boxes: List[Box], prev_key: FrozenSet[Box],
-                         removed_box: Box,
-                         new_key: FrozenSet[Box]) -> List[Box]:
-        """Closure boxes surviving the removal of one input rectangle.
-
-        Mirrors :meth:`RegionLattice.closure_with_removed` but works
-        from the stored box sets alone: a closure box survives iff it
-        equals the meet of the remaining inputs that contain it (the
-        sources-meet invariant), and eps-area boxes survive only as
-        inputs.
-        """
-        remaining = [b for b in prev_key if b != removed_box]
-        out: List[Box] = []
-        for box in prev_boxes:
-            if box == removed_box and box not in new_key:
-                continue
-            bx0, by0, bx1, by1 = box
-            x0 = y0 = float("-inf")
-            x1 = y1 = float("inf")
-            contained_by_any = False
-            for (ax0, ay0, ax1, ay1) in remaining:
-                if ax0 <= bx0 and bx1 <= ax1 and ay0 <= by0 and by1 <= ay1:
-                    contained_by_any = True
-                    if ax0 > x0:
-                        x0 = ax0
-                    if ay0 > y0:
-                        y0 = ay0
-                    if ax1 < x1:
-                        x1 = ax1
-                    if ay1 < y1:
-                        y1 = ay1
-            if not contained_by_any:
-                continue
-            if (x0, y0, x1, y1) != box:
-                continue
-            if (bx1 - bx0) * (by1 - by0) <= _AREA_EPS \
-                    and box not in new_key:
-                continue
-            out.append(box)
-        return out
-
     # ------------------------------------------------------------------
     # Fusion
     # ------------------------------------------------------------------
 
     def fuse(self, object_id: str, readings: Sequence[NormalizedReading],
-             universe: Rect, now: float,
-             previous: Optional[FusionResult] = None) -> FusionResult:
+             universe: Rect, now: float) -> FusionResult:
         """Fuse readings for one object into a spatial distribution.
 
         Expired readings are dropped; disjoint components are resolved
         with the conflict rules; every lattice node's probability is
         computed with the configured formula over the winning
         component's readings.
-
-        ``previous`` is the object's last result.  When its input set
-        differs from this one by at most one added and one expired
-        rectangle (the pipeline's steady-state shape), its closure is
-        evolved instead of closing the new set from scratch; the
-        lattice is identical either way (property tests assert this).
-        ``None`` is the cold, cache-free build.
         """
         fresh = [r for r in readings if not r.is_expired_at(now)]
         if not fresh:
@@ -258,8 +172,7 @@ class FusionEngine:
         weighted = [
             (r.rect, *r.pq_at(now, universe.area)) for r in fresh
         ]
-        lattice, reused = self._build_lattice(
-            [r.rect for r in fresh], universe, previous)
+        lattice = RegionLattice([r.rect for r in fresh], universe)
         components = lattice.components()
         if len(components) > 1:
             winner_index = self.resolver.resolve(
@@ -280,7 +193,6 @@ class FusionEngine:
             discarded=discarded,
             support=_mbr([r.rect for r in fresh]),
             mode=self.mode,
-            incremental=reused,
         )
         active = [weighted[i] for i in sorted(winning)]
         region_nodes = lattice.region_nodes()

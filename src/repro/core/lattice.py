@@ -22,12 +22,9 @@ around three ideas (see ``docs/PERF.md``):
 * pairwise input overlaps discovered during construction are memoized
   so :meth:`components` (and source assignment) never redo geometry.
 
-Because every closure node equals the intersection of exactly the
-input rectangles that contain it, a closed node set can be *evolved*
-when one input is added or removed without re-running the fixpoint —
-the basis of the fusion engine's incremental mode.  The original
-quadratic-rescan builder survives as :meth:`build_reference`; property
-tests assert the two produce identical lattices.
+The quadratic-rescan reference builder is the oracle
+:func:`repro.oracles.lattice.build_reference`; property tests assert
+the two produce identical lattices.
 """
 
 from __future__ import annotations
@@ -97,18 +94,10 @@ class RegionLattice:
         universe: the Top region ``U`` (the whole building's floor).
         max_nodes: safety cap; pathological overlap patterns can
             generate exponentially many intersection regions.
-        seed_boxes: a pre-computed intersection closure of ``rects``
-            (corner tuples).  When given, the fixpoint scan is skipped
-            entirely and the boxes are interned directly — the
-            incremental-evolution fast path.  Callers are responsible
-            for the set actually being closed; the fusion engine only
-            derives seeds through :meth:`closure_with_added` /
-            :meth:`closure_with_removed`, which preserve closedness.
     """
 
     def __init__(self, rects: Sequence[Rect], universe: Rect,
-                 max_nodes: int = 4096,
-                 seed_boxes: Optional[Sequence[Box]] = None) -> None:
+                 max_nodes: int = 4096) -> None:
         for i, rect in enumerate(rects):
             if not universe.intersects(rect):
                 raise FusionError(
@@ -122,8 +111,8 @@ class RegionLattice:
         # (i, j) input-index pairs (i < j) with overlap area > eps,
         # discovered once during construction; components() reuses
         # them instead of recomputing pairwise intersections.
-        self._overlap_pairs: Optional[Set[Tuple[int, int]]] = None
-        self._build(seed_boxes)
+        self._overlap_pairs: Set[Tuple[int, int]] = set()
+        self._build()
 
     # ------------------------------------------------------------------
     # Construction (optimized path)
@@ -132,7 +121,7 @@ class RegionLattice:
     def _key(self, rect: Rect) -> Box:
         return (rect.min_x, rect.min_y, rect.max_x, rect.max_y)
 
-    def _build(self, seed_boxes: Optional[Sequence[Box]]) -> None:
+    def _build(self) -> None:
         self._nodes[TOP] = LatticeNode(TOP, self.universe)
         self._nodes[BOTTOM] = LatticeNode(BOTTOM, None)
         self._by_rect[self._key(self.universe)] = TOP
@@ -143,13 +132,7 @@ class RegionLattice:
             self._intern(rect)
 
         self._memo_input_overlaps()
-        if seed_boxes is None:
-            self._close_under_intersection()
-        else:
-            for box in seed_boxes:
-                if box not in self._by_rect:
-                    self._intern(Rect(*box))
-
+        self._close_under_intersection()
         self._link_hasse()
         self._assign_sources()
 
@@ -325,208 +308,6 @@ class RegionLattice:
             )
 
     # ------------------------------------------------------------------
-    # Incremental evolution (the fusion engine's steady-state path)
-    # ------------------------------------------------------------------
-
-    def closure_boxes(self) -> List[Box]:
-        """Every region node's corner tuple, in creation order."""
-        out: List[Box] = []
-        for nid in self._region_ids():
-            rect = self._nodes[nid].rect
-            assert rect is not None
-            out.append((rect.min_x, rect.min_y, rect.max_x, rect.max_y))
-        return out
-
-    @staticmethod
-    def closure_with_added(boxes: Sequence[Box], new_box: Box) -> List[Box]:
-        """Evolve a closed box set after adding one rectangle.
-
-        Because the existing set is closed, one pass suffices:
-        ``(r∩a)∩(r∩b) = r∩(a∩b)`` and ``a∩b`` is already present, so
-        the only new regions are ``r`` itself and ``r∩e`` for existing
-        ``e``.
-        """
-        nx0, ny0, nx1, ny1 = new_box
-        seen = set(boxes)
-        out = list(boxes)
-        if new_box not in seen:
-            seen.add(new_box)
-            out.append(new_box)
-        for (bx0, by0, bx1, by1) in list(boxes):
-            ix0 = nx0 if nx0 > bx0 else bx0
-            ix1 = nx1 if nx1 < bx1 else bx1
-            w = ix1 - ix0
-            if w <= 0.0:
-                continue
-            iy0 = ny0 if ny0 > by0 else by0
-            iy1 = ny1 if ny1 < by1 else by1
-            h = iy1 - iy0
-            if h <= 0.0 or w * h <= _AREA_EPS:
-                continue
-            key = (ix0, iy0, ix1, iy1)
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
-        return out
-
-    def closure_with_removed(self, removed_box: Box,
-                             new_input_boxes: Set[Box]) -> List[Box]:
-        """The surviving closure after removing one input rectangle.
-
-        Every closure node equals the intersection of the inputs that
-        contain it (its sources), so a node survives the removal of
-        input(s) with corner tuple ``removed_box`` iff the intersection
-        of its *remaining* sources still equals its own rectangle.
-        Zero-area rectangles only belong to a closure as inputs, so
-        they additionally must appear in ``new_input_boxes``.
-        """
-        doomed = {i for i, r in enumerate(self.input_rects)
-                  if r is not None and (r.min_x, r.min_y,
-                                        r.max_x, r.max_y) == removed_box}
-        rects = self.input_rects
-        out: List[Box] = []
-        for nid in self._region_ids():
-            node = self._nodes[nid]
-            rect = node.rect
-            assert rect is not None
-            box = (rect.min_x, rect.min_y, rect.max_x, rect.max_y)
-            survivors = node.sources - doomed
-            if not survivors:
-                continue
-            if node.sources & doomed:
-                x0 = y0 = float("-inf")
-                x1 = y1 = float("inf")
-                for i in survivors:
-                    r = rects[i]
-                    assert r is not None
-                    if r.min_x > x0:
-                        x0 = r.min_x
-                    if r.min_y > y0:
-                        y0 = r.min_y
-                    if r.max_x < x1:
-                        x1 = r.max_x
-                    if r.max_y < y1:
-                        y1 = r.max_y
-                if (x0, y0, x1, y1) != box:
-                    continue  # only existed because of the removed rect
-            w = box[2] - box[0]
-            h = box[3] - box[1]
-            if w * h <= _AREA_EPS and box not in new_input_boxes:
-                continue  # eps-area regions are never intersection nodes
-            out.append(box)
-        return out
-
-    # ------------------------------------------------------------------
-    # Reference (naive) construction — kept for equivalence tests
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def build_reference(cls, rects: Sequence[Rect], universe: Rect,
-                        max_nodes: int = 4096) -> "RegionLattice":
-        """Build with the original quadratic-rescan algorithm.
-
-        This is the pre-optimization builder, verbatim: fixpoint
-        closure that rescans every region per round, cubic covered-set
-        Hasse linking, and per-node containment scans for sources.
-        Property tests assert the optimized builder produces an
-        identical lattice; benches use it as the "before" timing.
-        """
-        self = cls.__new__(cls)
-        for i, rect in enumerate(rects):
-            if not universe.intersects(rect):
-                raise FusionError(
-                    f"input rectangle {i} lies outside the universe")
-        self.universe = universe
-        self.input_rects = [r.clipped_to(universe) for r in rects]
-        self._nodes = {}
-        self._by_rect = {}
-        self._counter = 0
-        self._max_nodes = max_nodes
-        self._overlap_pairs = None
-        self._build_naive()
-        return self
-
-    def _build_naive(self) -> None:
-        self._nodes[TOP] = LatticeNode(TOP, self.universe)
-        self._nodes[BOTTOM] = LatticeNode(BOTTOM, None)
-        self._by_rect[self._key(self.universe)] = TOP
-
-        for rect in self.input_rects:
-            assert rect is not None
-            self._intern(rect)
-
-        # Close under pairwise intersection until a fixpoint.
-        frontier = [n for n in self._region_ids()]
-        while frontier:
-            new_ids: List[str] = []
-            region_ids = self._region_ids()
-            for a_id in frontier:
-                a = self._nodes[a_id].rect
-                assert a is not None
-                for b_id in region_ids:
-                    if b_id == a_id:
-                        continue
-                    b = self._nodes[b_id].rect
-                    assert b is not None
-                    overlap = a.intersection(b)
-                    if overlap is None or overlap.area <= _AREA_EPS:
-                        continue
-                    if self._key(overlap) not in self._by_rect:
-                        new_ids.append(self._intern(overlap))
-            frontier = new_ids
-
-        self._assign_sources_naive()
-        self._link_hasse_naive()
-
-    def _assign_sources_naive(self) -> None:
-        for node_id in self._region_ids():
-            node = self._nodes[node_id]
-            assert node.rect is not None
-            node.sources = frozenset(
-                i for i, rect in enumerate(self.input_rects)
-                if rect is not None and rect.contains_rect(node.rect)
-            )
-
-    def _link_hasse_naive(self) -> None:
-        """Containment cover edges: parent strictly contains child with
-        no intermediate node between them."""
-        ids = self._region_ids()
-        rects = {nid: self._nodes[nid].rect for nid in ids}
-        # strict containment: container strictly larger and contains.
-        contains: Dict[str, Set[str]] = {nid: set() for nid in ids}
-        for a in ids:
-            ra = rects[a]
-            assert ra is not None
-            for b in ids:
-                if a == b:
-                    continue
-                rb = rects[b]
-                assert rb is not None
-                if ra.contains_rect(rb) and ra.area > rb.area + _AREA_EPS:
-                    contains[a].add(b)
-        for a in ids:
-            below = contains[a]
-            covered = {
-                b for b in below
-                if not any(b in contains[c] for c in below if c != b)
-            }
-            for b in covered:
-                self._nodes[a].children.add(b)
-                self._nodes[b].parents.add(a)
-        # Hook maximal regions under Top and minimal regions above Bottom.
-        for nid in ids:
-            node = self._nodes[nid]
-            if not node.parents:
-                node.parents.add(TOP)
-                self._nodes[TOP].children.add(nid)
-            if not node.children:
-                node.children.add(BOTTOM)
-                self._nodes[BOTTOM].parents.add(nid)
-        if not ids:
-            self._nodes[TOP].children.add(BOTTOM)
-            self._nodes[BOTTOM].parents.add(TOP)
-
-    # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
 
@@ -579,8 +360,7 @@ class RegionLattice:
         Two readings in different components are *disjoint* evidence —
         the conflict case (Section 4.1.2, case 3).  Indices refer to
         the input rect list.  Overlap pairs memoized during
-        construction are reused; only reference-built lattices fall
-        back to recomputing them.
+        construction are reused.
         """
         n = len(self.input_rects)
         parent = list(range(n))
@@ -594,18 +374,8 @@ class RegionLattice:
         def union(i: int, j: int) -> None:
             parent[find(i)] = find(j)
 
-        if self._overlap_pairs is not None:
-            for i, j in self._overlap_pairs:
-                union(i, j)
-        else:
-            for i in range(n):
-                ri = self.input_rects[i]
-                assert ri is not None
-                for j in range(i + 1, n):
-                    rj = self.input_rects[j]
-                    assert rj is not None
-                    if ri.intersection_area(rj) > _AREA_EPS:
-                        union(i, j)
+        for i, j in self._overlap_pairs:
+            union(i, j)
         groups: Dict[int, Set[int]] = {}
         for i in range(n):
             groups.setdefault(find(i), set()).add(i)
@@ -659,8 +429,7 @@ class RegionLattice:
             stack.extend(self._nodes[nid].children)
         assert seen == set(self._nodes), "unreachable lattice nodes"
         # Sources are exactly the containing inputs, and every node is
-        # the intersection of its sources (the closure property the
-        # incremental evolution relies on).
+        # the intersection of its sources.
         for node in self.region_nodes():
             assert node.rect is not None
             for i, rect in enumerate(self.input_rects):

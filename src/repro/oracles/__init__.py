@@ -7,4 +7,6 @@ import this package; no module elsewhere in :mod:`repro` does
 
 * :mod:`repro.oracles.orb_json` — the tagged-JSON codec that
   :mod:`repro.orb.wire` must match value for value.
+* :mod:`repro.oracles.lattice` — the quadratic-rescan builder that
+  :class:`repro.core.lattice.RegionLattice` must match node for node.
 """

@@ -344,26 +344,40 @@ def fast_marshal(value: Any) -> Any:
     reach the caller's), and deeply-immutable packed value types pass
     by reference once their packer has checked their fields (an
     oddly-typed one raises :class:`~repro.errors.OrbError` here, as
-    :func:`dumps` would).  Anything else — including non-finite floats
-    and reserved dict keys, whose canonical errors :func:`dumps` owns —
+    :func:`dumps` would, and so does a string holding a lone
+    surrogate).  Anything else — including non-finite floats and
+    reserved dict keys, whose canonical errors :func:`dumps` owns —
     raises :class:`BinaryUnsupported` so the caller falls back to the
     full round-trip.
     """
+    try:
+        return _fast_marshal(value)
+    except UnicodeEncodeError as exc:  # a lone surrogate in a string
+        raise OrbError(f"cannot encode: {exc}") from exc
+
+
+def _fast_marshal(value: Any) -> Any:
     tp = type(value)
-    if value is None or tp is bool or tp is str or tp is int:
+    if tp is str:
+        if not value.isascii():
+            value.encode("utf-8")  # refuses lone surrogates
+        return value
+    if value is None or tp is bool or tp is int:
         return value
     if tp is float:
         if not math.isfinite(value):
             raise BinaryUnsupported("non-finite float")
         return value
     if tp is list or tp is tuple:
-        return [fast_marshal(item) for item in value]
+        return [_fast_marshal(item) for item in value]
     if tp is dict:
         out = {}
         for key, item in value.items():
             if type(key) is not str or key == _RESERVED_KEY:
                 raise BinaryUnsupported("bad dict key")
-            out[key] = fast_marshal(item)
+            if not key.isascii():
+                key.encode("utf-8")
+            out[key] = _fast_marshal(item)
         return out
     if _IMMUTABLE.get(tp, False):
         _PACKERS[tp][1](value, bytearray())  # field checks only

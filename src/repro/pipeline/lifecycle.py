@@ -392,8 +392,6 @@ class LocationPipeline:
             raise
         if from_cache:
             self.stats_recorder.incr("fusion_cache_hits")
-        if result.incremental:
-            self.stats_recorder.incr("incremental_fusions")
         fused_at = self.clock()
         self._record_fused(flushed, fused_at)
 

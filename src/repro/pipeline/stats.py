@@ -132,8 +132,6 @@ class PipelineStats:
         fusion_cache_hits: batches answered from the object's fusion
             state (same instant, no reading change) without a fetch or
             an engine run.
-        incremental_fusions: batches fused by evolving the object's
-            previous lattice instead of rebuilding from scratch.
         subscriptions_evaluated: region subscriptions actually refined
             against a fused result during notify.
         subscriptions_pruned: matching subscriptions skipped because
@@ -158,7 +156,6 @@ class PipelineStats:
     fusion_failures: int = 0
     notify_failures: int = 0
     fusion_cache_hits: int = 0
-    incremental_fusions: int = 0
     subscriptions_evaluated: int = 0
     subscriptions_pruned: int = 0
     semantic_evaluated: int = 0
@@ -183,7 +180,6 @@ class PipelineStats:
             f"retries={self.retries} fusion_failures={self.fusion_failures} "
             f"notify_failures={self.notify_failures}",
             f"fusion_cache_hits={self.fusion_cache_hits} "
-            f"incremental_fusions={self.incremental_fusions}",
             f"subscriptions_evaluated={self.subscriptions_evaluated} "
             f"subscriptions_pruned={self.subscriptions_pruned}",
             f"semantic_evaluated={self.semantic_evaluated} "
@@ -207,8 +203,8 @@ class PipelineStatsRecorder:
     _COUNTERS = ("enqueued", "fused", "dropped", "dead_lettered",
                  "rejected", "batches", "notifications", "retries",
                  "fusion_failures", "notify_failures",
-                 "fusion_cache_hits", "incremental_fusions",
-                 "subscriptions_evaluated", "subscriptions_pruned",
+                 "fusion_cache_hits", "subscriptions_evaluated",
+                 "subscriptions_pruned",
                  "semantic_evaluated", "semantic_pruned")
 
     def __init__(self) -> None:

@@ -520,12 +520,16 @@ class SemanticTriggerEngine:
 
     def declare_fact(self, functor: str, *args: str,
                      now: Optional[float] = None) -> List[Dict[str, Any]]:
-        """Assert an application fact (e.g. ``team(alice, blue)``)."""
+        """Assert an application fact (e.g. ``team(alice, blue)``).
+
+        Asserting a known fact changes nothing but the clock, so it is
+        a :meth:`tick` at ``now``: dwell windows expiring by then fire.
+        """
         now = self._time if now is None else max(now, self._time)
-        self._time = now
         bucket = self._facts.setdefault(functor, set())
         if tuple(args) in bucket:
-            return []
+            return self.tick(now)
+        self._time = now
         bucket.add(tuple(args))
         if self.mode == MODE_INCREMENTAL:
             assert self._kb is not None
@@ -541,11 +545,13 @@ class SemanticTriggerEngine:
 
     def retract_fact(self, functor: str, *args: str,
                      now: Optional[float] = None) -> List[Dict[str, Any]]:
+        """Retract an application fact; an unknown fact is a
+        :meth:`tick` at ``now``, as in :meth:`declare_fact`."""
         now = self._time if now is None else max(now, self._time)
-        self._time = now
         bucket = self._facts.get(functor)
         if bucket is None or tuple(args) not in bucket:
-            return []
+            return self.tick(now)
+        self._time = now
         bucket.discard(tuple(args))
         if self.mode == MODE_INCREMENTAL:
             assert self._kb is not None

@@ -128,17 +128,16 @@ class LocationService:
         self._proximity_subscriptions: Dict[str, Any] = {}
         # One FusionState per object — the paper's shared lattice of
         # Section 4.3: a dispatch and the pulls that follow it at one
-        # instant cost one fusion, a fusion at another instant evolves
-        # the state's lattice, and no query is ever answered with
-        # another instant's temporal degradation.
+        # instant cost one fusion, a fusion at another instant builds
+        # a new lattice, and no query is ever answered with another
+        # instant's temporal degradation.  A state goes when a fusion
+        # finds no fresh readings and rows changed since the state.
         self._fusion_states: Dict[str, FusionState] = {}
         # Guards the counters below; the pipeline thread, ORB query
         # threads and sync writers all fuse.
         self._fusion_lock = threading.Lock()
         self.fusion_hits = 0
         self.fusion_misses = 0
-        self.incremental_reuses = 0
-        self.full_builds = 0
         self.history = history
         # (subscription_id, error message) for every failed delivery;
         # a crashing application must not stall sensor ingest.
@@ -231,45 +230,45 @@ class LocationService:
         pipeline calls once per landed backlog.  The object's state
         answers without a fetch when its instant is ``at`` and both
         versions are unchanged.  Otherwise the readings are fetched,
-        :meth:`fuse_readings` evolves the state's lattice, and the
-        result becomes the new state.  Both versions are read *before*
-        the fetch, so a state never claims a version newer than the
-        rows it was fused from.
+        :meth:`fuse_readings` fuses them, and the result becomes the
+        new state.  Both versions are read *before* the fetch, so a
+        state never claims a version newer than the rows it was fused
+        from.
         """
         version = self.db.reading_version(object_id)
         spec_version = self.db.sensor_specs.version
         state = self._fusion_states.get(object_id)
-        if (state is not None and state.result.now == at
-                and state.reading_version == version
-                and state.spec_version == spec_version):
+        current = (state is not None and state.reading_version == version
+                   and state.spec_version == spec_version)
+        if current and state.result.now == at:
             with self._fusion_lock:
                 self.fusion_hits += 1
             return state.result, True
         readings = self.normalized_readings(object_id, at)
         if not readings:
+            if not current:
+                # Rows changed since the state's fusion (a purge of the
+                # object's last reading, say): it can neither answer
+                # nor bound a region query, so it and its lattice go.
+                # A current state stays: while its readings merely
+                # expire, its support still prunes region queries.
+                self._fusion_states.pop(object_id, None)
             raise UnknownObjectError(
                 f"no fresh readings for {object_id!r} at t={at:.3f}")
-        result = self.fuse_readings(
-            object_id, readings, at,
-            state.result if state is not None else None)
+        result = self.fuse_readings(object_id, readings, at)
         self._fusion_states[object_id] = FusionState(
             version, spec_version, result)
         return result, False
 
     def fuse_readings(self, object_id: str,
-                      readings: List[NormalizedReading], at: float,
-                      previous: Optional[FusionResult] = None
-                      ) -> FusionResult:
+                      readings: List[NormalizedReading],
+                      at: float) -> FusionResult:
         """The miss path of :meth:`fuse_object`: fuse ``readings`` at
-        ``at``, evolving ``previous``'s lattice when it is close."""
+        ``at`` with one cold lattice build."""
         result = self.engine.fuse(object_id, readings, self.db.universe(),
-                                  at, previous)
+                                  at)
         with self._fusion_lock:
             self.fusion_misses += 1
-            if result.incremental:
-                self.incremental_reuses += 1
-            else:
-                self.full_builds += 1
         return result
 
     def _current_support(self, object_id: str,
@@ -296,15 +295,16 @@ class LocationService:
         return self.db.reading_support(object_id)
 
     def cache_stats(self) -> Dict[str, int]:
-        """Fusion-state effectiveness counters: same-instant hits,
-        misses, and how many misses evolved the previous lattice
-        versus closing a new one."""
+        """Fusion-state effectiveness counters: same-instant hits and
+        misses.  Every miss is one cold lattice build, so
+        ``full_builds`` equals ``misses`` and ``incremental_reuses``
+        is 0; both keys stay for readers such as perfbench's ledger."""
         with self._fusion_lock:
             return {
                 "hits": self.fusion_hits,
                 "misses": self.fusion_misses,
-                "incremental_reuses": self.incremental_reuses,
-                "full_builds": self.full_builds,
+                "incremental_reuses": 0,
+                "full_builds": self.fusion_misses,
             }
 
     # ------------------------------------------------------------------

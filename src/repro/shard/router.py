@@ -637,7 +637,7 @@ class ShardRouter:
         fleet = {"enqueued": 0, "fused": 0, "dropped": 0,
                  "dead_lettered": 0, "rejected": 0, "batches": 0,
                  "notifications": 0, "fusion_cache_hits": 0,
-                 "incremental_fusions": 0, "readings": 0}
+                 "readings": 0}
         for shard in shards:
             if shard is None:
                 continue

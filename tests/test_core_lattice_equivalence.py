@@ -1,11 +1,11 @@
 """Naive-vs-optimized equivalence for the fusion hot path.
 
 The optimized builders (sweep closure, area-sorted Hasse, memoized
-overlaps, incremental evolution, batched probabilities) must be
-indistinguishable from the original quadratic reference — identical
-node rect-sets, Hasse edges, sources, components and bit-for-bit
-identical probabilities.  ``RegionLattice.build_reference`` keeps the
-pre-optimization algorithm alive purely for these tests.
+overlaps, batched probabilities) must be indistinguishable from the
+original quadratic reference — identical node rect-sets, Hasse edges,
+sources, components and bit-for-bit identical probabilities.  The
+lattice oracle :func:`repro.oracles.lattice.build_reference` keeps the
+pre-optimization algorithm alive for these tests.
 """
 
 from unittest import mock
@@ -15,21 +15,15 @@ from hypothesis import strategies as st
 
 from repro.core import (
     CellDecomposition,
-    FusionEngine,
-    NormalizedReading,
     RegionLattice,
-    SensorSpec,
     batch_region_probabilities,
     eq7_region_probability,
     exact_region_probability,
 )
 from repro.geometry import Rect
+from repro.oracles.lattice import build_reference
 
 UNIVERSE = Rect(0.0, 0.0, 200.0, 100.0)
-
-SPEC = SensorSpec("Test", carry_probability=0.95,
-                  detection_probability=0.9, misident_probability=0.05,
-                  time_to_live=30.0)
 
 # Coarse coordinates on purpose: snapping to a small grid makes rects
 # share edges, duplicate, nest and tie on area — the cases where the
@@ -77,50 +71,13 @@ class TestLatticeEquivalence:
     @given(st.lists(grid_rects(), min_size=0, max_size=7))
     def test_optimized_matches_reference(self, rects):
         fast = RegionLattice(rects, UNIVERSE)
-        naive = RegionLattice.build_reference(rects, UNIVERSE)
+        naive = build_reference(rects, UNIVERSE)
         assert lattice_fingerprint(fast) == lattice_fingerprint(naive)
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(grid_rects(), min_size=0, max_size=7))
     def test_invariants_hold(self, rects):
         RegionLattice(rects, UNIVERSE).check_invariants()
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(grid_rects(), min_size=1, max_size=6),
-           grid_rects())
-    def test_closure_with_added_matches_full_build(self, rects, extra):
-        before = RegionLattice(rects, UNIVERSE)
-        evolved = RegionLattice.closure_with_added(
-            before.closure_boxes(),
-            (extra.min_x, extra.min_y, extra.max_x, extra.max_y))
-        seeded = RegionLattice(rects + [extra], UNIVERSE,
-                               seed_boxes=evolved)
-        full = RegionLattice(rects + [extra], UNIVERSE)
-        assert lattice_fingerprint(seeded) == lattice_fingerprint(full)
-        seeded.check_invariants()
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(grid_rects(), min_size=2, max_size=6),
-           st.integers(min_value=0, max_value=5))
-    def test_closure_with_removed_matches_full_build(self, rects, drop):
-        drop = drop % len(rects)
-        removed = rects[drop]
-        survivors = rects[:drop] + rects[drop + 1:]
-        # Remove every duplicate of the dropped rectangle, the same
-        # granularity the engine's box-set diff operates at.
-        removed_box = (removed.min_x, removed.min_y,
-                       removed.max_x, removed.max_y)
-        survivors = [r for r in survivors
-                     if (r.min_x, r.min_y, r.max_x, r.max_y)
-                     != removed_box]
-        before = RegionLattice(rects, UNIVERSE)
-        new_inputs = {(r.min_x, r.min_y, r.max_x, r.max_y)
-                      for r in survivors}
-        evolved = before.closure_with_removed(removed_box, new_inputs)
-        seeded = RegionLattice(survivors, UNIVERSE, seed_boxes=evolved)
-        full = RegionLattice(survivors, UNIVERSE)
-        assert lattice_fingerprint(seeded) == lattice_fingerprint(full)
-        seeded.check_invariants()
 
 
 class TestIntersectionMemo:
@@ -172,59 +129,3 @@ class TestProbabilityEquivalence:
             list(readings) + [(query, 1.0, 1.0)], UNIVERSE)
         reference = augmented.probability_in_reading(len(readings))
         assert abs(cells.probability_in_rect(query) - reference) <= 1e-9
-
-
-def _reading(i, rect, t):
-    return NormalizedReading(sensor_id=f"S-{i}", object_id="walker",
-                             rect=rect, time=t, spec=SPEC)
-
-
-class TestIncrementalEngineEquivalence:
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(grid_rects(), min_size=3, max_size=9),
-           st.lists(st.integers(min_value=0, max_value=2),
-                    min_size=4, max_size=8))
-    def test_incremental_fuse_equals_full_fuse(self, rects, ops):
-        """Random add/expire/swap sequences: fusing with the previous
-        result passed back is bit-for-bit a from-scratch fusion."""
-        engine = FusionEngine()
-        previous = None
-        reuses = 0
-        pool = list(rects)
-        active = [pool.pop()]
-        t = 0.0
-        counter = 0
-        for op in ops:
-            t += 1.0
-            if op == 0 and pool:
-                active.append(pool.pop())
-            elif op == 1 and len(active) > 1:
-                active.pop(0)
-            elif op == 2 and pool and len(active) > 1:
-                active.pop(0)
-                active.append(pool.pop())
-            readings = []
-            for rect in active:
-                readings.append(_reading(counter, rect, t))
-                counter += 1
-            a = engine.fuse("walker", readings, UNIVERSE, t,
-                            previous=previous)
-            b = engine.fuse("walker", readings, UNIVERSE, t)
-            assert not b.incremental
-            reuses += a.incremental
-            previous = a
-            assert lattice_fingerprint(a.lattice) == \
-                lattice_fingerprint(b.lattice)
-            probs_a = {(n.rect.min_x, n.rect.min_y, n.rect.max_x,
-                        n.rect.max_y): (n.probability, n.confidence)
-                       for n in a.lattice.region_nodes()}
-            probs_b = {(n.rect.min_x, n.rect.min_y, n.rect.max_x,
-                        n.rect.max_y): (n.probability, n.confidence)
-                       for n in b.lattice.region_nodes()}
-            assert probs_a == probs_b
-            assert a.winning_component == b.winning_component
-            a.lattice.check_invariants()
-        # Every op changes the input set by at most one rectangle added
-        # and one removed (readings keep their rects), so every fusion
-        # after the first evolves its predecessor.
-        assert reuses == len(ops) - 1

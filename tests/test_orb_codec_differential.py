@@ -259,6 +259,9 @@ unmarshalable = st.one_of(
     st.builds(_Opaque),
     st.builds(_MyInt, st.integers()),
     st.just(_odd_estimate()),
+    # Lone surrogates cannot be UTF-8 encoded, as a value or a key.
+    st.just("a\udc80b"),
+    st.just({"\ud800": 1}),
 )
 
 
@@ -320,8 +323,11 @@ class TestOddlyTypedValuesRejected:
     """What the wire codec cannot pack fails in the caller, with
     :class:`OrbError`, whichever transport carries the call."""
 
-    @pytest.mark.parametrize("value", [_odd_estimate(), _MyInt(3)],
-                             ids=["str-bucket-estimate", "int-subclass"])
+    @pytest.mark.parametrize(
+        "value",
+        [_odd_estimate(), _MyInt(3), "a\udc80b", {"k\ud800": 1}],
+        ids=["str-bucket-estimate", "int-subclass", "lone-surrogate",
+             "lone-surrogate-key"])
     def test_proxy_call_raises(self, echo_proxy, value):
         with pytest.raises(OrbError):
             echo_proxy.echo(value)

@@ -15,7 +15,7 @@ flipping both directions).
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.model import Glob
@@ -137,6 +137,10 @@ def test_incremental_matches_reference(program):
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(program=programs)
+# A retract of an unknown fact after a dwell window expired must still
+# settle that window.
+@example(program=[(0.0, ("move", 0, 0)), (0.0, ("sub", 7)),
+                  (2.0, ("retract", 0, 0))])
 def test_incremental_state_matches_oracle_snapshot(program):
     """After any program, a naive full re-evaluation of the
     incremental engine's final state finds no missed transition:

@@ -115,6 +115,22 @@ class TestFusionCache:
         assert service.cache_stats()["misses"] == 1
         assert service.cache_stats()["hits"] == 4
 
+    def test_purged_object_drops_its_state(self, rig):
+        """Once ``purge_expired`` removes an object's last reading, the
+        failed fusion drops the object's state and its lattice.  While
+        the reading has only expired, the state stays: its support
+        still bounds region queries."""
+        world, db, clock, service, ubi = rig
+        ubi.tag_sighting("alice", Point(150, 20), 0.0)
+        service.locate("alice", now=1.0)
+        with pytest.raises(UnknownObjectError):
+            service.locate("alice", now=100.0)
+        assert "alice" in service._fusion_states
+        assert db.purge_expired(100.0) == 1
+        with pytest.raises(UnknownObjectError):
+            service.locate("alice", now=100.0)
+        assert "alice" not in service._fusion_states
+
     def test_recalibration_invalidates(self, rig):
         """The state is keyed on the sensor-table version: a respec'd
         sensor must not serve stale fused math."""
@@ -219,7 +235,8 @@ class TestCacheStats:
         stats = service.cache_stats()
         assert stats["hits"] == 1
         assert stats["misses"] == 3
-        assert stats["incremental_reuses"] + stats["full_builds"] == 3
+        assert stats["full_builds"] == stats["misses"]
+        assert stats["incremental_reuses"] == 0
 
 
 class TestConcurrentFusion:
@@ -268,8 +285,7 @@ class TestConcurrentFusion:
         assert errors == []
         stats = service.cache_stats()
         assert stats["hits"] + stats["misses"] == 6 * calls_per_thread
-        assert stats["incremental_reuses"] + stats["full_builds"] == \
-            stats["misses"]
+        assert stats["full_builds"] == stats["misses"]
         assert sorted(service._fusion_states) == objects
 
 
