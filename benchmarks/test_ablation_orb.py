@@ -12,11 +12,12 @@ the shard fleet actually deploys — so the client and server do not
 share a GIL and the numbers reflect real socket round-trips rather
 than two threads fighting over one interpreter.
 
-Results go to benchmarks/results/ablation_orb.txt.  Two CI gates ride
+Results go to benchmarks/results/ablation_orb.txt.  Three CI gates ride
 along: ``test_perf_smoke_orb_codec`` (the wire codec >= 2.5x the
 tagged-JSON oracle, ``repro.oracles.orb_json``, on the locate()
-response shape) and
-``test_perf_smoke_orb_transport`` (pipelined locate() >= 1.5x over
+response shape), ``test_perf_smoke_orb_batch_codec`` (>= 3.0x on a
+1024-reading ``submit_batch`` request, the shard fleet's ingest frame)
+and ``test_perf_smoke_orb_transport`` (pipelined locate() >= 1.5x over
 serial calls on the same connection).
 """
 
@@ -29,10 +30,11 @@ import time
 import pytest
 
 from _support import write_result
-from repro.geometry import Point
+from repro.geometry import Point, Rect
 from repro.oracles import orb_json
 from repro.orb import Orb, wire
 from repro.orb.transport import TcpTransport
+from repro.pipeline import PipelineReading
 from repro.sensors import UbisenseAdapter
 from repro.service import LocationService, publish_service
 from repro.sim import SimClock, siebel_floor
@@ -41,6 +43,7 @@ from repro.spatialdb import SpatialDatabase
 LOCATE_REQUEST = {"object": "location-service", "method": "locate",
                   "args": ["alice"], "kwargs": {}}
 PIPELINE_WIDTH = 32
+BATCH_READINGS = 1024
 
 
 def build_rig():
@@ -150,6 +153,8 @@ def test_transport_cost_table(benchmark, results_dir):
         orb.shutdown()
 
     improvement = serial / piped
+    batch_ratio, batch_binary_us, batch_json_us = _codec_ratio(
+        _submit_batch_request(), rounds=3)
     lines = [
         "Ablation A4: locate() cost by call path (us/call)",
         "(TCP rows run against a separate server process)",
@@ -164,6 +169,11 @@ def test_transport_cost_table(benchmark, results_dir):
         "",
         f"pipelined vs serial: {improvement:.2f}x "
         "(acceptance floor: 2x)",
+        "",
+        f"submit_batch({BATCH_READINGS} readings) round-trip: binary "
+        f"{batch_binary_us / 1000:.2f} ms, json oracle "
+        f"{batch_json_us / 1000:.2f} ms, {batch_ratio:.2f}x "
+        "(gate floor: 3.0x)",
     ]
     # The broker's in-process lane must cost at most 2.5x the bare
     # call (it used to cost 5.9x before the fast marshal), and
@@ -180,16 +190,30 @@ def _locate_response():
     return {"result": service.locate("alice")}
 
 
-def test_perf_smoke_orb_codec():
-    """CI gate: the binary codec holds >= 2.5x over the JSON oracle on
-    the locate() response shape (encode+decode).
+def _submit_batch_request():
+    """A shard ingest frame: one ``submit_batch`` of fleet-shaped
+    readings, half of them carrying a point location."""
+    readings = [
+        PipelineReading(
+            sensor_id=f"Ubi-{i % 7}", glob_prefix="SC/3",
+            sensor_type="Ubisense", object_id=f"person-{i % 60}",
+            rect=Rect(i * 0.1, 1.0, i * 0.1 + 2.0, 3.0),
+            detection_time=float(i),
+            location=Point(i * 0.1 + 1.0, 2.0) if i % 2 else None,
+            detection_radius=0.5)
+        for i in range(BATCH_READINGS)]
+    return {"object": "shard-0", "method": "submit_batch",
+            "args": [readings], "kwargs": {}}
 
-    The lanes alternate lap by lap and the gate reads the median of
-    the per-pair ratios, so drift on a shared runner lands on both
-    sides of each pair instead of between the two lanes."""
-    message = _locate_response()
-    rounds = 2000
-    pairs = 9
+
+def _codec_ratio(message, rounds, pairs=9):
+    """JSON-oracle over binary round-trip time for ``message``: the
+    median of ``pairs`` interleaved lap ratios, plus each lane's median
+    microseconds per round-trip.
+
+    The lanes alternate lap by lap, so drift on a shared runner lands
+    on both sides of each pair instead of between the two lanes."""
+    assert wire.loads(wire.dumps(message)) == message
 
     def lap(dumps, loads):
         start = time.perf_counter()
@@ -206,10 +230,34 @@ def test_perf_smoke_orb_codec():
     ratio = statistics.median(json_ / binary for binary, json_ in laps)
     binary_us = statistics.median(b for b, _ in laps) / rounds * 1e6
     json_us = statistics.median(j for _, j in laps) / rounds * 1e6
+    return ratio, binary_us, json_us
+
+
+def test_perf_smoke_orb_codec():
+    """CI gate: the binary codec holds >= 2.5x over the JSON oracle on
+    the locate() response shape (encode+decode, median of 9
+    interleaved pairs)."""
+    pairs = 9
+    ratio, binary_us, json_us = _codec_ratio(_locate_response(),
+                                             rounds=2000, pairs=pairs)
     assert ratio >= 2.5, (
         f"binary codec only {ratio:.2f}x the JSON path (median of "
         f"{pairs} interleaved pairs; binary {binary_us:.1f}us, "
         f"json {json_us:.1f}us per round-trip)")
+
+
+def test_perf_smoke_orb_batch_codec():
+    """CI gate: the binary codec holds >= 3.0x over the JSON oracle on
+    a 1024-reading ``submit_batch`` request (encode+decode, median of 9
+    interleaved pairs) — the frame every shard ingest RPC carries."""
+    pairs = 9
+    ratio, binary_us, json_us = _codec_ratio(_submit_batch_request(),
+                                             rounds=3, pairs=pairs)
+    assert ratio >= 3.0, (
+        f"binary codec only {ratio:.2f}x the JSON path on a "
+        f"{BATCH_READINGS}-reading submit_batch (median of {pairs} "
+        f"interleaved pairs; binary {binary_us / 1000:.2f}ms, json "
+        f"{json_us / 1000:.2f}ms per round-trip)")
 
 
 def test_perf_smoke_orb_transport():

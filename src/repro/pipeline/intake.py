@@ -9,7 +9,8 @@ is full the configured overflow policy decides what happens:
 * ``block``       — the producer waits for space (lossless back-pressure);
 * ``drop-oldest`` — the oldest queued reading for that object is evicted
   (freshest-data-wins, with exact drop accounting);
-* ``reject``      — the put raises :class:`~repro.errors.IntakeOverflowError`.
+* ``reject``      — the put raises :class:`~repro.errors.IntakeOverflowError`
+  (a bulk ``put_many`` skips and counts the reading instead).
 
 Malformed or uncalibratable readings never enter the queues at all —
 the pipeline routes them to a :class:`DeadLetterQueue` with a
@@ -19,13 +20,15 @@ of silently corrupting fusion.
 
 from __future__ import annotations
 
+import math
+import struct
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import IntakeOverflowError, PipelineError
+from repro.errors import IntakeOverflowError, OrbError, PipelineError
 from repro.geometry import Point, Rect
 
 Clock = Callable[[], float]
@@ -63,43 +66,71 @@ class PipelineReading:
 from repro.orb import wire as _orb_wire  # noqa: E402
 
 
+# One fixed header per reading: the four id strings' UTF-8 byte
+# lengths, the rect, the detection time, a location flag with x/y/z
+# (zeros when there is no location) and the radius; the four strings
+# follow.  One pack and one unpack_from per reading.
+_READING_HEAD = struct.Struct(">4I4ddB3dd")
+
+
+def _exact_finite(value: object) -> bool:
+    """A plain ``float`` or ``int`` (no bool or other subclass) that is
+    finite: the only numbers a reading may carry on the wire."""
+    return type(value) in _orb_wire._NUM_TYPES and math.isfinite(value)
+
+
 def _pack_reading(reading: "PipelineReading", out: bytearray) -> None:
+    rect, location = reading.rect, reading.location
     _orb_wire._require(
         type(reading.sensor_id) is str
         and type(reading.glob_prefix) is str
         and type(reading.sensor_type) is str
         and type(reading.object_id) is str
-        and type(reading.rect) is Rect
-        and (reading.location is None or type(reading.location) is Point))
-    _orb_wire._write_str(out, reading.sensor_id)
-    _orb_wire._write_str(out, reading.glob_prefix)
-    _orb_wire._write_str(out, reading.sensor_type)
-    _orb_wire._write_str(out, reading.object_id)
-    _orb_wire._pack_rect(reading.rect, out)
-    out += _orb_wire._F64.pack(_orb_wire._num(reading.detection_time))
-    if reading.location is None:
-        out.append(0)
+        and type(rect) is Rect
+        and (location is None or type(location) is Point))
+    if location is None:
+        flag, x, y, z = 0, 0.0, 0.0, 0.0
     else:
-        out.append(1)
-        _orb_wire._pack_point(reading.location, out)
-    out += _orb_wire._F64.pack(_orb_wire._num(reading.detection_radius))
+        flag, x, y, z = 1, location.x, location.y, location.z
+    min_x, min_y, max_x, max_y = rect.min_x, rect.min_y, rect.max_x, rect.max_y
+    when, radius = reading.detection_time, reading.detection_radius
+    _orb_wire._require(all(map(_exact_finite, (
+        min_x, min_y, max_x, max_y, when, x, y, z, radius))))
+    sensor_id = reading.sensor_id.encode("utf-8")
+    glob_prefix = reading.glob_prefix.encode("utf-8")
+    sensor_type = reading.sensor_type.encode("utf-8")
+    object_id = reading.object_id.encode("utf-8")
+    out += _READING_HEAD.pack(
+        len(sensor_id), len(glob_prefix), len(sensor_type), len(object_id),
+        min_x, min_y, max_x, max_y, when, flag, x, y, z, radius)
+    out += sensor_id
+    out += glob_prefix
+    out += sensor_type
+    out += object_id
 
 
 def _unpack_reading(reader: "_orb_wire._Reader") -> "PipelineReading":
-    sensor_id = reader.str_()
-    glob_prefix = reader.str_()
-    sensor_type = reader.str_()
-    object_id = reader.str_()
-    rect = _orb_wire._unpack_rect(reader)
-    detection_time = reader.f64()
-    location = (_orb_wire._unpack_point(reader)
-                if reader.u8() else None)
-    detection_radius = reader.f64()
+    data, pos = reader.data, reader.pos
+    start = pos + _READING_HEAD.size
+    if start > reader.size:
+        raise OrbError("truncated binary frame")
+    (n_sensor, n_prefix, n_type, n_object, min_x, min_y, max_x, max_y,
+     detection_time, has_location, x, y, z,
+     detection_radius) = _READING_HEAD.unpack_from(data, pos)
+    prefix_at = start + n_sensor
+    type_at = prefix_at + n_prefix
+    object_at = type_at + n_type
+    end = object_at + n_object
+    if end > reader.size:
+        raise OrbError("truncated binary frame")
+    reader.pos = end
     return PipelineReading(
-        sensor_id=sensor_id, glob_prefix=glob_prefix,
-        sensor_type=sensor_type, object_id=object_id, rect=rect,
-        detection_time=detection_time, location=location,
-        detection_radius=detection_radius)
+        data[start:prefix_at].decode("utf-8"),
+        data[prefix_at:type_at].decode("utf-8"),
+        data[type_at:object_at].decode("utf-8"),
+        data[object_at:end].decode("utf-8"),
+        Rect(min_x, min_y, max_x, max_y), detection_time,
+        Point(x, y, z) if has_location else None, detection_radius)
 
 
 _orb_wire.register_packed(_orb_wire.CODE_READING, PipelineReading,
@@ -257,6 +288,56 @@ class IntakeQueue:
             self._version += 1
             self._not_empty.notify_all()
             return dropped
+
+    def put_many(self, readings: Sequence[PipelineReading]
+                 ) -> Tuple[int, int, int]:
+        """Enqueue a batch in order under one lock hold; returns
+        ``(landed, dropped, rejected)``.
+
+        The batch shares one enqueue instant, one change-counter bump
+        and one consumer wake-up.  Overflow is settled per reading, as
+        :meth:`put` settles it: ``drop-oldest`` evicts and counts,
+        ``reject`` skips the reading and counts it (nothing is raised),
+        and ``block`` waits for room mid-batch — publishing what has
+        landed so far, so the consumer can make that room.  A closed
+        intake takes nothing more: ``landed + rejected`` then falls
+        short of ``len(readings)``.
+        """
+        capacity = self.capacity
+        policy = self.policy
+        queues = self._queues
+        landed = dropped = rejected = 0
+        with self._lock:
+            now = self.clock()
+            for reading in readings:
+                if self._closed:
+                    break
+                queue = queues.get(reading.object_id)
+                if queue is None:
+                    queue = queues[reading.object_id] = _ObjectQueue()
+                entries = queue.entries
+                if len(entries) >= capacity:
+                    if policy == OVERFLOW_REJECT:
+                        rejected += 1
+                        continue
+                    if policy == OVERFLOW_DROP_OLDEST:
+                        entries.popleft()
+                        dropped += 1
+                    else:  # block
+                        while len(entries) >= capacity and not self._closed:
+                            self._version += 1
+                            self._not_empty.notify_all()
+                            self._not_full.wait()
+                        if self._closed:
+                            break
+                        now = self.clock()
+                entries.append(QueuedReading(reading, now))
+                landed += 1
+                self.enqueued_total += 1
+            self.dropped_total += dropped
+            self._version += 1
+            self._not_empty.notify_all()
+        return landed, dropped, rejected
 
     def close(self) -> None:
         """Refuse further puts and wake every blocked producer."""

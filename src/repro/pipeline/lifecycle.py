@@ -230,6 +230,45 @@ class LocationPipeline:
             self.stats_recorder.incr("dropped", dropped)
         return True
 
+    def submit_many(self, readings: Sequence[PipelineReading]) -> int:
+        """Accept a batch in order; returns how many the intake took.
+
+        The bulk form of :meth:`submit` for remote feeds (a shard's
+        ``submit_batch``): every item is validated outside the intake
+        lock, malformed ones are dead-lettered with the reasons
+        :meth:`submit` gives, and the rest enter the intake under one
+        lock hold (:meth:`IntakeQueue.put_many`), sharing one enqueue
+        instant.  Under ``reject`` a full queue's readings are counted
+        in ``rejected`` and left out of the return value instead of
+        raising.  Raises :class:`~repro.errors.PipelineError` when the
+        intake closes before the batch is in.
+        """
+        valid: List[PipelineReading] = []
+        letters: List[Tuple[PipelineReading, str]] = []
+        for reading in readings:
+            reason = self._validate(reading)
+            if reason is None:
+                valid.append(reading)
+            else:
+                letters.append((reading, reason))
+        landed, dropped, rejected = self.intake.put_many(valid)
+        recorder = self.stats_recorder
+        if letters:
+            now = self.clock()
+            for reading, reason in letters:
+                self.dead_letters.add(reading, reason, now)
+            recorder.incr("dead_lettered", len(letters))
+        # Letters count as enqueued so totals reconcile, as in submit().
+        if landed or letters:
+            recorder.incr("enqueued", landed + len(letters))
+        if dropped:
+            recorder.incr("dropped", dropped)
+        if rejected:
+            recorder.incr("rejected", rejected)
+        if landed + rejected < len(valid):
+            raise PipelineError("intake is closed")
+        return landed
+
     def _validate(self, reading: PipelineReading) -> Optional[str]:
         """A refusal reason, or ``None`` for a well-formed reading."""
         if not isinstance(reading, PipelineReading):

@@ -25,6 +25,7 @@ Two ingest paths mirror the single-process engine's two:
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -75,7 +76,10 @@ class _ShardSender(threading.Thread):
     :data:`MAX_RPC_READINGS`) and ships it in one synchronous
     ``submit_batch``, so a backlog costs one round-trip.  One RPC is
     in flight per sender.  Queue depth, peak and the RPC count are
-    exported through :meth:`snapshot` into ``ShardRouter.stats()``.
+    exported through :meth:`snapshot` into ``ShardRouter.stats()``;
+    the sender also counts the readings submitted to it, so a router
+    submit takes this one lock.  Whenever the sender goes idle (queue
+    empty, nothing in flight) it wakes the router's drain.
     """
 
     def __init__(self, router: "ShardRouter", index: int) -> None:
@@ -89,13 +93,18 @@ class _ShardSender(threading.Thread):
         self.inflight = 0
         self.queue_peak = 0
         self.batches = 0
+        self.submitted = 0
 
     def put(self, reading: PipelineReading) -> None:
         with self.lock:
-            self.queue.append(reading)
-            if len(self.queue) > self.queue_peak:
-                self.queue_peak = len(self.queue)
-            self.wakeup.notify()
+            queue = self.queue
+            queue.append(reading)
+            self.submitted += 1
+            depth = len(queue)
+            if depth > self.queue_peak:
+                self.queue_peak = depth
+            if depth == 1:  # the sender only ever waits on an empty queue
+                self.wakeup.notify()
 
     def pending(self) -> int:
         """Queued plus in-flight — a reading is pending until its
@@ -110,6 +119,7 @@ class _ShardSender(threading.Thread):
                 "queue_depth": len(self.queue) + self.inflight,
                 "queue_peak": self.queue_peak,
                 "batches": self.batches,
+                "submitted": self.submitted,
             }
 
     def close(self) -> None:
@@ -131,6 +141,9 @@ class _ShardSender(threading.Thread):
             with self.lock:
                 self.inflight = 0
                 self.batches += 1
+                idle = not self.queue
+            if idle:
+                self.router._notify_idle()
 
 
 class ShardRouter:
@@ -163,10 +176,11 @@ class ShardRouter:
         self.relations = SpatialRelations(world, self.navigation)
         self._senders = [_ShardSender(self, i)
                          for i in range(self.num_shards)]
+        # Notified by each sender as it goes idle; drain waits on it.
+        self._idle = threading.Condition()
         for sender in self._senders:
             sender.start()
         self._stats_lock = threading.Lock()
-        self.submitted = 0
         self.forwarded = 0
         self.router_dead_lettered = 0
         self.fanout_queries = 0
@@ -258,9 +272,12 @@ class ShardRouter:
         if self._closed:
             return False
         shard = self.shard_of(reading.object_id, reading.glob_prefix)
-        self._count("submitted")
         self._senders[shard].put(reading)
         return True
+
+    def _notify_idle(self) -> None:
+        with self._idle:
+            self._idle.notify_all()
 
     def _flush_batch(self, index: int,
                      batch: List[PipelineReading]) -> None:
@@ -279,12 +296,16 @@ class ShardRouter:
 
     def drain(self, timeout: float = 30.0) -> bool:
         """Flush sender queues, then drain every live shard pipeline."""
-        import time
         deadline = time.monotonic() + timeout
-        while any(s.pending() for s in self._senders):
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.002)
+        # A sender takes its own lock and then _idle to notify, never
+        # both at once, so checking pending() under _idle cannot miss
+        # the last sender going idle.
+        with self._idle:
+            while any(s.pending() for s in self._senders):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0.0:
+                    return False
+                self._idle.wait(remaining)
         # Pipelined like _fan_out: every shard drains concurrently, so
         # the wall cost is the slowest shard, not the per-shard sum —
         # with many shards on few cores the serial version paid one
@@ -648,12 +669,15 @@ class ShardRouter:
                 else:
                     fleet[key] += pipeline[key]
         with self._stats_lock:
+            # One snapshot per sender: its submitted and pending counts
+            # are read under the same lock hold.
+            senders = [s.snapshot() for s in self._senders]
             router = {
                 "shards": self.num_shards,
-                "submitted": self.submitted,
+                "submitted": sum(s["submitted"] for s in senders),
                 "forwarded": self.forwarded,
                 "router_dead_lettered": self.router_dead_lettered,
-                "pending": sum(s.pending() for s in self._senders),
+                "pending": sum(s["queue_depth"] for s in senders),
                 "fanout_queries": self.fanout_queries,
                 "targeted_queries": self.targeted_queries,
                 "errors": list(self.last_errors),
@@ -661,7 +685,7 @@ class ShardRouter:
         transport = self.orb.transport_stats()
         router["multiplexed_inflight_max"] = \
             transport["multiplexed_inflight_max"]
-        router["senders"] = [s.snapshot() for s in self._senders]
+        router["senders"] = senders
         router.update(self.partitioner.stats())
         if self.semantic is not None:
             router["semantic"] = self.semantic.stats()

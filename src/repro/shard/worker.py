@@ -180,23 +180,16 @@ class ShardServant:
             fire_triggers=True)
 
     def submit_batch(self, readings: List[Any]) -> int:
-        """Asynchronous ingest through the shard's pipeline.
+        """Asynchronous ingest through the shard's pipeline, in bulk.
 
-        Items go straight to the pipeline, which dead-letters anything
-        that is not a well-formed :class:`PipelineReading` (a field
-        dict included) with a reason.  Returns how many readings the
-        intake accepted; refused/dead-lettered ones are visible in
+        The batch enters the intake under one lock hold
+        (:meth:`LocationPipeline.submit_many`), which dead-letters
+        anything that is not a well-formed :class:`PipelineReading` (a
+        field dict included) with a reason.  Returns how many readings
+        the intake accepted; refused/dead-lettered ones are visible in
         :meth:`stats`.
         """
-        from repro.errors import IntakeOverflowError
-        accepted = 0
-        for reading in readings:
-            try:
-                if self.pipeline.submit(reading):
-                    accepted += 1
-            except IntakeOverflowError:
-                continue  # counted in the shard's ``rejected`` stat
-        return accepted
+        return self.pipeline.submit_many(readings)
 
     def drain(self, timeout: float = 30.0) -> bool:
         return self.pipeline.drain(timeout)

@@ -333,3 +333,67 @@ class TestOddlyTypedValuesRejected:
             echo_proxy.echo(value)
         # The failed call leaves the proxy usable.
         assert echo_proxy.echo(3) == 3
+
+
+# ----------------------------------------------------------------------
+# The reading's packed layout
+# ----------------------------------------------------------------------
+
+
+def _plain_reading(**fields):
+    base = dict(sensor_id="Ubi-1", glob_prefix="SC/3",
+                sensor_type="Ubisense", object_id="alice",
+                rect=Rect(1.0, 2.0, 3.0, 4.0), detection_time=5.0,
+                location=Point(1.5, 2.5, 0.0), detection_radius=0.25)
+    base.update(fields)
+    return PipelineReading(**base)
+
+
+# Ids beyond ASCII: multi-byte UTF-8 and astral-plane characters.
+wide_ids = st.text(alphabet=st.sampled_from("aZ9-/ éß語🙂"), max_size=12)
+
+
+class TestReadingCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(sensor_id=wide_ids, glob_prefix=wide_ids, sensor_type=wide_ids,
+           object_id=wide_ids, rect=rects(), detection_time=coord,
+           location=st.one_of(st.none(), points),
+           detection_radius=st.floats(min_value=0.0, max_value=100.0))
+    def test_round_trip(self, **fields):
+        value = PipelineReading(**fields)
+        assert binary_roundtrip(value) == value
+        assert binary_roundtrip([value, value]) == [value, value]
+
+    @pytest.mark.parametrize("location", [None, Point(1.5, 2.5, 0.0)],
+                             ids=["no-location", "location"])
+    def test_every_truncation_raises_orb_error(self, location):
+        payload = wire.dumps(_plain_reading(object_id="zoë",
+                                            location=location))
+        assert payload[0] == wire.CODE_READING
+        for cut in range(len(payload)):
+            with pytest.raises(OrbError):
+                wire.loads(payload[:cut])
+
+    def test_location_flag_and_zeros_when_absent(self):
+        with_location = wire.dumps(_plain_reading())
+        without = wire.dumps(_plain_reading(location=None))
+        assert len(with_location) == len(without)
+        assert wire.loads(without).location is None
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"detection_time": math.nan}, {"detection_radius": math.inf},
+     {"rect": Rect(0.0, 0.0, 1.0, math.inf)},
+     {"location": Point(math.nan, 0.0, 0.0)},
+     {"detection_time": True}, {"rect": Rect(0, 0, True, 1)},
+     {"detection_radius": _MyInt(3)}, {"location": Point(_MyInt(1), 0, 0)},
+     {"object_id": "a\udc80b"}, {"sensor_id": "\ud800"}],
+    ids=["nan-time", "inf-radius", "inf-rect", "nan-location",
+         "bool-time", "bool-rect", "int-subclass-radius",
+         "int-subclass-location", "lone-surrogate-object",
+         "lone-surrogate-sensor"])
+def test_oddly_typed_reading_refused_in_the_sender(echo_proxy, fields):
+    with pytest.raises(OrbError):
+        echo_proxy.echo([_plain_reading(**fields)])
+    assert echo_proxy.echo(_plain_reading()) == _plain_reading()

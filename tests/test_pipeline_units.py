@@ -111,6 +111,101 @@ class TestIntakeQueue:
             IntakeQueue(policy="explode")
 
 
+class TestBulkIntake:
+    """``put_many``: a whole batch under one lock hold, with overflow
+    settled per reading exactly as ``put`` settles it."""
+
+    def test_per_object_fifo_one_instant_one_version(self):
+        clock = FakeClock(5.0)
+        intake = IntakeQueue(capacity=10, clock=clock)
+        batch = [reading("alice", 0.0), reading("bob", 0.5),
+                 reading("alice", 1.0), reading("bob", 1.5),
+                 reading("alice", 2.0)]
+        before = intake.version()
+        assert intake.put_many(batch) == (5, 0, 0)
+        assert intake.version() == before + 1
+        alice = intake.take("alice", limit=10)
+        bob = intake.take("bob", limit=10)
+        assert [q.reading.detection_time for q in alice] == [0.0, 1.0, 2.0]
+        assert [q.reading.detection_time for q in bob] == [0.5, 1.5]
+        assert {q.enqueued_at for q in alice + bob} == {5.0}
+
+    def test_block_waits_mid_batch_and_lands_every_reading(self):
+        intake = IntakeQueue(capacity=2, policy=OVERFLOW_BLOCK)
+        batch = [reading("alice", float(i)) for i in range(7)]
+        result = []
+        producer = threading.Thread(
+            target=lambda: result.append(intake.put_many(batch)))
+        producer.start()
+        taken = []
+        deadline = time.monotonic() + 10.0
+        while len(taken) < len(batch):
+            assert time.monotonic() < deadline, "producer never woke"
+            # The producer publishes what landed before it waits, so
+            # the consumer can always make room.
+            taken.extend(intake.take("alice", limit=1))
+            time.sleep(0.001)
+        producer.join(10.0)
+        assert not producer.is_alive()
+        assert result == [(7, 0, 0)]
+        assert [q.reading for q in taken] == batch
+
+    def test_drop_oldest_counts_every_eviction(self):
+        intake = IntakeQueue(capacity=2, policy=OVERFLOW_DROP_OLDEST)
+        intake.put(reading("alice", -1.0))
+        batch = [reading("alice", float(i)) for i in range(5)]
+        batch.append(reading("bob", 9.0))
+        assert intake.put_many(batch) == (6, 4, 0)
+        assert intake.dropped_total == 4
+        taken = intake.take("alice", limit=10)
+        assert [q.reading.detection_time for q in taken] == [3.0, 4.0]
+
+    def test_reject_skips_and_counts_refusals(self):
+        intake = IntakeQueue(capacity=2, policy=OVERFLOW_REJECT)
+        batch = [reading("alice", float(i)) for i in range(5)]
+        batch.append(reading("bob", 9.0))
+        assert intake.put_many(batch) == (3, 0, 3)
+        taken = intake.take("alice", limit=10)
+        assert [q.reading.detection_time for q in taken] == [0.0, 1.0]
+        assert intake.total_pending() == 1  # bob's
+
+    def test_concurrent_bulk_producers_land_everything_in_order(self):
+        intake = IntakeQueue(capacity=8, policy=OVERFLOW_BLOCK)
+        batches = {k: [reading(f"p{k % 2}", k * 1000.0 + i)
+                       for i in range(50)] for k in range(4)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            producers = [threading.Thread(target=intake.put_many,
+                                          args=(batch,))
+                         for batch in batches.values()]
+            for thread in producers:
+                thread.start()
+            taken = []
+            deadline = time.monotonic() + 30.0
+            while len(taken) < 200:
+                assert time.monotonic() < deadline, "intake stalled"
+                for object_id in ("p0", "p1"):
+                    taken.extend(intake.take(object_id, limit=3))
+            for thread in producers:
+                thread.join(10.0)
+            assert not any(thread.is_alive() for thread in producers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert intake.enqueued_total == 200
+        for k, batch in batches.items():
+            mine = [q.reading for q in taken
+                    if k * 1000.0 <= q.reading.detection_time
+                    < (k + 1) * 1000.0]
+            assert mine == batch  # each batch stays in order
+
+    def test_closed_intake_takes_nothing(self):
+        intake = IntakeQueue(capacity=4)
+        intake.close()
+        assert intake.put_many([reading(), reading("bob")]) == (0, 0, 0)
+        assert intake.total_pending() == 0
+
+
 class TestDeadLetterQueue:
     def test_eviction_keeps_total_exact(self):
         dlq = DeadLetterQueue(capacity=3)
@@ -511,6 +606,50 @@ class TestFusionThread:
             pipeline.stop()
         assert fused == [80 * (burst + 1) for burst in range(10)]
         assert pipeline.stats().reconciles()
+
+    def test_submit_many_dead_letters_with_reasons_and_reconciles(self):
+        _, pipeline, good = self._rig()
+        batch = [
+            good,
+            dataclasses.replace(good, sensor_id="Ghost-9"),
+            {"sensor_id": "Ubi-1", "object_id": "alice"},
+            dataclasses.replace(good, object_id=""),
+            dataclasses.replace(good, detection_time=2.0),
+        ]
+        assert pipeline.submit_many(batch) == 2
+        assert [letter.reason for letter in pipeline.dead_letters.items()] \
+            == ["unknown sensor 'Ghost-9'", "not a PipelineReading: dict",
+                "missing mobile object id"]
+        pipeline.start()
+        try:
+            assert pipeline.drain(timeout=10.0)
+        finally:
+            pipeline.stop()
+        stats = pipeline.stats()
+        assert stats.enqueued == 5
+        assert stats.fused == 2
+        assert stats.dead_lettered == 3
+        assert stats.enqueued == (stats.fused + stats.dropped
+                                  + stats.dead_lettered)
+
+    def test_submit_many_reject_returns_only_accepted(self):
+        from repro.pipeline import LocationPipeline, PipelineConfig
+
+        service, _, good = self._rig()
+        pipeline = LocationPipeline(service, PipelineConfig(
+            queue_capacity=2, overflow_policy=OVERFLOW_REJECT))
+        batch = [dataclasses.replace(good, detection_time=1.0 + i)
+                 for i in range(5)]
+        assert pipeline.submit_many(batch) == 2
+        stats = pipeline.stats()
+        assert (stats.enqueued, stats.rejected) == (2, 3)
+
+    def test_submit_many_raises_once_the_intake_is_closed(self):
+        _, pipeline, good = self._rig()
+        pipeline.intake.close()
+        with pytest.raises(PipelineError):
+            pipeline.submit_many([good])
+        assert pipeline.stats().enqueued == 0
 
     def test_processor_exception_recorded_and_loop_continues(self):
         _, pipeline, good = self._rig()

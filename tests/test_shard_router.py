@@ -9,7 +9,9 @@ only by ``MAX_RPC_READINGS``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
 import threading
 import time
 from typing import List
@@ -29,7 +31,7 @@ from repro.sim import Scenario, siebel_floor
 class RecordingShard:
     """Records every batch; optionally blocks the first call."""
 
-    ORB_EXPOSED = ("submit_batch",)
+    ORB_EXPOSED = ("submit_batch", "drain")
 
     def __init__(self, hold_first: bool = False) -> None:
         self.batches: List[List[PipelineReading]] = []
@@ -44,12 +46,42 @@ class RecordingShard:
         assert self.release.wait(10.0)
         return len(readings)
 
+    def drain(self, timeout=30.0):
+        return True
+
 
 def _reading(step: int) -> PipelineReading:
     return PipelineReading(
         sensor_id="Ubi-1", glob_prefix="SC/3", sensor_type="Ubisense",
         object_id="alice", rect=Rect(1.0, 1.0, 2.0, 2.0),
         detection_time=float(step))
+
+
+class CountingShard:
+    """Books every reading as fused: enough shard for the router's
+    drain and reconciliation to run against."""
+
+    ORB_EXPOSED = ("submit_batch", "drain", "stats")
+
+    def __init__(self) -> None:
+        self.received = 0
+        self.lock = threading.Lock()
+
+    def submit_batch(self, readings):
+        with self.lock:
+            self.received += len(readings)
+        return len(readings)
+
+    def drain(self, timeout=30.0):
+        return True
+
+    def stats(self):
+        with self.lock:
+            count = self.received
+        pipeline = {"enqueued": count, "fused": count, "dropped": 0,
+                    "dead_lettered": 0, "rejected": 0, "batches": 0,
+                    "notifications": 0, "fusion_cache_hits": 0}
+        return {"pipeline": pipeline, "readings": count}
 
 
 def _router(servant) -> ShardRouter:
@@ -117,6 +149,64 @@ class TestWorkConservingSender:
         assert len(wire.dumps(request)) < _MAX_FRAME // 16
 
 
+class TestRouterSubmit:
+    def test_concurrent_submits_are_all_counted(self):
+        servant = CountingShard()
+        router = _router(servant)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def produce(k):
+                for step in range(2000):
+                    router.submit(dataclasses.replace(
+                        _reading(step), object_id=f"p{k}"))
+
+            producers = [threading.Thread(target=produce, args=(k,))
+                         for k in range(4)]
+            for thread in producers:
+                thread.start()
+            for thread in producers:
+                thread.join(30.0)
+            assert not any(thread.is_alive() for thread in producers)
+            assert router.drain(30.0)
+            assert router.stats()["router"]["submitted"] == 8000
+            assert router.reconciles()
+            assert servant.received == 8000
+        finally:
+            sys.setswitchinterval(interval)
+            router.close()
+
+    def test_drain_waits_without_polling(self, monkeypatch):
+        def no_sleep(seconds):
+            raise AssertionError("drain polled with time.sleep")
+
+        servant = RecordingShard(hold_first=True)
+        router = _router(servant)
+        try:
+            router.submit(_reading(0))
+            assert servant.entered.wait(10.0)
+            for step in range(1, 51):
+                router.submit(_reading(step))
+            monkeypatch.setattr(router_module.time, "sleep", no_sleep)
+            threading.Timer(0.05, servant.release.set).start()
+            assert router.drain(30.0)
+            assert [len(b) for b in servant.batches] == [1, 50]
+        finally:
+            servant.release.set()
+            router.close()
+
+    def test_timed_out_drain_returns_false(self):
+        servant = RecordingShard(hold_first=True)
+        router = _router(servant)
+        try:
+            router.submit(_reading(0))
+            assert servant.entered.wait(10.0)
+            assert router.drain(0.05) is False
+        finally:
+            servant.release.set()
+            router.close()
+
+
 class TestBatchSizeKnobIsGone:
     def test_cluster_rejects_batch_size_before_spawning(self, monkeypatch):
         def no_launch(self, index, config):
@@ -157,5 +247,51 @@ class TestServantIntake:
             assert proxy.check_invariants() == []
             letter = servant.pipeline.dead_letters.items()[0]
             assert "not a PipelineReading" in letter.reason
+        finally:
+            servant._teardown()
+
+    def _servant(self, **pipeline):
+        from repro.sensors import UbisenseAdapter
+
+        config = {"world_json": world_to_json(siebel_floor())}
+        if pipeline:
+            config["pipeline"] = pipeline
+        servant = ShardServant(config)
+        UbisenseAdapter("Ubi-1", "SC/3", frame="").attach(servant.db)
+        return servant
+
+    def test_one_intake_put_per_submit_batch(self):
+        # Structural guard: a per-reading put loop would move the
+        # intake's change counter once per reading.
+        servant = self._servant()
+        orb = Orb("servant-test")
+        proxy = orb.resolve(orb.register("shard", servant))
+        try:
+            batch = [dataclasses.replace(_reading(step),
+                                         object_id=f"p{step % 5}")
+                     for step in range(40)]
+            before = servant.pipeline.intake.version()
+            assert proxy.submit_batch(batch) == 40
+            assert servant.pipeline.intake.version() == before + 1
+            assert proxy.drain(10.0)
+            pipeline = proxy.stats()["pipeline"]
+            assert pipeline["enqueued"] == pipeline["fused"] == 40
+        finally:
+            servant._teardown()
+
+    def test_reject_refusals_counted_and_left_out_of_the_return(self):
+        servant = self._servant(queue_capacity=2, overflow_policy="reject")
+        orb = Orb("servant-test")
+        proxy = orb.resolve(orb.register("shard", servant))
+        try:
+            batch = [_reading(step) for step in range(5)]
+            assert proxy.submit_batch(batch) == 2
+            assert proxy.drain(10.0)
+            pipeline = proxy.stats()["pipeline"]
+            assert pipeline["rejected"] == 3
+            assert pipeline["enqueued"] == 2
+            assert pipeline["enqueued"] == (pipeline["fused"]
+                                            + pipeline["dropped"]
+                                            + pipeline["dead_lettered"])
         finally:
             servant._teardown()
