@@ -30,11 +30,11 @@ import time
 import pytest
 
 from _support import write_result
+from repro.core import Reading
 from repro.geometry import Point, Rect
 from repro.oracles import orb_json
 from repro.orb import Orb, wire
 from repro.orb.transport import TcpTransport
-from repro.pipeline import PipelineReading
 from repro.sensors import UbisenseAdapter
 from repro.service import LocationService, publish_service
 from repro.sim import SimClock, siebel_floor
@@ -194,7 +194,7 @@ def _submit_batch_request():
     """A shard ingest frame: one ``submit_batch`` of fleet-shaped
     readings, half of them carrying a point location."""
     readings = [
-        PipelineReading(
+        Reading(
             sensor_id=f"Ubi-{i % 7}", glob_prefix="SC/3",
             sensor_type="Ubisense", object_id=f"person-{i % 60}",
             rect=Rect(i * 0.1, 1.0, i * 0.1 + 2.0, 3.0),

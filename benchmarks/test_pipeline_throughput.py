@@ -17,11 +17,11 @@ import time
 from typing import List
 
 from _support import write_result
+from repro.core import Reading
 from repro.geometry import Point, Rect
 from repro.pipeline import (
     LocationPipeline,
     PipelineConfig,
-    PipelineReading,
     PipelineStats,
 )
 from repro.sensors import UbisenseAdapter
@@ -34,7 +34,7 @@ OBJECTS = 10
 PER_OBJECT = 100
 
 
-def _readings() -> List[PipelineReading]:
+def _readings() -> List[Reading]:
     """The workload: 10 objects x 100 readings inside room 3105."""
     world = siebel_floor()
     room = world.canonical_mbr("SC/3/3105")
@@ -42,7 +42,7 @@ def _readings() -> List[PipelineReading]:
     for i in range(PER_OBJECT):
         for obj in range(OBJECTS):
             center = Point(room.center.x + obj * 0.1, room.center.y)
-            out.append(PipelineReading(
+            out.append(Reading(
                 sensor_id="Ubi-1", glob_prefix="SC/3",
                 sensor_type="ubisense", object_id=f"person-{obj}",
                 rect=Rect.from_center(center, 1.0),

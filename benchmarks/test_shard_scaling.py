@@ -28,9 +28,8 @@ from typing import Dict, List
 
 
 from _support import write_result
-from repro.core import SensorSpec
+from repro.core import Reading, SensorSpec
 from repro.geometry import Rect
-from repro.pipeline import PipelineReading
 from repro.shard import ShardCluster
 from repro.sim import siebel_floor
 
@@ -67,7 +66,7 @@ def _object_rects() -> Dict[str, List[Rect]]:
     return rects
 
 
-def _stream() -> List[PipelineReading]:
+def _stream() -> List[Reading]:
     """ROUNDS re-sightings of every object at identical rectangles.
 
     Identical rects mean ``moving`` stays False and (with the hour
@@ -78,11 +77,11 @@ def _stream() -> List[PipelineReading]:
     independent sensor feeds each sweep the floor.
     """
     rects = _object_rects()
-    out: List[PipelineReading] = []
+    out: List[Reading] = []
     for round_no in range(ROUNDS):
         for sensor_index in range(SENSOR_COUNT):
             for object_id, object_rects in rects.items():
-                out.append(PipelineReading(
+                out.append(Reading(
                     sensor_id=SENSOR_IDS[sensor_index],
                     glob_prefix="SC/3", sensor_type=_SPEC.sensor_type,
                     object_id=object_id,
@@ -91,7 +90,7 @@ def _stream() -> List[PipelineReading]:
     return out
 
 
-def _run(num_shards: int, stream: List[PipelineReading]) -> tuple:
+def _run(num_shards: int, stream: List[Reading]) -> tuple:
     """One configuration; returns (seconds, fleet stats)."""
     cluster = ShardCluster(num_shards, world=siebel_floor())
     try:
@@ -112,7 +111,7 @@ def _run(num_shards: int, stream: List[PipelineReading]) -> tuple:
         cluster.shutdown()
 
 
-def _row(num_shards: int, stream: List[PipelineReading]) -> dict:
+def _row(num_shards: int, stream: List[Reading]) -> dict:
     # Best-of-two per configuration, like the smoke gate: one bad
     # scheduler moment should not misprice a whole row.
     elapsed, fleet = min((_run(num_shards, stream) for _ in range(2)),

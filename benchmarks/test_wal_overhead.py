@@ -26,8 +26,9 @@ from typing import List, Optional, Tuple
 import pytest
 
 from _support import write_result
+from repro.core import Reading
 from repro.geometry import Point, Rect
-from repro.pipeline import LocationPipeline, PipelineConfig, PipelineReading
+from repro.pipeline import LocationPipeline, PipelineConfig
 from repro.sensors import UbisenseAdapter
 from repro.service import LocationService
 from repro.sim import siebel_floor
@@ -40,7 +41,7 @@ PER_OBJECT = 100
 ROUNDS = 3  # min-of-N to shave scheduler noise off the gate
 
 
-def _readings() -> List[PipelineReading]:
+def _readings() -> List[Reading]:
     """The pipeline-throughput workload: 10 objects x 100 readings."""
     world = siebel_floor()
     room = world.canonical_mbr("SC/3/3105")
@@ -48,7 +49,7 @@ def _readings() -> List[PipelineReading]:
     for i in range(PER_OBJECT):
         for obj in range(OBJECTS):
             center = Point(room.center.x + obj * 0.1, room.center.y)
-            out.append(PipelineReading(
+            out.append(Reading(
                 sensor_id="Ubi-1", glob_prefix="SC/3",
                 sensor_type="ubisense", object_id=f"person-{obj}",
                 rect=Rect.from_center(center, 1.0),

@@ -52,6 +52,7 @@ from repro.core import (
     LocationEstimate,
     ProbabilityBucket,
     ProbabilityClassifier,
+    Reading,
     SensorSpec,
 )
 from repro.faults import FaultPlan, FaultReport
@@ -61,7 +62,6 @@ from repro.orb import NamingService, Orb
 from repro.pipeline import (
     LocationPipeline,
     PipelineConfig,
-    PipelineReading,
     PipelineStats,
 )
 from repro.service import (
@@ -96,13 +96,13 @@ __all__ = [
     "NamingService",
     "Orb",
     "PipelineConfig",
-    "PipelineReading",
     "PipelineStats",
     "Point",
     "Polygon",
     "PrivacyPolicy",
     "ProbabilityBucket",
     "ProbabilityClassifier",
+    "Reading",
     "Rect",
     "Scenario",
     "Segment",

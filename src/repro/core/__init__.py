@@ -55,6 +55,7 @@ from repro.core.pairwise import (
 )
 from repro.core.reading import (
     NormalizedReading,
+    Reading,
     reading_from_coordinate,
     reading_from_region,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "NormalizedReading",
     "ProbabilityBucket",
     "ProbabilityClassifier",
+    "Reading",
     "RegionLattice",
     "SensorSpec",
     "StepTDF",

@@ -1,4 +1,4 @@
-"""Normalized sensor readings — the fusion engine's input.
+"""Sensor readings: the adapters' common record and the fusion input.
 
 "The first step in our algorithm is to get all the sensor data in a
 common format.  All locations are converted to a common coordinate
@@ -6,6 +6,10 @@ format (such as the building's) and are expressed as minimum bounding
 rectangles" (Section 4.1.2).  A :class:`NormalizedReading` is exactly
 that: one sensor's claim that a mobile object is inside a canonical-
 frame rectangle at a given time, plus the spec needed to weigh it.
+
+A :class:`Reading` is what an adapter emits in that format: the same
+record travels the ingestion pipeline, the ORB wire, the write-ahead
+log and :meth:`~repro.spatialdb.SpatialDatabase.insert_readings`.
 """
 
 from __future__ import annotations
@@ -16,6 +20,25 @@ from typing import Optional, Tuple
 from repro.core.sensorspec import SensorSpec
 from repro.errors import SensorError
 from repro.geometry import Point, Rect
+
+
+@dataclass(frozen=True)
+class Reading:
+    """One adapter emission: the spatial database's ``insert_reading``
+    arguments, in their order.
+
+    The wire codec (:mod:`repro.orb.wire`) packs it, and a write-ahead
+    log insert record carries the same packed bytes.
+    """
+
+    sensor_id: str
+    glob_prefix: str
+    sensor_type: str
+    object_id: str
+    rect: Rect
+    detection_time: float
+    location: Optional[Point] = None
+    detection_radius: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -30,13 +30,13 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.reading import Reading
 from repro.errors import (
     FaultInjectionError,
     SensorError,
     SimulatedCrash,
     TransportError,
 )
-from repro.pipeline.intake import PipelineReading
 
 # Injector kinds: where in the sensing→fusion→notify path a fault bites.
 KIND_SINK = "sink"            # adapter → pipeline submission boundary
@@ -85,7 +85,7 @@ class Scope:
             object_ids=frozenset(objects) if objects is not None else None,
             start=start, end=end)
 
-    def matches(self, reading: PipelineReading) -> bool:
+    def matches(self, reading: Reading) -> bool:
         if (self.sensor_ids is not None
                 and reading.sensor_id not in self.sensor_ids):
             return False
@@ -95,7 +95,7 @@ class Scope:
         return self.start <= reading.detection_time < self.end
 
 
-def _reading_key(reading: PipelineReading) -> Tuple[str, str, float]:
+def _reading_key(reading: Reading) -> Tuple[str, str, float]:
     return (reading.sensor_id, reading.object_id, reading.detection_time)
 
 
@@ -137,15 +137,15 @@ class SinkInjector(FaultInjector):
 
     KIND = KIND_SINK
 
-    def transform(self, readings: List[PipelineReading],
-                  now: float) -> List[PipelineReading]:
+    def transform(self, readings: List[Reading],
+                  now: float) -> List[Reading]:
         raise NotImplementedError
 
-    def release(self, now: float) -> List[PipelineReading]:
+    def release(self, now: float) -> List[Reading]:
         """Readings whose hold expired at ``now`` (delay/reorder)."""
         return []
 
-    def drain(self, now: float) -> List[PipelineReading]:
+    def drain(self, now: float) -> List[Reading]:
         """Every held reading, regardless of timers (pre-drain flush)."""
         return []
 
@@ -203,7 +203,7 @@ class DelayInjector(SinkInjector):
         if delay < 0.0:
             raise FaultInjectionError("delay must be >= 0")
         self.delay = delay
-        self._held: List[Tuple[float, int, PipelineReading]] = []
+        self._held: List[Tuple[float, int, Reading]] = []
         self._seq = 0
 
     def transform(self, readings, now):
@@ -240,9 +240,9 @@ class ReorderInjector(SinkInjector):
         if window < 2:
             raise FaultInjectionError("reorder window must be >= 2")
         self.window = window
-        self._buffer: List[PipelineReading] = []
+        self._buffer: List[Reading] = []
 
-    def _permuted(self) -> List[PipelineReading]:
+    def _permuted(self) -> List[Reading]:
         order = self.rng.sample(range(len(self._buffer)),
                                 len(self._buffer))
         out = [self._buffer[i] for i in order]
@@ -378,7 +378,7 @@ class FlushFaultInjector(FaultInjector):
         self.seed = seed
         self.rate = _check_rate(rate)
 
-    def __call__(self, reading: PipelineReading, attempt: int) -> None:
+    def __call__(self, reading: Reading, attempt: int) -> None:
         if not self.scope.matches(reading):
             return
         fraction = stable_fraction(self.seed, self.name,

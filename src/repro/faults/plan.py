@@ -29,6 +29,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.reading import Reading
 from repro.errors import FaultInjectionError
 from repro.faults.injectors import (
     KIND_FLUSH,
@@ -48,7 +49,6 @@ from repro.faults.injectors import (
     Scope,
     WalCrashInjector,
 )
-from repro.pipeline.intake import PipelineReading
 from repro.sensors.base import ReadingSink
 
 Clock = Callable[[], float]
@@ -102,7 +102,7 @@ class FaultySink(ReadingSink):
         self.inner = inner
         self._lock = threading.Lock()
 
-    def submit(self, reading: PipelineReading) -> bool:
+    def submit(self, reading: Reading) -> bool:
         with self._lock:
             readings = [reading]
             for injector in self.plan.sink_injectors():
@@ -295,7 +295,7 @@ class FaultPlan:
         """Install the plan's flush injectors into a LocationPipeline."""
         flush = self.flush_injectors()
 
-        def hook(reading: PipelineReading, attempt: int) -> None:
+        def hook(reading: Reading, attempt: int) -> None:
             for injector in flush:
                 injector(reading, attempt)
 

@@ -17,10 +17,10 @@ from typing import Any, Callable, Dict, Tuple
 
 from repro.core.classify import ProbabilityBucket
 from repro.core.estimate import LocationEstimate
+from repro.core.reading import Reading
 from repro.errors import OrbError
 from repro.geometry import Point, Polygon, Rect, Segment
 from repro.model import Glob
-from repro.pipeline.intake import PipelineReading
 
 _TYPE_KEY = "__type__"
 
@@ -170,7 +170,7 @@ register_type(
 )
 
 register_type(
-    "PipelineReading", PipelineReading,
+    "Reading", Reading,
     lambda r: {
         "sensor_id": r.sensor_id,
         "glob_prefix": r.glob_prefix,
@@ -181,7 +181,7 @@ register_type(
         "location": r.location,
         "detection_radius": r.detection_radius,
     },
-    lambda d: PipelineReading(
+    lambda d: Reading(
         sensor_id=d["sensor_id"],
         glob_prefix=d["glob_prefix"],
         sensor_type=d["sensor_type"],

@@ -9,9 +9,14 @@ message on either transport is this struct-packed binary format:
   :class:`~repro.geometry.Rect`, :class:`~repro.geometry.Segment`,
   :class:`~repro.geometry.Polygon`, :class:`~repro.model.Glob`,
   :class:`~repro.core.classify.ProbabilityBucket`,
-  :class:`~repro.core.estimate.LocationEstimate` (and, once
-  :mod:`repro.pipeline` is imported, ``PipelineReading``) — each with
-  a fixed type code and a hand-written ``struct`` body.
+  :class:`~repro.core.estimate.LocationEstimate` and
+  :class:`~repro.core.reading.Reading` — each with a fixed type code
+  and a hand-written ``struct`` body.
+
+A reading's packed bytes are also the body of a write-ahead log insert
+record (:mod:`repro.storage.records`): :func:`pack_reading` and
+:func:`unpack_reading` are the one reading encoding from adapter to
+WAL to wire.
 
 Values the codec cannot pack raise :class:`~repro.errors.OrbError` in
 the sender: unknown types (nothing is pickled), subclasses of the
@@ -31,6 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.classify import ProbabilityBucket
 from repro.core.estimate import LocationEstimate
+from repro.core.reading import Reading
 from repro.errors import OrbError
 from repro.geometry import Point, Polygon, Rect, Segment
 from repro.model import Glob
@@ -67,11 +73,13 @@ _F64 = struct.Struct(">d")
 _F64x3 = struct.Struct(">3d")
 _F64x4 = struct.Struct(">4d")
 _F64x6 = struct.Struct(">6d")
-# LocationEstimate's fixed probability/bucket/time block, packed and
-# unpacked as one struct on the codec hot path.
 # Estimate head: rect (4 doubles) + probability + bucket + time, in
 # one pack — byte-identical to the fields packed one struct at a time.
 _EST_HEAD = struct.Struct(">5dBd")
+# Reading head: the four id strings' UTF-8 byte lengths, the rect, the
+# detection time, a location flag with x/y/z (zeros when there is no
+# location) and the radius; the four strings follow.
+_READING_HEAD = struct.Struct(">4I4ddB3dd")
 
 # Rejected as a dict key, as by the JSON oracle that tags its value
 # types with it, so both codecs accept exactly the same messages.
@@ -394,22 +402,30 @@ _BUCKET_INDEX: Dict[ProbabilityBucket, int] = {
     bucket: index for index, bucket in enumerate(_BUCKETS)}
 
 
+_REFUSED = "cannot serialize a value-type field of that type or value"
+_NUM_TYPES = (float, int)
+
+
 def _require(condition: bool) -> None:
     """Packers guard field types: an oddly-typed instance is refused
     in the sender instead of being coerced onto the wire."""
     if not condition:
-        raise OrbError(
-            "cannot serialize a value-type field of that type or value")
+        raise OrbError(_REFUSED)
 
 
-def _num(value: Any) -> float:
-    _require(isinstance(value, (int, float))
-             and math.isfinite(value))
-    return value
+def _numbers(*values: Any) -> None:
+    """The packers' number guard: each value a plain ``float`` or
+    ``int`` (a bool or any other subclass is refused, not coerced) and
+    finite."""
+    for value in values:
+        if type(value) not in _NUM_TYPES or not math.isfinite(value):
+            raise OrbError(_REFUSED)
 
 
 def _pack_point(point: Point, out: bytearray) -> None:
-    out += _F64x3.pack(_num(point.x), _num(point.y), _num(point.z))
+    x, y, z = point.x, point.y, point.z
+    _numbers(x, y, z)
+    out += _F64x3.pack(x, y, z)
 
 
 def _unpack_point(reader: _Reader) -> Point:
@@ -417,20 +433,10 @@ def _unpack_point(reader: _Reader) -> Point:
     return Point(x, y, z)
 
 
-_NUM_TYPES = (float, int)
-
-
 def _pack_rect(rect: Rect, out: bytearray) -> None:
     a, b, c, d = rect.min_x, rect.min_y, rect.max_x, rect.max_y
-    # Fast path for plain finite numbers; anything odd (bool, numeric
-    # subclasses, non-finite) re-checks field by field.
-    if (type(a) in _NUM_TYPES and type(b) in _NUM_TYPES
-            and type(c) in _NUM_TYPES and type(d) in _NUM_TYPES
-            and math.isfinite(a) and math.isfinite(b)
-            and math.isfinite(c) and math.isfinite(d)):
-        out += _F64x4.pack(a, b, c, d)
-    else:
-        out += _F64x4.pack(_num(a), _num(b), _num(c), _num(d))
+    _numbers(a, b, c, d)
+    out += _F64x4.pack(a, b, c, d)
 
 
 def _unpack_rect(reader: _Reader) -> Rect:
@@ -441,8 +447,9 @@ def _unpack_rect(reader: _Reader) -> Rect:
 def _pack_segment(segment: Segment, out: bytearray) -> None:
     start, end = segment.start, segment.end
     _require(type(start) is Point and type(end) is Point)
-    out += _F64x6.pack(_num(start.x), _num(start.y), _num(start.z),
-                       _num(end.x), _num(end.y), _num(end.z))
+    coords = (start.x, start.y, start.z, end.x, end.y, end.z)
+    _numbers(*coords)
+    out += _F64x6.pack(*coords)
 
 
 def _unpack_segment(reader: _Reader) -> Segment:
@@ -455,7 +462,7 @@ def _pack_polygon(polygon: Polygon, out: bytearray) -> None:
     out += _U32.pack(len(vertices))
     for vertex in vertices:
         _require(type(vertex) is Point)
-        out += _F64x3.pack(_num(vertex.x), _num(vertex.y), _num(vertex.z))
+        _pack_point(vertex, out)
 
 
 def _unpack_polygon(reader: _Reader) -> Polygon:
@@ -494,17 +501,10 @@ def _pack_estimate(estimate: LocationEstimate, out: bytearray) -> None:
     rect = estimate.rect
     a, b, c, d = rect.min_x, rect.min_y, rect.max_x, rect.max_y
     probability, when = estimate.probability, estimate.time
+    posterior = estimate.posterior
+    _numbers(a, b, c, d, probability, when, posterior)
     # One struct pack covers rect + probability + bucket + time; the
     # bytes are identical to packing them separately (">4d" + ">dBd").
-    if not (type(a) in _NUM_TYPES and type(b) in _NUM_TYPES
-            and type(c) in _NUM_TYPES and type(d) in _NUM_TYPES
-            and type(probability) in _NUM_TYPES
-            and type(when) in _NUM_TYPES
-            and math.isfinite(a) and math.isfinite(b)
-            and math.isfinite(c) and math.isfinite(d)
-            and math.isfinite(probability) and math.isfinite(when)):
-        a, b, c, d = _num(a), _num(b), _num(c), _num(d)
-        probability, when = _num(probability), _num(when)
     out += _EST_HEAD.pack(a, b, c, d, probability,
                           _BUCKET_INDEX[estimate.bucket], when)
     sources = estimate.sources
@@ -524,11 +524,7 @@ def _pack_estimate(estimate: LocationEstimate, out: bytearray) -> None:
         data = symbolic.encode("utf-8")
         out += _U32.pack(len(data))
         out += data
-    posterior = estimate.posterior
-    if type(posterior) in _NUM_TYPES and math.isfinite(posterior):
-        out += _F64.pack(posterior)
-    else:
-        out += _F64.pack(_num(posterior))
+    out += _F64.pack(posterior)
 
 
 def _unpack_estimate(reader: _Reader) -> LocationEstimate:
@@ -547,6 +543,74 @@ def _unpack_estimate(reader: _Reader) -> LocationEstimate:
         posterior)
 
 
+def pack_reading(reading: Reading) -> bytes:
+    """A reading's packed body.
+
+    The same bytes are a reading on the wire (after its type code) and
+    the body of its write-ahead log insert record.  Every number must
+    be a plain, finite ``float`` or ``int``; ints pack as doubles.
+    """
+    sensor_id, glob_prefix = reading.sensor_id, reading.glob_prefix
+    sensor_type, object_id = reading.sensor_type, reading.object_id
+    rect, location = reading.rect, reading.location
+    _require(type(sensor_id) is str and type(glob_prefix) is str
+             and type(sensor_type) is str and type(object_id) is str
+             and type(rect) is Rect)
+    if location is None:
+        flag, x, y, z = 0, 0.0, 0.0, 0.0
+    else:
+        _require(type(location) is Point)
+        flag, x, y, z = 1, location.x, location.y, location.z
+    a, b, c, d = rect.min_x, rect.min_y, rect.max_x, rect.max_y
+    when, radius = reading.detection_time, reading.detection_radius
+    # All-float fields, the common case, pass on one chained type test
+    # and one test of their sum, which is finite only if each is.
+    if not (type(a) is type(b) is type(c) is type(d) is type(when)
+            is type(x) is type(y) is type(z) is type(radius) is float
+            and math.isfinite(a + b + c + d + when + x + y + z + radius)):
+        _numbers(a, b, c, d, when, x, y, z, radius)
+    sensor_id, glob_prefix = sensor_id.encode(), glob_prefix.encode()
+    sensor_type, object_id = sensor_type.encode(), object_id.encode()
+    return b"".join((_READING_HEAD.pack(
+        len(sensor_id), len(glob_prefix), len(sensor_type), len(object_id),
+        a, b, c, d, when, flag, x, y, z, radius),
+        sensor_id, glob_prefix, sensor_type, object_id))
+
+
+def unpack_reading(data: bytes, pos: int = 0) -> Tuple[Reading, int]:
+    """The reading packed at ``data[pos:]`` and the offset just past
+    it; raises :class:`~repro.errors.OrbError` when it is cut short."""
+    start = pos + _READING_HEAD.size
+    size = len(data)
+    if start > size:
+        raise OrbError("truncated binary frame")
+    (n_sensor, n_prefix, n_type, n_object, min_x, min_y, max_x, max_y,
+     detection_time, has_location, x, y, z,
+     detection_radius) = _READING_HEAD.unpack_from(data, pos)
+    prefix_at = start + n_sensor
+    type_at = prefix_at + n_prefix
+    object_at = type_at + n_type
+    end = object_at + n_object
+    if end > size:
+        raise OrbError("truncated binary frame")
+    return Reading(
+        data[start:prefix_at].decode("utf-8"),
+        data[prefix_at:type_at].decode("utf-8"),
+        data[type_at:object_at].decode("utf-8"),
+        data[object_at:end].decode("utf-8"),
+        Rect(min_x, min_y, max_x, max_y), detection_time,
+        Point(x, y, z) if has_location else None, detection_radius), end
+
+
+def _pack_reading(reading: Reading, out: bytearray) -> None:
+    out += pack_reading(reading)
+
+
+def _unpack_reading(reader: _Reader) -> Reading:
+    reading, reader.pos = unpack_reading(reader.data, reader.pos)
+    return reading
+
+
 register_packed(CODE_POINT, Point, _pack_point, _unpack_point)
 register_packed(CODE_RECT, Rect, _pack_rect, _unpack_rect)
 register_packed(CODE_SEGMENT, Segment, _pack_segment, _unpack_segment)
@@ -556,3 +620,4 @@ register_packed(CODE_BUCKET, ProbabilityBucket, _pack_bucket,
                 _unpack_bucket)
 register_packed(CODE_ESTIMATE, LocationEstimate, _pack_estimate,
                 _unpack_estimate)
+register_packed(CODE_READING, Reading, _pack_reading, _unpack_reading)

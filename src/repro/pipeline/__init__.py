@@ -15,7 +15,6 @@ from repro.pipeline.intake import (
     DeadLetter,
     DeadLetterQueue,
     IntakeQueue,
-    PipelineReading,
     QueuedReading,
 )
 from repro.pipeline.lifecycle import LocationPipeline, PipelineConfig
@@ -45,7 +44,6 @@ __all__ = [
     "OVERFLOW_POLICIES",
     "OVERFLOW_REJECT",
     "PipelineConfig",
-    "PipelineReading",
     "PipelineStats",
     "PipelineStatsRecorder",
     "QueuedReading",

@@ -20,16 +20,14 @@ of silently corrupting fusion.
 
 from __future__ import annotations
 
-import math
-import struct
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import IntakeOverflowError, OrbError, PipelineError
-from repro.geometry import Point, Rect
+from repro.core.reading import Reading
+from repro.errors import IntakeOverflowError, PipelineError
 
 Clock = Callable[[], float]
 
@@ -40,108 +38,10 @@ OVERFLOW_POLICIES = (OVERFLOW_BLOCK, OVERFLOW_DROP_OLDEST, OVERFLOW_REJECT)
 
 
 @dataclass(frozen=True)
-class PipelineReading:
-    """One raw adapter emission, not yet in the spatial database.
-
-    Has the attributes of :class:`repro.spatialdb.NewReading` (the
-    arguments of :meth:`~repro.spatialdb.SpatialDatabase.insert_reading`),
-    so the fusion thread hands a drained backlog of them to
-    :meth:`~repro.spatialdb.SpatialDatabase.insert_readings` as is.
-    """
-
-    sensor_id: str
-    glob_prefix: str
-    sensor_type: str
-    object_id: str
-    rect: Rect
-    detection_time: float
-    location: Optional[Point] = None
-    detection_radius: float = 0.0
-
-
-# Readings are the shard fleet's hottest wire type: register a packed
-# ORB codec so `submit_batch` ships PipelineReading objects directly
-# instead of hand-rolled field dicts.  Safe from circular imports —
-# the orb package never imports the pipeline at module level.
-from repro.orb import wire as _orb_wire  # noqa: E402
-
-
-# One fixed header per reading: the four id strings' UTF-8 byte
-# lengths, the rect, the detection time, a location flag with x/y/z
-# (zeros when there is no location) and the radius; the four strings
-# follow.  One pack and one unpack_from per reading.
-_READING_HEAD = struct.Struct(">4I4ddB3dd")
-
-
-def _exact_finite(value: object) -> bool:
-    """A plain ``float`` or ``int`` (no bool or other subclass) that is
-    finite: the only numbers a reading may carry on the wire."""
-    return type(value) in _orb_wire._NUM_TYPES and math.isfinite(value)
-
-
-def _pack_reading(reading: "PipelineReading", out: bytearray) -> None:
-    rect, location = reading.rect, reading.location
-    _orb_wire._require(
-        type(reading.sensor_id) is str
-        and type(reading.glob_prefix) is str
-        and type(reading.sensor_type) is str
-        and type(reading.object_id) is str
-        and type(rect) is Rect
-        and (location is None or type(location) is Point))
-    if location is None:
-        flag, x, y, z = 0, 0.0, 0.0, 0.0
-    else:
-        flag, x, y, z = 1, location.x, location.y, location.z
-    min_x, min_y, max_x, max_y = rect.min_x, rect.min_y, rect.max_x, rect.max_y
-    when, radius = reading.detection_time, reading.detection_radius
-    _orb_wire._require(all(map(_exact_finite, (
-        min_x, min_y, max_x, max_y, when, x, y, z, radius))))
-    sensor_id = reading.sensor_id.encode("utf-8")
-    glob_prefix = reading.glob_prefix.encode("utf-8")
-    sensor_type = reading.sensor_type.encode("utf-8")
-    object_id = reading.object_id.encode("utf-8")
-    out += _READING_HEAD.pack(
-        len(sensor_id), len(glob_prefix), len(sensor_type), len(object_id),
-        min_x, min_y, max_x, max_y, when, flag, x, y, z, radius)
-    out += sensor_id
-    out += glob_prefix
-    out += sensor_type
-    out += object_id
-
-
-def _unpack_reading(reader: "_orb_wire._Reader") -> "PipelineReading":
-    data, pos = reader.data, reader.pos
-    start = pos + _READING_HEAD.size
-    if start > reader.size:
-        raise OrbError("truncated binary frame")
-    (n_sensor, n_prefix, n_type, n_object, min_x, min_y, max_x, max_y,
-     detection_time, has_location, x, y, z,
-     detection_radius) = _READING_HEAD.unpack_from(data, pos)
-    prefix_at = start + n_sensor
-    type_at = prefix_at + n_prefix
-    object_at = type_at + n_type
-    end = object_at + n_object
-    if end > reader.size:
-        raise OrbError("truncated binary frame")
-    reader.pos = end
-    return PipelineReading(
-        data[start:prefix_at].decode("utf-8"),
-        data[prefix_at:type_at].decode("utf-8"),
-        data[type_at:object_at].decode("utf-8"),
-        data[object_at:end].decode("utf-8"),
-        Rect(min_x, min_y, max_x, max_y), detection_time,
-        Point(x, y, z) if has_location else None, detection_radius)
-
-
-_orb_wire.register_packed(_orb_wire.CODE_READING, PipelineReading,
-                          _pack_reading, _unpack_reading)
-
-
-@dataclass(frozen=True)
 class QueuedReading:
     """A reading plus the wall-clock instant it entered the intake."""
 
-    reading: PipelineReading
+    reading: Reading
     enqueued_at: float
 
 
@@ -149,7 +49,7 @@ class QueuedReading:
 class DeadLetter:
     """One reading the pipeline refused, and why."""
 
-    reading: PipelineReading
+    reading: Reading
     reason: str
     time: float
 
@@ -169,7 +69,7 @@ class DeadLetterQueue:
         self._lock = threading.Lock()
         self._total = 0
 
-    def add(self, reading: PipelineReading, reason: str,
+    def add(self, reading: Reading, reason: str,
             time_: float) -> DeadLetter:
         letter = DeadLetter(reading, reason, time_)
         with self._lock:
@@ -243,7 +143,7 @@ class IntakeQueue:
     # Producer side
     # ------------------------------------------------------------------
 
-    def put(self, reading: PipelineReading,
+    def put(self, reading: Reading,
             timeout: Optional[float] = None) -> int:
         """Enqueue one reading; returns the number of evicted readings.
 
@@ -289,7 +189,7 @@ class IntakeQueue:
             self._not_empty.notify_all()
             return dropped
 
-    def put_many(self, readings: Sequence[PipelineReading]
+    def put_many(self, readings: Sequence[Reading]
                  ) -> Tuple[int, int, int]:
         """Enqueue a batch in order under one lock hold; returns
         ``(landed, dropped, rejected)``.

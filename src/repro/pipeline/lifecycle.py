@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from repro.core import SensorSpec
+from repro.core import Reading, SensorSpec
 from repro.errors import IntakeOverflowError, PipelineError
 from repro.geometry import Point, Rect
 from repro.pipeline.batcher import Batch, Batcher
@@ -37,7 +37,6 @@ from repro.pipeline.intake import (
     DeadLetter,
     DeadLetterQueue,
     IntakeQueue,
-    PipelineReading,
     QueuedReading,
 )
 from repro.pipeline.retry import TRANSIENT_ERRORS, RetryPolicy, call_with_retry
@@ -109,6 +108,9 @@ class LocationPipeline:
         self.batcher = Batcher(self.intake, clock=self.clock)
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
+        # Notified by the fusion thread after each batch; drain()
+        # waits on it for the last one.
+        self._idle = threading.Condition()
         # (object_id, repr(exc)) for every batch whose processing
         # raised; the fusion thread records it and keeps going, because
         # one malformed burst must not stall every other object.
@@ -117,7 +119,7 @@ class LocationPipeline:
         # each flush attempt; raising a transient error exercises the
         # retry path (see repro.faults.FaultPlan.attach_pipeline).
         self.flush_fault: Optional[
-            Callable[[PipelineReading, int], None]] = None
+            Callable[[Reading, int], None]] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -146,6 +148,8 @@ class LocationPipeline:
                 self.errors.append((batch.object_id, repr(exc)))
             finally:
                 batcher.complete()
+                with self._idle:
+                    self._idle.notify_all()
 
     def drain(self, timeout: float = 30.0) -> bool:
         """Wait until every queued and in-flight reading is processed;
@@ -157,14 +161,19 @@ class LocationPipeline:
         if self._thread is None and self.intake.total_pending() > 0:
             raise PipelineError("cannot drain a pipeline that never "
                                 "started its fusion thread")
+        deadline = time.monotonic() + timeout
         try:
-            deadline = self.clock() + timeout
-            while self.clock() < deadline:
-                if (self.intake.total_pending() == 0
-                        and not self.batcher.in_flight):
-                    return True
-                time.sleep(0.002)
-            return False
+            # complete() clears in_flight before the fusion thread
+            # takes _idle to notify, so a check made under _idle cannot
+            # miss the last batch finishing.
+            with self._idle:
+                while (self.intake.total_pending()
+                       or self.batcher.in_flight):
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0.0:
+                        return False
+                    self._idle.wait(remaining)
+            return True
         finally:
             self._sync_journal()
 
@@ -208,7 +217,7 @@ class LocationPipeline:
     # Producer entry point (the adapters' sink target)
     # ------------------------------------------------------------------
 
-    def submit(self, reading: PipelineReading) -> bool:
+    def submit(self, reading: Reading) -> bool:
         """Accept one reading; False when it was dead-lettered.
 
         Malformed or uncalibratable readings go to the dead-letter
@@ -230,7 +239,7 @@ class LocationPipeline:
             self.stats_recorder.incr("dropped", dropped)
         return True
 
-    def submit_many(self, readings: Sequence[PipelineReading]) -> int:
+    def submit_many(self, readings: Sequence[Reading]) -> int:
         """Accept a batch in order; returns how many the intake took.
 
         The bulk form of :meth:`submit` for remote feeds (a shard's
@@ -243,8 +252,8 @@ class LocationPipeline:
         raising.  Raises :class:`~repro.errors.PipelineError` when the
         intake closes before the batch is in.
         """
-        valid: List[PipelineReading] = []
-        letters: List[Tuple[PipelineReading, str]] = []
+        valid: List[Reading] = []
+        letters: List[Tuple[Reading, str]] = []
         for reading in readings:
             reason = self._validate(reading)
             if reason is None:
@@ -269,10 +278,10 @@ class LocationPipeline:
             raise PipelineError("intake is closed")
         return landed
 
-    def _validate(self, reading: PipelineReading) -> Optional[str]:
+    def _validate(self, reading: Reading) -> Optional[str]:
         """A refusal reason, or ``None`` for a well-formed reading."""
-        if not isinstance(reading, PipelineReading):
-            return f"not a PipelineReading: {type(reading).__name__}"
+        if not isinstance(reading, Reading):
+            return f"not a Reading: {type(reading).__name__}"
         if not reading.object_id:
             return "missing mobile object id"
         if not reading.sensor_id:
@@ -304,7 +313,7 @@ class LocationPipeline:
                     f"spec; readings cannot be fused")
         return None
 
-    def _dead_letter(self, reading: PipelineReading, reason: str,
+    def _dead_letter(self, reading: Reading, reason: str,
                      accepted: bool = False) -> DeadLetter:
         if accepted:
             # Letters from submit() count as enqueued so totals

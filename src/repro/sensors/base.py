@@ -23,16 +23,13 @@ which is the paper's headline middleware property.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Type
+from typing import Callable, Dict, List, Optional, Type
 
-from repro.core import SensorSpec
+from repro.core import Reading, SensorSpec
 from repro.errors import CalibrationError, SensorError
 from repro.geometry import Point, Rect
 from repro.model import Glob
 from repro.spatialdb import SpatialDatabase
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.pipeline.intake import PipelineReading
 
 
 class ReadingSink:
@@ -46,7 +43,7 @@ class ReadingSink:
     returns False when the reading was refused (dead-lettered).
     """
 
-    def submit(self, reading: "PipelineReading") -> bool:
+    def submit(self, reading: Reading) -> bool:
         raise NotImplementedError
 
 
@@ -63,7 +60,7 @@ class LocationAdapter:
             its own room's frame).
         sink: when set, canonical readings are submitted to this
             ingestion pipeline (any object with a
-            ``submit(PipelineReading)`` method) instead of being
+            ``submit(Reading)`` method) instead of being
             written to the spatial database synchronously.
     """
 
@@ -188,29 +185,13 @@ class LocationAdapter:
         sneaks into the database synchronously while a pipeline is in
         front of it.
         """
+        reading = Reading(sensor_id, self.glob_prefix, sensor_type,
+                          object_id, rect, time, location,
+                          detection_radius)
         if self._sink is not None:
-            from repro.pipeline.intake import PipelineReading
-            self._sink.submit(PipelineReading(
-                sensor_id=sensor_id,
-                glob_prefix=self.glob_prefix,
-                sensor_type=sensor_type,
-                object_id=object_id,
-                rect=rect,
-                detection_time=time,
-                location=location,
-                detection_radius=detection_radius,
-            ))
+            self._sink.submit(reading)
             return None  # no reading id until the batch is flushed
-        return self.database.insert_reading(
-            sensor_id=sensor_id,
-            glob_prefix=self.glob_prefix,
-            sensor_type=sensor_type,
-            mobile_object_id=object_id,
-            rect=rect,
-            detection_time=time,
-            location=location,
-            detection_radius=detection_radius,
-        )
+        return self.database.insert_readings((reading,))[0]
 
     def _emit_circle(self, object_id: str, center_native: Point,
                      radius: float, time: float) -> Optional[int]:

@@ -29,6 +29,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from repro.core.reading import Reading
 from repro.errors import (
     RemoteInvocationError,
     ServiceError,
@@ -38,7 +39,6 @@ from repro.errors import (
 from repro.geometry import Point, Rect
 from repro.model import Glob, WorldModel
 from repro.orb import Orb
-from repro.pipeline import PipelineReading
 from repro.reasoning import NavigationGraph, SpatialRelations
 from repro.reasoning.incremental import MODE_INCREMENTAL, LocationUpdate
 from repro.service.semantic_subscriptions import (
@@ -86,7 +86,7 @@ class _ShardSender(threading.Thread):
         super().__init__(name=f"shard-sender-{index}", daemon=True)
         self.router = router
         self.index = index
-        self.queue: "deque[PipelineReading]" = deque()
+        self.queue: "deque[Reading]" = deque()
         self.lock = threading.Lock()
         self.wakeup = threading.Condition(self.lock)
         self.closed = False
@@ -95,7 +95,7 @@ class _ShardSender(threading.Thread):
         self.batches = 0
         self.submitted = 0
 
-    def put(self, reading: PipelineReading) -> None:
+    def put(self, reading: Reading) -> None:
         with self.lock:
             queue = self.queue
             queue.append(reading)
@@ -267,7 +267,7 @@ class ShardRouter:
         except RemoteInvocationError as exc:
             raise _translate(exc) from exc
 
-    def submit(self, reading: PipelineReading) -> bool:
+    def submit(self, reading: Reading) -> bool:
         """The adapters' sink contract: queue for asynchronous flush."""
         if self._closed:
             return False
@@ -280,7 +280,7 @@ class ShardRouter:
             self._idle.notify_all()
 
     def _flush_batch(self, index: int,
-                     batch: List[PipelineReading]) -> None:
+                     batch: List[Reading]) -> None:
         # Readings ship as registered wire values (struct-packed on
         # binary connections).  The call goes through the proxy
         # attribute so tracing that wraps ``submit_batch`` sees it.

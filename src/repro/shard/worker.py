@@ -184,7 +184,7 @@ class ShardServant:
 
         The batch enters the intake under one lock hold
         (:meth:`LocationPipeline.submit_many`), which dead-letters
-        anything that is not a well-formed :class:`PipelineReading` (a
+        anything that is not a well-formed :class:`~repro.core.Reading` (a
         field dict included) with a reason.  Returns how many readings
         the intake accepted; refused/dead-lettered ones are visible in
         :meth:`stats`.

@@ -11,7 +11,6 @@ from repro.spatialdb.database import (
     SENSOR_READINGS_SCHEMA,
     SENSOR_SPECS_SCHEMA,
     SPATIAL_OBJECTS_SCHEMA,
-    NewReading,
     SpatialDatabase,
 )
 from repro.spatialdb.query import SpatialQuery, execute_query, parse_query
@@ -20,7 +19,6 @@ from repro.spatialdb.table import Column, Row, Schema, Table, Trigger
 
 __all__ = [
     "Column",
-    "NewReading",
     "RTree",
     "Row",
     "SENSOR_READINGS_SCHEMA",

@@ -10,9 +10,9 @@ the same operations, indexed by a from-scratch R-tree.
 from __future__ import annotations
 
 import threading
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core.reading import Reading
 from repro.errors import QueryError, SensorError, WorldModelError
 from repro.geometry import Point, Polygon, Rect, Segment
 from repro.model import Entity, Glob, WorldModel, geometry_kind
@@ -47,20 +47,6 @@ SENSOR_READINGS_SCHEMA = Schema(
     ],
     primary_key=("reading_id",),
 )
-
-class NewReading(NamedTuple):
-    """One reading to record: :meth:`SpatialDatabase.insert_reading`'s
-    arguments, in its order."""
-
-    sensor_id: str
-    glob_prefix: str
-    sensor_type: str
-    object_id: str
-    rect: Rect
-    detection_time: float
-    location: Optional[Point] = None
-    detection_radius: float = 0.0
-
 
 SENSOR_SPECS_SCHEMA = Schema(
     [
@@ -342,12 +328,12 @@ class SpatialDatabase:
         prefers "a rectangle moving with time" (Section 4.1.2).
         A one-reading :meth:`insert_readings`.
         """
-        return self.insert_readings((NewReading(
+        return self.insert_readings((Reading(
             sensor_id, glob_prefix, sensor_type, mobile_object_id, rect,
             detection_time, location, detection_radius),),
             fire_triggers)[0]
 
-    def insert_readings(self, readings: Sequence[NewReading],
+    def insert_readings(self, readings: Sequence[Reading],
                         fire_triggers: bool = True) -> List[int]:
         """Record a backlog of readings in order; returns their ids.
 
@@ -355,12 +341,12 @@ class SpatialDatabase:
         ids, ``moving`` flags (computed against history, earlier
         readings of the same backlog included), rows, support MBRs,
         versions and WAL bytes — but with one ingest-lock hold, one
-        journal write and one :meth:`Table.insert_many`.  ``readings`` are
-        :class:`NewReading` or anything with its attributes (the
-        pipeline passes its ``PipelineReading`` directly).
-        ``fire_triggers=False`` is the ingestion pipeline's path: it
-        evaluates subscriptions once per fused backlog instead of once
-        per insert.
+        journal write and one :meth:`Table.insert_many`.  Rows store the
+        rect, location, detection time and radius as floats, as a
+        journaled row replays them and as a shard receives them off
+        the wire.  ``fire_triggers=False`` is the ingestion pipeline's
+        path: it evaluates subscriptions once per fused backlog instead
+        of once per insert.
 
         Write-ahead: the backlog is journaled before any state moves.
         If reading k cannot be recorded — it fails to convert or
@@ -376,15 +362,25 @@ class SpatialDatabase:
         failure: Optional[BaseException] = None
         try:
             for r in readings:
+                rect, location = r.rect, r.location
+                if not (type(rect.min_x) is type(rect.min_y)
+                        is type(rect.max_x) is type(rect.max_y) is float):
+                    rect = Rect(float(rect.min_x), float(rect.min_y),
+                                float(rect.max_x), float(rect.max_y))
+                if location is not None and not (
+                        type(location.x) is type(location.y)
+                        is type(location.z) is float):
+                    location = Point(float(location.x), float(location.y),
+                                     float(location.z))
                 row = {
                     "reading_id": 0,
                     "sensor_id": r.sensor_id,
                     "glob_prefix": r.glob_prefix,
                     "sensor_type": r.sensor_type,
                     "mobile_object_id": r.object_id,
-                    "location": r.location,
+                    "location": location,
                     "detection_radius": float(r.detection_radius),
-                    "rect": r.rect,
+                    "rect": rect,
                     "detection_time": float(r.detection_time),
                     "moving": False,
                 }
@@ -393,11 +389,7 @@ class SpatialDatabase:
                     # front, keeping the ingest lock short for the
                     # pipeline thread and concurrent synchronous
                     # writers.
-                    parts.append(prepare(
-                        row["sensor_id"], row["glob_prefix"],
-                        row["sensor_type"], row["mobile_object_id"],
-                        row["location"], row["detection_radius"],
-                        row["rect"], row["detection_time"]))
+                    parts.append(prepare(r))
                 rows.append(row)
         except Exception as exc:  # noqa: BLE001 — re-raised below
             failure = exc

@@ -209,13 +209,13 @@ class DurabilityManager:
 
     # Pre-encode an insert outside the database's ingest lock.  The
     # database calls this per reading before taking its lock, then
-    # hands the parts back through :meth:`log_prepared_insert` once
+    # hands the heads back through :meth:`log_prepared_insert` once
     # the state-dependent ``reading_id`` and ``moving`` are known —
     # keeping the in-lock encode cost near zero.  A bare staticmethod
     # alias so the hot path pays no wrapper frame.
-    prepare_insert = staticmethod(rec.encode_insert_parts)
+    prepare_insert = staticmethod(rec.encode_insert)
 
-    def log_prepared_insert(self, parts: Sequence[Any], first_id: int,
+    def log_prepared_insert(self, parts: Sequence[bytes], first_id: int,
                             moving: Sequence[bool]) -> int:
         """Durably append a backlog of pre-encoded inserts.
 

@@ -115,7 +115,7 @@ def apply_op(db, op: Dict[str, Any],
             spec=rec.decode_spec(op["spec"]),
         )
     elif name == rec.OP_INSERT_READING:
-        db.apply_logged_insert(rec.decode_reading_row(op["row"]))
+        db.apply_logged_insert(op["row"])
     elif name in (rec.OP_EXPIRE, rec.OP_PURGE):
         # Deletes are logged with the exact doomed ids, so replay never
         # re-evaluates a time/TTL predicate whose answer could depend

@@ -11,9 +11,9 @@ from typing import List
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import Reading
 from repro.faults import FaultPlan
 from repro.geometry import Point, Rect
-from repro.pipeline import PipelineReading
 from repro.sensors import ReadingSink
 
 SENSORS = ("S-0", "S-1", "S-2")
@@ -24,18 +24,18 @@ class CollectingSink(ReadingSink):
     """Terminal sink: records everything that survives the chain."""
 
     def __init__(self) -> None:
-        self.readings: List[PipelineReading] = []
+        self.readings: List[Reading] = []
 
-    def submit(self, reading: PipelineReading) -> bool:
+    def submit(self, reading: Reading) -> bool:
         self.readings.append(reading)
         return True
 
 
-def _stream(n: int = 120) -> List[PipelineReading]:
+def _stream(n: int = 120) -> List[Reading]:
     readings = []
     for i in range(n):
         center = Point(10.0 + i % 7, 20.0 + i % 5)
-        readings.append(PipelineReading(
+        readings.append(Reading(
             sensor_id=SENSORS[i % len(SENSORS)],
             glob_prefix="SC/3",
             sensor_type="Test",

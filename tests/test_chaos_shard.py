@@ -29,10 +29,9 @@ import os
 
 import pytest
 
-from repro.core import SensorSpec
+from repro.core import Reading, SensorSpec
 from repro.faults import FaultPlan
 from repro.geometry import Rect
-from repro.pipeline import PipelineReading
 from repro.shard import ShardCluster
 
 FIXED_SEEDS = (101, 202, 303)
@@ -64,12 +63,12 @@ def _register_sensors(router):
                                spec.time_to_live, spec)
 
 
-def _reading(rng, step: int) -> PipelineReading:
+def _reading(rng, step: int) -> Reading:
     object_id = OBJECTS[rng.randrange(len(OBJECTS))]
     sensor_id, spec, _ = SENSORS[rng.randrange(len(SENSORS))]
     x = rng.randrange(0, 39) * 10.0
     y = rng.randrange(0, 19) * 5.0
-    return PipelineReading(
+    return Reading(
         sensor_id=sensor_id, glob_prefix="SC/3",
         sensor_type=spec.sensor_type, object_id=object_id,
         rect=Rect(x, y, x + 4.0, y + 3.0),

@@ -17,10 +17,9 @@ import threading
 
 from test_spatialdb_concurrency import run_threads
 
-from repro.core import SensorSpec
+from repro.core import Reading, SensorSpec
 from repro.faults import FaultPlan, unique_reading_ids
 from repro.geometry import Point, Rect
-from repro.pipeline import PipelineReading
 from repro.sensors import ReadingSink
 from repro.sim import siebel_floor
 from repro.spatialdb import SpatialDatabase
@@ -38,7 +37,7 @@ class DbSink(ReadingSink):
         self.inserted = 0
         self._lock = threading.Lock()
 
-    def submit(self, reading: PipelineReading) -> bool:
+    def submit(self, reading: Reading) -> bool:
         self.db.insert_reading(
             sensor_id=reading.sensor_id,
             glob_prefix=reading.glob_prefix,
@@ -90,7 +89,7 @@ def test_concurrent_writers_and_purge_account_exactly():
         for i in range(PER_WRITER):
             t = float(i)  # virtual seconds; TTL makes early ones expire
             center = Point(100.0 + w, 20.0 + i % 10)
-            sink.submit(PipelineReading(
+            sink.submit(Reading(
                 sensor_id=f"Chaos-{w}",
                 glob_prefix="SC/3",
                 sensor_type="Chaos",
@@ -154,7 +153,7 @@ def test_same_seed_same_fault_counts_despite_threads():
         purge_thread = threading.Thread(target=purger)
         purge_thread.start()
         try:
-            errors = run_threads([(lambda: [sink.submit(PipelineReading(
+            errors = run_threads([(lambda: [sink.submit(Reading(
                 sensor_id="Chaos-0",
                 glob_prefix="SC/3",
                 sensor_type="Chaos",

@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 
 from repro.core.classify import ProbabilityBucket
 from repro.core.estimate import LocationEstimate
+from repro.core.reading import Reading
 from repro.errors import OrbError
 from repro.geometry import Point, Polygon, Rect, Segment
 from repro.model import Glob
 from repro.oracles import orb_json
 from repro.orb import Orb, wire
-from repro.pipeline import PipelineReading
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -96,7 +96,7 @@ estimates = st.builds(
 )
 
 readings = st.builds(
-    PipelineReading,
+    Reading,
     sensor_id=texts,
     glob_prefix=texts,
     sensor_type=texts,
@@ -325,9 +325,20 @@ class TestOddlyTypedValuesRejected:
 
     @pytest.mark.parametrize(
         "value",
-        [_odd_estimate(), _MyInt(3), "a\udc80b", {"k\ud800": 1}],
+        [_odd_estimate(), _MyInt(3), "a\udc80b", {"k\ud800": 1},
+         Point(True, 2.0), Point(1.0, _MyInt(2)),
+         Rect(0, 0, True, _MyInt(3)),
+         Segment(Point(0.0, 0.0), Point(True, 1.0)),
+         Segment(Point(_MyInt(0), 0.0), Point(1.0, 1.0)),
+         LocationEstimate("tom", Rect(0, 0, _MyInt(1), 1), 0.9,
+                          ProbabilityBucket.HIGH, 1.0),
+         LocationEstimate("tom", Rect(0, 0, 1, 1), 0.9,
+                          ProbabilityBucket.HIGH, 1.0, posterior=True)],
         ids=["str-bucket-estimate", "int-subclass", "lone-surrogate",
-             "lone-surrogate-key"])
+             "lone-surrogate-key", "bool-point", "int-subclass-point",
+             "bool-and-int-subclass-rect", "bool-segment",
+             "int-subclass-segment", "int-subclass-estimate-rect",
+             "bool-estimate-posterior"])
     def test_proxy_call_raises(self, echo_proxy, value):
         with pytest.raises(OrbError):
             echo_proxy.echo(value)
@@ -346,7 +357,7 @@ def _plain_reading(**fields):
                 rect=Rect(1.0, 2.0, 3.0, 4.0), detection_time=5.0,
                 location=Point(1.5, 2.5, 0.0), detection_radius=0.25)
     base.update(fields)
-    return PipelineReading(**base)
+    return Reading(**base)
 
 
 # Ids beyond ASCII: multi-byte UTF-8 and astral-plane characters.
@@ -360,7 +371,7 @@ class TestReadingCodec:
            location=st.one_of(st.none(), points),
            detection_radius=st.floats(min_value=0.0, max_value=100.0))
     def test_round_trip(self, **fields):
-        value = PipelineReading(**fields)
+        value = Reading(**fields)
         assert binary_roundtrip(value) == value
         assert binary_roundtrip([value, value]) == [value, value]
 

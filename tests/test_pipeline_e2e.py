@@ -8,6 +8,7 @@ reasons.
 
 import pytest
 
+from repro.core import Reading
 from repro.errors import IntakeOverflowError, PipelineError
 from repro.geometry import Point, Rect
 from repro.pipeline import (
@@ -15,7 +16,6 @@ from repro.pipeline import (
     OVERFLOW_REJECT,
     LocationPipeline,
     PipelineConfig,
-    PipelineReading,
 )
 from repro.sensors import UbisenseAdapter
 from repro.service import LocationService
@@ -35,8 +35,8 @@ def make_rig(**service_kwargs):
     return world, db, service, adapter
 
 
-def good_reading(object_id: str, t: float) -> PipelineReading:
-    return PipelineReading(
+def good_reading(object_id: str, t: float) -> Reading:
+    return Reading(
         sensor_id="Ubi-1", glob_prefix="SC/3", sensor_type="ubisense",
         object_id=object_id, rect=Rect(149, 19, 151, 21),
         detection_time=t, location=Point(150, 20),
@@ -152,21 +152,21 @@ class TestEndToEnd:
 
         rect = Rect(0, 0, 1, 1)
         malformed = [
-            (PipelineReading("Ubi-1", "SC/3", "ubisense", "",
-                             rect, 1.0), "missing mobile object id"),
-            (PipelineReading("", "SC/3", "ubisense", "alice",
-                             rect, 1.0), "missing sensor id"),
-            (PipelineReading("Ubi-1", "SC/3", "ubisense", "alice",
-                             Rect(0, 0, float("inf"), 1), 1.0),
+            (Reading("Ubi-1", "SC/3", "ubisense", "",
+                     rect, 1.0), "missing mobile object id"),
+            (Reading("", "SC/3", "ubisense", "alice",
+                     rect, 1.0), "missing sensor id"),
+            (Reading("Ubi-1", "SC/3", "ubisense", "alice",
+                     Rect(0, 0, float("inf"), 1), 1.0),
              "non-finite bounds"),
-            (PipelineReading("Ubi-1", "SC/3", "ubisense", "alice",
-                             rect, float("nan")), "invalid detection time"),
-            (PipelineReading("Ubi-1", "SC/3", "ubisense", "alice",
-                             rect, -5.0), "invalid detection time"),
-            (PipelineReading("Ghost-1", "SC/3", "ubisense", "alice",
-                             rect, 1.0), "unknown sensor"),
-            (PipelineReading("Legacy-9", "SC/3", "legacy", "alice",
-                             rect, 1.0), "no calibrated spec"),
+            (Reading("Ubi-1", "SC/3", "ubisense", "alice",
+                     rect, float("nan")), "invalid detection time"),
+            (Reading("Ubi-1", "SC/3", "ubisense", "alice",
+                     rect, -5.0), "invalid detection time"),
+            (Reading("Ghost-1", "SC/3", "ubisense", "alice",
+                     rect, 1.0), "unknown sensor"),
+            (Reading("Legacy-9", "SC/3", "legacy", "alice",
+                     rect, 1.0), "no calibrated spec"),
         ]
         for reading, _ in malformed:
             assert pipeline.submit(reading) is False

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.core import Reading
 from repro.errors import (
     IntakeOverflowError,
     OrbError,
@@ -23,7 +24,6 @@ from repro.pipeline import (
     DeadLetterQueue,
     IntakeQueue,
     LatencyHistogram,
-    PipelineReading,
     PipelineStats,
     PipelineStatsRecorder,
     RetryPolicy,
@@ -31,8 +31,8 @@ from repro.pipeline import (
 )
 
 
-def reading(object_id: str = "alice", t: float = 0.0) -> PipelineReading:
-    return PipelineReading(
+def reading(object_id: str = "alice", t: float = 0.0) -> Reading:
+    return Reading(
         sensor_id="S-1", glob_prefix="SC/3", sensor_type="test",
         object_id=object_id, rect=Rect(0, 0, 1, 1), detection_time=t)
 
@@ -416,7 +416,7 @@ class TestErrorNarrowing:
         service = LocationService(db)
         UbisenseAdapter("Ubi-1", "SC/3", frame="").attach(db)
         pipeline = LocationPipeline(service, PipelineConfig())
-        good = PipelineReading(
+        good = Reading(
             sensor_id="Ubi-1", glob_prefix="SC/3", sensor_type="Ubisense",
             object_id="alice", rect=Rect(149, 19, 151, 21),
             detection_time=1.0)
@@ -553,6 +553,58 @@ class TestFusionThread:
             pipeline.stop()
         assert pipeline.stats().fused == 1
 
+    def _held_rig(self):
+        """A started pipeline whose first batch waits for ``release``,
+        with every journal sync counted."""
+        _, pipeline, good = self._rig()
+        entered = threading.Event()
+        release = threading.Event()
+        process = pipeline._process_batch
+        syncs = []
+
+        def held(batch):
+            entered.set()
+            release.wait(10.0)
+            process(batch)
+
+        pipeline._process_batch = held
+        pipeline._sync_journal = lambda: syncs.append(1)
+        pipeline.start()
+        return pipeline, good, entered, release, syncs
+
+    def test_drain_waits_without_polling(self, monkeypatch):
+        import repro.pipeline.lifecycle as lifecycle
+
+        def no_sleep(seconds):
+            raise AssertionError("drain polled with time.sleep")
+
+        pipeline, good, entered, release, syncs = self._held_rig()
+        try:
+            pipeline.submit(good)
+            assert entered.wait(5.0)
+            for i in range(20):
+                pipeline.submit(dataclasses.replace(
+                    good, detection_time=2.0 + i))
+            monkeypatch.setattr(lifecycle.time, "sleep", no_sleep)
+            threading.Timer(0.05, release.set).start()
+            assert pipeline.drain(timeout=30.0) is True
+            assert syncs == [1]
+        finally:
+            release.set()
+            pipeline.stop()
+        assert pipeline.stats().fused == 21
+
+    def test_timed_out_drain_returns_false_and_syncs(self):
+        pipeline, good, entered, release, syncs = self._held_rig()
+        try:
+            pipeline.submit(good)
+            assert entered.wait(5.0)
+            assert pipeline.drain(timeout=0.05) is False
+            assert syncs == [1]
+        finally:
+            release.set()
+            pipeline.stop()
+
     def test_backlog_fused_in_one_batch(self):
         _, pipeline, good = self._rig()
         for i in range(100):
@@ -618,7 +670,7 @@ class TestFusionThread:
         ]
         assert pipeline.submit_many(batch) == 2
         assert [letter.reason for letter in pipeline.dead_letters.items()] \
-            == ["unknown sensor 'Ghost-9'", "not a PipelineReading: dict",
+            == ["unknown sensor 'Ghost-9'", "not a Reading: dict",
                 "missing mobile object id"]
         pipeline.start()
         try:

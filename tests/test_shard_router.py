@@ -18,11 +18,11 @@ from typing import List
 
 import pytest
 
+from repro.core import Reading
 from repro.geometry import Rect
 from repro.model.serialize import world_to_json
 from repro.orb import Orb, wire
 from repro.orb.transport import _MAX_FRAME
-from repro.pipeline import PipelineReading
 from repro.shard import ShardCluster, ShardRouter, router as router_module
 from repro.shard.worker import ShardServant
 from repro.sim import Scenario, siebel_floor
@@ -34,7 +34,7 @@ class RecordingShard:
     ORB_EXPOSED = ("submit_batch", "drain")
 
     def __init__(self, hold_first: bool = False) -> None:
-        self.batches: List[List[PipelineReading]] = []
+        self.batches: List[List[Reading]] = []
         self.entered = threading.Event()
         self.release = threading.Event()
         if not hold_first:
@@ -50,8 +50,8 @@ class RecordingShard:
         return True
 
 
-def _reading(step: int) -> PipelineReading:
-    return PipelineReading(
+def _reading(step: int) -> Reading:
+    return Reading(
         sensor_id="Ubi-1", glob_prefix="SC/3", sensor_type="Ubisense",
         object_id="alice", rect=Rect(1.0, 1.0, 2.0, 2.0),
         detection_time=float(step))
@@ -246,7 +246,7 @@ class TestServantIntake:
                                             + pipeline["dead_lettered"])
             assert proxy.check_invariants() == []
             letter = servant.pipeline.dead_letters.items()[0]
-            assert "not a PipelineReading" in letter.reason
+            assert "not a Reading" in letter.reason
         finally:
             servant._teardown()
 

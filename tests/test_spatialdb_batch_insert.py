@@ -23,19 +23,21 @@ import shutil
 import sys
 import tempfile
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import Reading
 from repro.errors import SchemaError, SensorError
 from repro.faults import FaultPlan
 from repro.geometry import Point, Rect
-from repro.pipeline import LocationPipeline, PipelineConfig, PipelineReading
+from repro.pipeline import LocationPipeline, PipelineConfig
 from repro.sensors import UbisenseAdapter
 from repro.service import LocationService
 from repro.sim import siebel_floor
-from repro.spatialdb import NewReading, SpatialDatabase
+from repro.spatialdb import SpatialDatabase
 from repro.storage import (
     WAL_NAME,
     DurabilityManager,
@@ -66,7 +68,7 @@ cells = st.sampled_from([Rect(149.0, 19.0, 151.0, 21.0),
                          Rect(150.0, 19.5, 152.5, 21.0),
                          Rect(120.0, 12.0, 121.5, 13.0)])
 new_readings = st.builds(
-    lambda sensor, obj, rect, time, radius, located: NewReading(
+    lambda sensor, obj, rect, time, radius, located: Reading(
         sensor, "SC/3", "Ubisense", obj, rect, time,
         rect.center if located else None, radius),
     st.sampled_from(SENSORS), st.sampled_from(OBJECTS), cells,
@@ -102,7 +104,7 @@ class TestBatchEquivalence:
             ids = []
             for lo, hi in zip(bounds, bounds[1:]):
                 ids += batched.insert_readings(readings[lo:hi])
-            reference = [looped.insert_reading(*reading)
+            reference = [looped.insert_reading(*vars(reading).values())
                          for reading in readings]
             assert ids == reference
             assert _state(batched) == _state(looped)
@@ -123,10 +125,10 @@ class TestBatchEquivalence:
         still = Rect(149.0, 19.0, 151.0, 21.0)
         moved = Rect(150.0, 19.5, 152.5, 21.0)
         db.insert_readings([
-            NewReading("Ubi-1", "SC/3", "Ubisense", "alice", still, 1.0),
-            NewReading("Ubi-1", "SC/3", "Ubisense", "alice", still, 2.0),
-            NewReading("Ubi-1", "SC/3", "Ubisense", "alice", moved, 3.0),
-            NewReading("Ubi-2", "SC/3", "Ubisense", "alice", moved, 3.0),
+            Reading("Ubi-1", "SC/3", "Ubisense", "alice", still, 1.0),
+            Reading("Ubi-1", "SC/3", "Ubisense", "alice", still, 2.0),
+            Reading("Ubi-1", "SC/3", "Ubisense", "alice", moved, 3.0),
+            Reading("Ubi-2", "SC/3", "Ubisense", "alice", moved, 3.0),
         ])
         rows = db.sensor_readings.select(order_by="reading_id")
         assert [row["moving"] for row in rows] == [False, False, True,
@@ -136,16 +138,16 @@ class TestBatchEquivalence:
 
     def test_bad_row_lands_nothing(self):
         db, _ = _database()
-        good = NewReading("Ubi-1", "SC/3", "Ubisense", "alice",
-                          Rect(149.0, 19.0, 151.0, 21.0), 1.0)
+        good = Reading("Ubi-1", "SC/3", "Ubisense", "alice",
+                       Rect(149.0, 19.0, 151.0, 21.0), 1.0)
         with pytest.raises(SchemaError):
-            db.insert_readings([good, good._replace(glob_prefix=3)])
+            db.insert_readings([good, replace(good, glob_prefix=3)])
         assert len(db.sensor_readings) == 0
         assert db.reading_version("alice") == 0
 
 
 def _backlog(count):
-    return [PipelineReading(
+    return [Reading(
         sensor_id="Ubi-1", glob_prefix="SC/3", sensor_type="Ubisense",
         object_id="alice",
         rect=Rect.from_center(Point(140.0 + i, 20.0), 1.0),
@@ -257,8 +259,8 @@ class TestVersionNeverOvercounts:
         must find at least that many rows."""
         db, _ = _database()
         at = 5.0
-        backlog = [NewReading(SENSORS[i % 2], "SC/3", "Ubisense", "alice",
-                              Rect(149.0, 19.0, 151.0 + i % 3, 21.0), at)
+        backlog = [Reading(SENSORS[i % 2], "SC/3", "Ubisense", "alice",
+                           Rect(149.0, 19.0, 151.0 + i % 3, 21.0), at)
                    for i in range(40)]
         done = threading.Event()
         short = []
@@ -278,7 +280,7 @@ class TestVersionNeverOvercounts:
         try:
             for _ in range(60):
                 db.insert_readings(backlog)
-                db.insert_reading(*backlog[0])
+                db.insert_reading(*vars(backlog[0]).values())
         finally:
             done.set()
             thread.join()
@@ -293,12 +295,12 @@ class TestUnrecordableReading:
         """A reading that cannot be converted fails alone: the readings
         before it land, journaled, and the error says how many."""
         db, manager = _database(str(tmp_path / "wal"))
-        good = NewReading("Ubi-1", "SC/3", "Ubisense", "alice",
-                          Rect(149.0, 19.0, 151.0, 21.0), 1.0)
-        bad = good._replace(detection_radius="wide")
+        good = Reading("Ubi-1", "SC/3", "Ubisense", "alice",
+                       Rect(149.0, 19.0, 151.0, 21.0), 1.0)
+        bad = replace(good, detection_radius="wide")
         with pytest.raises(ValueError) as caught:
-            db.insert_readings([good, good._replace(detection_time=2.0),
-                                bad, good._replace(detection_time=3.0)])
+            db.insert_readings([good, replace(good, detection_time=2.0),
+                                bad, replace(good, detection_time=3.0)])
         assert caught.value.landed == 2
         assert len(db.sensor_readings) == 2
         assert db.reading_version("alice") == 2
@@ -312,7 +314,7 @@ class TestUnrecordableReading:
         UbisenseAdapter("Ubi-1", "SC/3", frame="").attach(db)
         pipeline = LocationPipeline(service, PipelineConfig())
         readings = _backlog(6)
-        readings[2] = PipelineReading(**dict(
+        readings[2] = Reading(**dict(
             readings[2].__dict__, detection_radius="wide"))
         stats = _run_backlog(pipeline, readings)
         assert stats.fused == 5

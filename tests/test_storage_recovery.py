@@ -12,9 +12,9 @@ import os
 
 import pytest
 
-from repro.core import SensorSpec
-from repro.errors import StorageError
-from repro.geometry import Rect
+from repro.core import Reading, SensorSpec
+from repro.errors import OrbError, StorageError
+from repro.geometry import Point, Rect
 from repro.service import LocationService
 from repro.sim import paper_floor
 from repro.spatialdb import SpatialDatabase
@@ -140,6 +140,45 @@ class TestRecoverReplay:
         assert state.torn_bytes == 0
         assert len(state.db.sensor_specs) == len(db.sensor_specs)
         assert state.db.tracked_objects() == db.tracked_objects()
+
+    def test_int_reading_recovers_as_stored_floats(self, tmp_path):
+        """Int coordinates are stored as floats live, so the replayed
+        row (whose record packs doubles) is the same row."""
+        db, manager = _durable(tmp_path, mode=DurabilityMode.STRICT)
+        _register(db)
+        db.insert_reading("Ubi-18", "CS/Floor3", "Ubisense", "alice",
+                          Rect(100, 10, 104, 14), 3, Point(102, 12, 1), 2)
+        [live] = db.sensor_readings.select()
+        rect, location = live["rect"], live["location"]
+        assert {type(value) for value in (
+            rect.min_x, rect.min_y, rect.max_x, rect.max_y, location.x,
+            location.y, location.z, live["detection_time"],
+            live["detection_radius"])} == {float}
+        state = recover(manager.wal_dir)
+        assert readings_fingerprint(state.db) == readings_fingerprint(db)
+        [replayed] = state.db.sensor_readings.select()
+        assert replayed == live
+        assert repr(replayed) == repr(live)
+
+    def test_non_finite_reading_lands_nothing(self, tmp_path):
+        """A reading the packed record cannot carry fails before the
+        ingest lock: no WAL record, no row, ``landed = 0``."""
+        db, manager = _durable(tmp_path, mode=DurabilityMode.STRICT)
+        _register(db)
+        records = len(scan_wal(os.path.join(manager.wal_dir,
+                                            WAL_NAME)).records)
+        bad = Reading("Ubi-18", "CS/Floor3", "Ubisense", "alice",
+                      Rect(100.0, 10.0, 104.0, 14.0), 3.0,
+                      detection_radius=float("nan"))
+        with pytest.raises(StorageError) as caught:
+            db.insert_readings([bad])
+        assert isinstance(caught.value.__cause__, OrbError)
+        assert caught.value.landed == 0
+        assert len(db.sensor_readings) == 0
+        assert db.reading_version("alice") == 0
+        manager.sync()
+        assert len(scan_wal(os.path.join(manager.wal_dir,
+                                         WAL_NAME)).records) == records
 
     def test_recovered_allocator_continues(self, tmp_path):
         db, manager = _durable(tmp_path)

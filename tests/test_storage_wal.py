@@ -6,15 +6,19 @@ tolerance versus interior-corruption loudness, and the logical
 operation codec the spatial-DB seam logs through.
 """
 
+import dataclasses
+import json
+import math
 import os
 import struct
 import zlib
 
 import pytest
 
-from repro.core import SensorSpec
+from repro.core import Reading, SensorSpec
 from repro.errors import SimulatedCrash, StorageError, WalCorruptionError
 from repro.geometry import Point, Rect
+from repro.orb import wire
 from repro.storage import WriteAheadLog, scan_wal
 from repro.storage import records as rec
 
@@ -287,13 +291,15 @@ class TestRecordCodec:
             rec.encode_op({"op": "truncate-table"})
 
 class TestInsertFastPath:
-    """The specialized insert codecs used on the ingestion hot path.
+    """The one insert record form: a reading's wire bytes plus the
+    ``(moving, reading_id)`` tail, built by ``encode_insert`` outside
+    the ingest lock and ``assemble_insert_op`` inside it."""
 
-    Two encoders must agree: the generic ``encode_op`` and the split
-    ``encode_insert_parts`` / ``assemble_insert_op`` pair, which emits
-    the packed binary wire form when every numeric is a float and a
-    JSON form byte-identical to ``encode_op`` otherwise.
-    """
+    READING = Reading(
+        sensor_id="Ubi-18", glob_prefix="CS/Floor3",
+        sensor_type="Ubisense", object_id="alice éè",
+        rect=Rect(9.0, -21.5, 11.5, -19.5), detection_time=42.125,
+        location=Point(10.25, -20.5, 0.75), detection_radius=1.5)
 
     ROW = {
         "reading_id": 41,
@@ -308,87 +314,86 @@ class TestInsertFastPath:
         "moving": True,
     }
 
-    @staticmethod
-    def _generic(row):
-        return rec.encode_op({"op": rec.OP_INSERT_READING,
-                              "row": rec.encode_reading_row(row)})
-
-    @staticmethod
-    def _parts(row):
-        return rec.encode_insert_parts(
-            row["sensor_id"], row["glob_prefix"], row["sensor_type"],
-            row["mobile_object_id"], row["location"],
-            row["detection_radius"], row["rect"],
-            row["detection_time"])
-
     @classmethod
-    def _json_form(cls, row):
-        head, tail = cls._parts(row)
-        assert head != b"", "expected the JSON form"
-        return rec.assemble_insert_op((head, tail), row["reading_id"],
-                                      row["moving"])
-
-    def test_fast_json_encoder_byte_identical_to_generic(self):
-        # One int field forces the JSON form; the float fields and the
-        # escaped non-ASCII object id still go through it.
-        row = dict(self.ROW, detection_radius=2)
-        assert self._json_form(row) == self._generic(row)
-
-    def test_fast_json_encoder_handles_negative_zero(self):
-        row = dict(self.ROW, detection_time=-0.0, detection_radius=0,
-                   rect=Rect(-0.0, 0.0, 1.0, 1.0), location=None)
-        payload = self._json_form(row)
-        assert payload == self._generic(row)
-        assert b'"detection_time":-0.0' in payload
+    def _payload(cls, reading=None, reading_id=41, moving=True):
+        return bytes(rec.assemble_insert_op(
+            rec.encode_insert(reading or cls.READING), reading_id, moving))
 
     def test_all_float_row_takes_binary_form(self):
-        empty, head = self._parts(self.ROW)
-        assert empty == b""
-        payload = rec.assemble_insert_op((empty, head),
-                                         self.ROW["reading_id"],
-                                         self.ROW["moving"])
-        assert payload[0] == 0x01  # the binary magic, never '{'
-        assert len(payload) < len(self._generic(self.ROW))
+        payload = self._payload()
+        wire_bytes = wire.dumps(self.READING)
+        assert payload[0] == wire.CODE_READING  # never '{'
+        assert payload.startswith(wire_bytes)
+        assert payload[len(wire_bytes):] == struct.pack(">BQ", 1, 41)
 
     def test_binary_form_replays_identically(self):
-        payload = rec.assemble_insert_op(
-            self._parts(self.ROW), self.ROW["reading_id"],
-            self.ROW["moving"])
-        assert rec.decode_op(payload) == \
-            rec.decode_op(self._generic(self.ROW))
+        decoded = rec.decode_op(self._payload())
+        assert decoded == {"op": rec.OP_INSERT_READING, "row": self.ROW}
 
     def test_binary_form_without_location(self):
-        row = dict(self.ROW, location=None, moving=False)
-        payload = rec.assemble_insert_op(
-            self._parts(row), row["reading_id"], row["moving"])
-        decoded = rec.decode_op(payload)
-        assert decoded == rec.decode_op(self._generic(row))
-        assert decoded["row"]["location"] is None
-        assert decoded["row"]["moving"] is False
+        reading = dataclasses.replace(self.READING, location=None)
+        decoded = rec.decode_op(self._payload(reading, moving=False))
+        assert decoded["row"] == dict(self.ROW, location=None,
+                                      moving=False)
 
-    def test_int_coordinates_fall_back_to_json(self):
-        # struct '<d' would turn these ints into floats and change the
-        # replayed row's fingerprint; the parts encoder must notice
-        # and emit the JSON form instead.
-        row = dict(self.ROW, rect=Rect(9, -22, 12, -19),
-                   detection_time=42)
-        head, tail = self._parts(row)
-        assert head != b""
-        payload = rec.assemble_insert_op(
-            (head, tail), row["reading_id"], row["moving"])
-        assert payload == self._generic(row)
+    def test_negative_zero_survives_the_packed_form(self):
+        reading = dataclasses.replace(
+            self.READING, detection_time=-0.0,
+            rect=Rect(-0.0, 0.0, 1.0, 1.0), location=None)
+        row = rec.decode_op(self._payload(reading))["row"]
+        assert math.copysign(1.0, row["detection_time"]) == -1.0
+        assert math.copysign(1.0, row["rect"].min_x) == -1.0
+
+    def test_int_coordinates_pack_as_doubles(self):
+        # Ints are packed as the doubles the database stores them as:
+        # the record is the all-float reading's record, and it replays
+        # floats.
+        ints = dataclasses.replace(
+            self.READING, rect=Rect(9, -22, 12, -19), detection_time=42,
+            location=Point(10, -20, 0), detection_radius=2)
+        floats = dataclasses.replace(
+            self.READING, rect=Rect(9.0, -22.0, 12.0, -19.0),
+            detection_time=42.0, location=Point(10.0, -20.0, 0.0),
+            detection_radius=2.0)
+        assert self._payload(ints) == self._payload(floats)
+        row = rec.decode_op(self._payload(ints))["row"]
+        rect, location = row["rect"], row["location"]
+        assert {type(value) for value in (
+            rect.min_x, rect.min_y, rect.max_x, rect.max_y, location.x,
+            location.y, location.z, row["detection_time"],
+            row["detection_radius"])} == {float}
+
+    @pytest.mark.parametrize("field,value", [
+        ("detection_time", float("nan")),
+        ("detection_radius", float("inf")),
+        ("rect", Rect(0.0, 0.0, float("inf"), 1.0)),
+        ("location", Point(True, 2.0)),
+        ("sensor_id", 7),
+        ("object_id", "a\udc80b"),
+    ])
+    def test_unpackable_reading_refused(self, field, value):
+        reading = dataclasses.replace(self.READING, **{field: value})
+        with pytest.raises(StorageError):
+            rec.encode_insert(reading)
+
+    def test_insert_has_no_json_form(self):
+        op = {"op": rec.OP_INSERT_READING,
+              "row": rec.encode_reading_row(self.ROW)}
+        with pytest.raises(StorageError):
+            rec.encode_op(op)
+        with pytest.raises(StorageError):
+            rec.decode_op(json.dumps(op).encode("utf-8"))
 
     def test_binary_encoding_is_deterministic(self):
-        one = rec.assemble_insert_op(self._parts(self.ROW), 41, True)
-        two = rec.assemble_insert_op(self._parts(self.ROW), 41, True)
-        assert one == two
+        assert self._payload() == self._payload()
 
     def test_truncated_binary_record_rejected(self):
-        payload = rec.assemble_insert_op(self._parts(self.ROW), 41, True)
-        with pytest.raises(StorageError):
-            rec.decode_op(payload[:-3])
+        payload = self._payload()
+        for cut in range(1, len(payload)):
+            with pytest.raises(StorageError):
+                rec.decode_op(payload[:cut])
 
     def test_binary_record_with_trailing_garbage_rejected(self):
-        payload = rec.assemble_insert_op(self._parts(self.ROW), 41, True)
+        payload = self._payload()
         with pytest.raises(StorageError):
             rec.decode_op(payload + b"\x00")
