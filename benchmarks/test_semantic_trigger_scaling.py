@@ -4,8 +4,9 @@ The incremental engine's claim: with S standing rules, one location
 update re-derives only the rules whose body atoms could have changed
 — the predicate/region inverted index and the R-tree probe over the
 containment-chain symmetric difference prune the rest.  The naive
-reference re-asserts every fact into a fresh knowledge base and
-re-evaluates all S rules on every epoch.
+oracle, :class:`repro.oracles.semantic.ReferenceSemanticEngine`,
+re-asserts every fact into a fresh knowledge base and re-evaluates all
+S rules on every epoch.
 
 The workload pins the paper's subscription-scaling story onto the
 semantic layer: 100 rules spread over the floor's twelve rooms (a mix
@@ -30,12 +31,8 @@ from typing import List, Tuple
 
 from _support import write_result
 from repro.model import Glob
-from repro.reasoning.incremental import (
-    MODE_INCREMENTAL,
-    MODE_REFERENCE,
-    LocationUpdate,
-    SemanticTriggerEngine,
-)
+from repro.oracles.semantic import ReferenceSemanticEngine
+from repro.reasoning.incremental import LocationUpdate, SemanticTriggerEngine
 from repro.sim import siebel_floor
 
 SUBSCRIPTIONS = 100
@@ -101,12 +98,12 @@ def _stream(updates: int, objects: int) -> List[LocationUpdate]:
     return out
 
 
-def _run(mode: str, rules: List[str],
+def _run(engine_class: type, rules: List[str],
          stream: List[LocationUpdate]) -> Tuple[float, list, dict]:
     """One engine over the whole workload; returns (seconds, events,
     stats).  Subscription setup is timed too — the naive oracle pays
     a full re-evaluation per subscribe as well."""
-    engine = SemanticTriggerEngine(WORLD, mode=mode)
+    engine = engine_class(WORLD)
     events = []
     start = time.perf_counter()
     for index, rule in enumerate(rules):
@@ -120,8 +117,8 @@ def _run(mode: str, rules: List[str],
 def _series() -> dict:
     rules = _rules(SUBSCRIPTIONS)
     stream = _stream(UPDATES, OBJECTS)
-    incremental = _run(MODE_INCREMENTAL, rules, stream)
-    reference = _run(MODE_REFERENCE, rules, stream)
+    incremental = _run(SemanticTriggerEngine, rules, stream)
+    reference = _run(ReferenceSemanticEngine, rules, stream)
     assert incremental[1] == reference[1], (
         "incremental and reference event streams diverged")
     return {"incremental": incremental, "reference": reference,
@@ -170,9 +167,10 @@ def test_perf_smoke_semantic_triggers():
     scheduler noise on shared runners."""
     rules = _rules(SUBSCRIPTIONS)
     stream = _stream(UPDATES, OBJECTS)
-    inc = min(_run(MODE_INCREMENTAL, rules, stream)[0]
+    inc = min(_run(SemanticTriggerEngine, rules, stream)[0]
               for _ in range(2))
-    ref = min(_run(MODE_REFERENCE, rules, stream)[0] for _ in range(2))
+    ref = min(_run(ReferenceSemanticEngine, rules, stream)[0]
+              for _ in range(2))
     speedup = ref / inc
     assert speedup >= 10.0, (
         f"semantic speedup {speedup:.1f}x below the 10x acceptance "

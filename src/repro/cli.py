@@ -27,7 +27,6 @@ from repro.pipeline import (
     OVERFLOW_POLICIES,
     PipelineConfig,
 )
-from repro.reasoning.incremental import MODE_INCREMENTAL, MODE_REFERENCE
 from repro.sim import (
     Scenario,
     campus_world,
@@ -127,11 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
     semantic.add_argument("--people", type=int, default=4)
     semantic.add_argument("--seconds", type=float, default=120.0)
     semantic.add_argument("--seed", type=int, default=7)
-    semantic.add_argument("--mode",
-                          choices=[MODE_INCREMENTAL, MODE_REFERENCE],
-                          default=MODE_INCREMENTAL,
-                          help="incremental engine or the naive "
-                               "full-re-evaluation oracle")
     return parser
 
 
@@ -282,10 +276,9 @@ def _cmd_semantic(args: argparse.Namespace) -> int:
 
     for rule in rules:
         print(f"rule: {rule}")
-        scenario.service.subscribe_semantic(rule, consumer=consumer,
-                                            mode=args.mode)
+        scenario.service.subscribe_semantic(rule, consumer=consumer)
     scenario.run(args.seconds, dt=1.0)
-    stats = scenario.service.semantic_manager(args.mode).stats()
+    stats = scenario.service.semantic_manager().stats()
     pairs = " ".join(f"{key}={value}" for key, value
                      in sorted(stats.items()))
     print(f"semantic: {pairs}")

@@ -322,8 +322,9 @@ class WorldModel:
         coordinate estimate, report "room 3216" rather than numbers.
         Index-backed: only regions whose MBR covers the point are
         tested against the polygon; ties on polygon area break by
-        registration order, matching the reference scan's strict
-        ``<`` over the insertion-ordered entity dict.
+        registration order, matching a linear scan's strict ``<``
+        over the insertion-ordered entity dict
+        (:func:`repro.oracles.scans.smallest_region_containing`).
         """
         tree, meta = self._point_index()
         best_key: Optional[str] = None
@@ -334,20 +335,6 @@ class WorldModel:
                 best_key = key
                 best = (area, order)
         return self._entities[best_key] if best_key is not None else None
-
-    def smallest_region_containing_reference(
-            self, p: Point) -> Optional[Entity]:
-        """The pre-index linear scan, kept for equivalence tests."""
-        best: Optional[Entity] = None
-        best_area = float("inf")
-        for entity in self._entities.values():
-            if not entity.entity_type.is_enclosing:
-                continue
-            polygon = self.canonical_polygon(entity.glob)
-            if polygon.contains_point(p) and polygon.area < best_area:
-                best = entity
-                best_area = polygon.area
-        return best
 
     def regions_overlapping(self, rect: Rect) -> List[Entity]:
         """All enclosing regions whose MBR intersects ``rect``."""

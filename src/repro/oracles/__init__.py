@@ -9,4 +9,11 @@ import this package; no module elsewhere in :mod:`repro` does
   :mod:`repro.orb.wire` must match value for value.
 * :mod:`repro.oracles.lattice` — the quadratic-rescan builder that
   :class:`repro.core.lattice.RegionLattice` must match node for node.
+* :mod:`repro.oracles.semantic` — the rebuild-everything semantic
+  engine whose event stream
+  :class:`repro.reasoning.incremental.SemanticTriggerEngine` must
+  match, and :func:`~repro.oracles.semantic.missed_transitions`.
+* :mod:`repro.oracles.scans` — the linear scans behind the query-side
+  indexes: shortest paths, point and rectangle location, region
+  overlap and subscription matching.
 """

@@ -134,10 +134,6 @@ class Proxy:
         self._object_id = object_id
         self._reference = reference
 
-    @property
-    def orb_reference(self) -> str:
-        return self._reference
-
     def __getattr__(self, name: str) -> Any:
         if name.startswith("_"):
             raise AttributeError(name)

@@ -20,9 +20,12 @@ WAL to wire.
 
 Values the codec cannot pack raise :class:`~repro.errors.OrbError` in
 the sender: unknown types (nothing is pickled), subclasses of the
-primitives, packed types with oddly-typed fields, non-finite floats
-(`NaN` on the wire is a silent interop break) and non-string or
-reserved dict keys.  The tagged-JSON codec in
+primitives, packed types with oddly-typed fields or ints beyond the
+double range, non-finite floats (`NaN` on the wire is a silent interop
+break) and non-string or reserved dict keys.  Bytes that do not decode,
+including a packed value its type refuses (inverted rectangle bounds,
+say), raise :class:`~repro.errors.OrbError` in the receiver.  The
+tagged-JSON codec in
 :mod:`repro.oracles.orb_json` is the reference it is tested against:
 ``loads(dumps(x)) == orb_json.loads(orb_json.dumps(x))`` for every
 message both accept.
@@ -37,7 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.classify import ProbabilityBucket
 from repro.core.estimate import LocationEstimate
 from repro.core.reading import Reading
-from repro.errors import OrbError
+from repro.errors import MiddleWhereError, OrbError
 from repro.geometry import Point, Polygon, Rect, Segment
 from repro.model import Glob
 
@@ -331,7 +334,10 @@ def loads(data: bytes) -> Any:
     reader = _Reader(data)
     try:
         message = _decode_value(reader)
-    except (struct.error, UnicodeDecodeError, ValueError, IndexError) as exc:
+    except OrbError:
+        raise
+    except (struct.error, UnicodeDecodeError, ValueError, IndexError,
+            MiddleWhereError) as exc:  # the last: a value type refusing
         raise OrbError(f"undecodable wire message: {exc}") from exc
     if reader.pos != len(data):
         raise OrbError("trailing bytes after binary message")
@@ -416,9 +422,15 @@ def _require(condition: bool) -> None:
 def _numbers(*values: Any) -> None:
     """The packers' number guard: each value a plain ``float`` or
     ``int`` (a bool or any other subclass is refused, not coerced) and
-    finite."""
+    finite as a double."""
     for value in values:
-        if type(value) not in _NUM_TYPES or not math.isfinite(value):
+        if type(value) not in _NUM_TYPES:
+            raise OrbError(_REFUSED)
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the double range
+            finite = False
+        if not finite:
             raise OrbError(_REFUSED)
 
 

@@ -13,8 +13,6 @@ from repro.reasoning.composition import (
     invert,
 )
 from repro.reasoning.incremental import (
-    MODE_INCREMENTAL,
-    MODE_REFERENCE,
     SEMANTIC_RULES,
     LocationUpdate,
     SemanticRule,
@@ -58,8 +56,6 @@ __all__ = [
     "Graph",
     "KnowledgeBase",
     "LocationUpdate",
-    "MODE_INCREMENTAL",
-    "MODE_REFERENCE",
     "NavigationGraph",
     "SEMANTIC_RULES",
     "SemanticRule",

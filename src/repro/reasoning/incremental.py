@@ -21,12 +21,12 @@ body atoms could have been touched, found through
 * an exact pair-flip index for ``near`` thresholds, and
 * a deadline heap for dwell windows evaluated against the sim clock.
 
-Naive full re-evaluation is kept as the bit-exact oracle: an engine
-constructed with ``mode=MODE_REFERENCE`` re-asserts every fact into a
-fresh :class:`KnowledgeBase` and re-runs every rule on every update,
-exactly as PRs 3/5/7 pinned their fast paths.  Both modes must emit
-observably identical event streams (same events, same order, same
-payloads); ``tests/test_semantic_equivalence.py`` enforces it.
+The naive oracle that rebuilds a fresh knowledge base and re-runs
+every rule on every epoch is
+:class:`repro.oracles.semantic.ReferenceSemanticEngine`; both must
+emit observably identical event streams (same events, same order,
+same payloads), which ``tests/test_semantic_equivalence.py`` checks
+after every step of a hypothesis state machine.
 """
 
 from __future__ import annotations
@@ -50,16 +50,13 @@ from repro.reasoning.prolog import (
 from repro.reasoning.rules import SPATIAL_RULES, build_knowledge_base
 from repro.spatialdb.rtree import RTree
 
-MODE_INCREMENTAL = "incremental"
-MODE_REFERENCE = "reference"
-
 TRANSITION_ENTER = "enter"
 TRANSITION_LEAVE = "leave"
 
 # Rules bridging fused-location facts into the spatial vocabulary.
 # ``at/2`` is the dynamic finest-region fact maintained per object;
 # ``chain/2`` is the world's containment closure, materialized once by
-# :meth:`SemanticTriggerEngine._base_kb` (it agrees with ``within/2``
+# :meth:`SemanticTriggerEngine.__init__` (it agrees with ``within/2``
 # over the parent hierarchy, but enumerating it is an indexed fact
 # lookup instead of an SLD recursion per object — the goal order
 # ``chain then at`` turns a bound-region query into two index probes).
@@ -157,6 +154,22 @@ def _as_float_literal(term: Any, what: str) -> float:
     return value
 
 
+def literal_text(value: float) -> str:
+    """The canonical text of a near/dwell numeric literal, shared by
+    asserted facts and rule bodies: repr of the parsed float, so the
+    rule text "near(A, B, 10)" matches the fact ``near(a, b, '10.0')``.
+    """
+    return repr(value)
+
+
+def _canonical_literal(atom: Struct) -> Struct:
+    if atom.functor in ("near", "dwell") and len(atom.args) == 3:
+        value = _as_float_literal(atom.args[2], f"{atom.functor} literal")
+        return Struct(atom.functor,
+                      atom.args[:2] + (Atom(literal_text(value)),))
+    return atom
+
+
 @dataclass
 class SemanticRule:
     """One compiled semantic subscription rule.
@@ -164,7 +177,8 @@ class SemanticRule:
     The textual rule ``head(Vars...) :- body`` is parsed once; the
     head functor is rewritten to a unique internal name so two
     subscriptions may reuse the same head name without their solution
-    sets merging.  Dependency analysis happens here: which dynamic
+    sets merging, and near/dwell numeric literals take their
+    :func:`literal_text` form.  Dependency analysis happens here: which dynamic
     predicates the body can reach, the concrete region rectangles for
     R-tree pruning, and the ``near``/``dwell`` literals that seed the
     pair-flip index and the dwell deadline heap.
@@ -269,7 +283,8 @@ class SemanticRule:
             seq=seq,
         )
         rule.compiled = Rule(
-            Struct(rule.internal, head.args), parsed.body)
+            Struct(rule.internal, head.args),
+            tuple(_canonical_literal(atom) for atom in parsed.body))
         return rule
 
     @property
@@ -308,28 +323,15 @@ class SemanticRule:
 class SemanticTriggerEngine:
     """Edge-triggered semantic subscriptions over fused locations.
 
-    One instance runs in exactly one mode:
-
-    * ``MODE_INCREMENTAL`` — a long-lived knowledge base mutated by
-      delta facts, re-deriving only affected subscriptions;
-    * ``MODE_REFERENCE`` — the naive oracle: a fresh knowledge base
-      per epoch, every fact re-asserted, every rule re-run.
-
-    Both modes share the identical bookkeeping of positions, dwell
-    entry times and solution sets, so their event streams must be
-    observably identical.
+    One long-lived knowledge base is mutated by delta facts, and each
+    epoch re-derives only the subscriptions those facts can touch.
     """
 
-    def __init__(self, world: WorldModel, mode: str = MODE_INCREMENTAL,
-                 max_depth: int = 256) -> None:
-        if mode not in (MODE_INCREMENTAL, MODE_REFERENCE):
-            raise ReasoningError(f"unknown semantic engine mode {mode!r}")
+    def __init__(self, world: WorldModel, max_depth: int = 256) -> None:
         self.world = world
-        self.mode = mode
         self.max_depth = max_depth
         self._seq = itertools.count(1)
         self._rules: Dict[str, SemanticRule] = {}
-        # Shared dynamic state (identical in both modes).
         self._positions: Dict[str, Tuple[float, float]] = {}
         self._regions: Dict[str, Optional[str]] = {}
         # (object, region) -> entry time (sim clock).
@@ -341,8 +343,6 @@ class SemanticTriggerEngine:
         self._near_pairs: Dict[float, Set[FrozenSet[str]]] = {}
         # Dwell literals in use (durations, seconds).
         self._dwell_literals: Set[float] = set()
-        # Incremental-only state.
-        self._kb: Optional[KnowledgeBase] = None
         self._rtree = RTree()
         self._rtree_entries: Dict[str, List[Rect]] = {}
         self._always_at: Set[str] = set()
@@ -358,23 +358,17 @@ class SemanticTriggerEngine:
         self.epochs = 0
         self.evaluated = 0
         self.pruned = 0
-        self.kb_rebuilds = 0
         self.events_emitted = 0
-        if mode == MODE_INCREMENTAL:
-            self._kb = self._base_kb()
+        self._kb = build_knowledge_base(world, max_depth=max_depth)
+        for region, ancestor in self._containment_closure():
+            self._kb.add_fact("chain", region, ancestor)
+        for text in SEMANTIC_RULES:
+            self._kb.add(text)
+        self.kb_rebuilds = 1
 
     # ------------------------------------------------------------------
     # Knowledge-base plumbing
     # ------------------------------------------------------------------
-
-    def _base_kb(self) -> KnowledgeBase:
-        kb = build_knowledge_base(self.world, max_depth=self.max_depth)
-        for region, ancestor in self._containment_closure():
-            kb.add_fact("chain", region, ancestor)
-        for text in SEMANTIC_RULES:
-            kb.add(text)
-        self.kb_rebuilds += 1
-        return kb
 
     def _containment_closure(self) -> List[Tuple[str, str]]:
         """Every (region, proper ancestor) pair in the world hierarchy.
@@ -404,40 +398,12 @@ class SemanticTriggerEngine:
         except Exception:
             return None
 
-    def _near_literal_key(self, value: float) -> str:
-        # Canonical textual form shared by fact assertion and rule
-        # literals: repr of the parsed float ("10.0", "2.5").
-        return repr(value)
-
-    def _assert_near(self, kb: KnowledgeBase, a: str, b: str,
-                     threshold: float) -> None:
-        literal = self._near_literal_key(threshold)
-        kb.add_fact("near", a, b, literal)
-        kb.add_fact("near", b, a, literal)
-
-    def _retract_near(self, kb: KnowledgeBase, a: str, b: str,
-                      threshold: float) -> None:
-        literal = self._near_literal_key(threshold)
-        kb.remove_fact("near", a, b, literal)
-        kb.remove_fact("near", b, a, literal)
-
-    def _rewrite_near_dwell_literals(self, rule: SemanticRule) -> Rule:
-        """Canonicalize numeric literals in near/dwell body atoms so
-        the rule text "near(A, B, 10)" matches the asserted fact
-        ``near(a, b, '10.0')``."""
-        assert rule.compiled is not None
-
-        def rewrite(atom: Struct) -> Struct:
-            if atom.functor in ("near", "dwell") and len(atom.args) == 3:
-                literal = _as_float_literal(
-                    atom.args[2], f"{atom.functor} literal")
-                args = atom.args[:2] + (
-                    Atom(self._near_literal_key(literal)),)
-                return Struct(atom.functor, args)
-            return atom
-
-        return Rule(rule.compiled.head,
-                    tuple(rewrite(a) for a in rule.compiled.body))
+    def _set_near(self, a: str, b: str, threshold: float,
+                  closed: bool) -> None:
+        literal = literal_text(threshold)
+        change = self._kb.add_fact if closed else self._kb.remove_fact
+        change("near", a, b, literal)
+        change("near", b, a, literal)
 
     # ------------------------------------------------------------------
     # Subscription management
@@ -460,49 +426,39 @@ class SemanticTriggerEngine:
         for duration, _, _ in rule.dwell_atoms:
             self._ensure_dwell_literal(duration, now)
 
-        if self.mode == MODE_INCREMENTAL:
-            assert self._kb is not None
-            self._kb.add(self._rewrite_near_dwell_literals(rule))
-            rects = []
-            for region in rule.region_atoms:
-                rect = self._mbr(region)
-                if rect is None:
-                    # Unknown region: its containment never changes, so
-                    # the atom contributes no pruning rectangle.
-                    continue
-                rects.append(rect)
-                self._rtree.insert(rect, subscription_id)
-            self._rtree_entries[subscription_id] = rects
-            for region in rule.region_atoms:
-                self._region_subscribers.setdefault(
-                    region, set()).add(subscription_id)
-            if rule.depends_on("at") and not rule.at_prunable:
-                self._always_at.add(subscription_id)
-            affected = {subscription_id: rule}
-            self._collect_dwell_crossings(now, affected)
-            ordered = sorted(affected.values(), key=lambda r: r.seq)
-            self.pruned += len(self._rules) - len(ordered)
-            return self._evaluate(ordered, now)
-        # Reference mode: the naive oracle re-evaluates everything.
-        return self._evaluate_reference_epoch(now)
+        self._kb.add(rule.compiled)
+        rects = []
+        for region in rule.region_atoms:
+            rect = self._mbr(region)
+            if rect is None:
+                # Unknown region: its containment never changes, so
+                # the atom contributes no pruning rectangle.
+                continue
+            rects.append(rect)
+            self._rtree.insert(rect, subscription_id)
+        self._rtree_entries[subscription_id] = rects
+        for region in rule.region_atoms:
+            self._region_subscribers.setdefault(
+                region, set()).add(subscription_id)
+        if rule.depends_on("at") and not rule.at_prunable:
+            self._always_at.add(subscription_id)
+        return self._dispatch({subscription_id: rule}, now)
 
     def unsubscribe(self, subscription_id: str) -> bool:
         rule = self._rules.pop(subscription_id, None)
         if rule is None:
             return False
-        if self.mode == MODE_INCREMENTAL:
-            assert self._kb is not None
-            self._kb.remove_predicate(rule.internal, rule.arity)
-            for rect in self._rtree_entries.pop(subscription_id, ()):
-                self._rtree.delete(
-                    rect, lambda value: value == subscription_id)
-            for region in rule.region_atoms:
-                subscribers = self._region_subscribers.get(region)
-                if subscribers is not None:
-                    subscribers.discard(subscription_id)
-                    if not subscribers:
-                        del self._region_subscribers[region]
-            self._always_at.discard(subscription_id)
+        self._kb.remove_predicate(rule.internal, rule.arity)
+        for rect in self._rtree_entries.pop(subscription_id, ()):
+            self._rtree.delete(
+                rect, lambda value: value == subscription_id)
+        for region in rule.region_atoms:
+            subscribers = self._region_subscribers.get(region)
+            if subscribers is not None:
+                subscribers.discard(subscription_id)
+                if not subscribers:
+                    del self._region_subscribers[region]
+        self._always_at.discard(subscription_id)
         return True
 
     def rules(self) -> List[SemanticRule]:
@@ -525,54 +481,31 @@ class SemanticTriggerEngine:
         Asserting a known fact changes nothing but the clock, so it is
         a :meth:`tick` at ``now``: dwell windows expiring by then fire.
         """
-        now = self._time if now is None else max(now, self._time)
-        bucket = self._facts.setdefault(functor, set())
-        if tuple(args) in bucket:
-            return self.tick(now)
-        self._time = now
-        bucket.add(tuple(args))
-        if self.mode == MODE_INCREMENTAL:
-            assert self._kb is not None
-            self._kb.add_fact(functor, *args)
-            affected = {rule.subscription_id: rule
-                        for rule in self._rules.values()
-                        if functor in rule.fact_functors}
-            self._collect_dwell_crossings(now, affected)
-            ordered = sorted(affected.values(), key=lambda r: r.seq)
-            self.pruned += len(self._rules) - len(ordered)
-            return self._evaluate(ordered, now)
-        return self._evaluate_reference_epoch(now)
+        return self._change_fact(functor, args, now, asserted=True)
 
     def retract_fact(self, functor: str, *args: str,
                      now: Optional[float] = None) -> List[Dict[str, Any]]:
         """Retract an application fact; an unknown fact is a
         :meth:`tick` at ``now``, as in :meth:`declare_fact`."""
+        return self._change_fact(functor, args, now, asserted=False)
+
+    def _change_fact(self, functor: str, args: Tuple[str, ...],
+                     now: Optional[float],
+                     asserted: bool) -> List[Dict[str, Any]]:
         now = self._time if now is None else max(now, self._time)
-        bucket = self._facts.get(functor)
-        if bucket is None or tuple(args) not in bucket:
+        bucket = self._facts.setdefault(functor, set())
+        if (args in bucket) == asserted:
             return self.tick(now)
         self._time = now
-        bucket.discard(tuple(args))
-        if self.mode == MODE_INCREMENTAL:
-            assert self._kb is not None
+        if asserted:
+            bucket.add(args)
+            self._kb.add_fact(functor, *args)
+        else:
+            bucket.discard(args)
             self._kb.remove_fact(functor, *args)
-            affected = {rule.subscription_id: rule
-                        for rule in self._rules.values()
-                        if functor in rule.fact_functors}
-            self._collect_dwell_crossings(now, affected)
-            ordered = sorted(affected.values(), key=lambda r: r.seq)
-            self.pruned += len(self._rules) - len(ordered)
-            return self._evaluate(ordered, now)
-        return self._evaluate_reference_epoch(now)
-
-    def _collect_dwell_crossings(self, now: float,
-                                 affected: Dict[str, SemanticRule]) -> None:
-        """Settle expired dwell windows and fold the subscriptions
-        they touch into ``affected``."""
-        for obj, region, literal in self._settle_dwell(now):
-            for rule in self._rules.values():
-                if rule.dwell_matches(literal, obj, region):
-                    affected[rule.subscription_id] = rule
+        return self._dispatch({rule.subscription_id: rule
+                               for rule in self._rules.values()
+                               if functor in rule.fact_functors}, now)
 
     # ------------------------------------------------------------------
     # The epoch driver
@@ -589,7 +522,6 @@ class SemanticTriggerEngine:
         old_center = self._positions.get(object_id)
         new_region = update.region
 
-        # --- shared bookkeeping (identical in both modes) -------------
         old_chain = set(containment_chain(old_region))
         new_chain = set(containment_chain(new_region))
         entered = new_chain - old_chain
@@ -601,13 +533,6 @@ class SemanticTriggerEngine:
         self._positions[object_id] = update.center
         self._regions[object_id] = new_region
 
-        near_flips = self._near_flips(object_id, old_center, update.center)
-
-        if self.mode == MODE_REFERENCE:
-            return self._evaluate_reference_epoch(now)
-
-        # --- incremental delta maintenance ----------------------------
-        assert self._kb is not None
         kb = self._kb
         affected: Dict[str, SemanticRule] = {}
 
@@ -623,9 +548,8 @@ class SemanticTriggerEngine:
                     key = (object_id, region, literal)
                     if key in self._asserted_dwell:
                         self._asserted_dwell.discard(key)
-                        kb.remove_fact(
-                            "dwell", object_id, region,
-                            self._near_literal_key(literal))
+                        kb.remove_fact("dwell", object_id, region,
+                                       literal_text(literal))
             for region in entered:
                 for literal in self._dwell_literals:
                     heapq.heappush(
@@ -658,23 +582,14 @@ class SemanticTriggerEngine:
                 if rule is not None:
                     affected[sid] = rule
 
-        for threshold, a, b, closed in near_flips:
-            literal = self._near_literal_key(threshold)
-            if closed:
-                kb.add_fact("near", a, b, literal)
-                kb.add_fact("near", b, a, literal)
-            else:
-                kb.remove_fact("near", a, b, literal)
-                kb.remove_fact("near", b, a, literal)
+        for threshold, a, b, closed in self._near_flips(
+                object_id, old_center, update.center):
+            self._set_near(a, b, threshold, closed)
             for rule in self._rules.values():
                 if rule.near_matches(threshold, a, b):
                     affected[rule.subscription_id] = rule
 
-        self._collect_dwell_crossings(now, affected)
-
-        ordered = sorted(affected.values(), key=lambda r: r.seq)
-        self.pruned += len(self._rules) - len(ordered)
-        return self._evaluate(ordered, now)
+        return self._dispatch(affected, now)
 
     def tick(self, now: float) -> List[Dict[str, Any]]:
         """Advance the sim clock without a location change.
@@ -684,11 +599,17 @@ class SemanticTriggerEngine:
         """
         now = max(now, self._time)
         self._time = now
-        if self.mode == MODE_REFERENCE:
-            return self._evaluate_reference_epoch(now)
-        assert self._kb is not None
-        affected: Dict[str, SemanticRule] = {}
-        self._collect_dwell_crossings(now, affected)
+        return self._dispatch({}, now)
+
+    def _dispatch(self, affected: Dict[str, SemanticRule],
+                  now: float) -> List[Dict[str, Any]]:
+        """Settle dwell windows expired by ``now``, fold the
+        subscriptions they touch into ``affected``, and re-derive those
+        in registration order."""
+        for obj, region, literal in self._settle_dwell(now):
+            for rule in self._rules.values():
+                if rule.dwell_matches(literal, obj, region):
+                    affected[rule.subscription_id] = rule
         ordered = sorted(affected.values(), key=lambda r: r.seq)
         self.pruned += len(self._rules) - len(ordered)
         return self._evaluate(ordered, now)
@@ -703,9 +624,8 @@ class SemanticTriggerEngine:
                     ) -> List[Tuple[float, str, str, bool]]:
         """Exact pair flips for the moved object at every threshold.
 
-        Returns ``(threshold, moved, other, closed)`` tuples; the
-        shared ``self._near_pairs`` state is updated in both modes so
-        the reference engine can re-assert the full pair set.
+        Returns ``(threshold, moved, other, closed)`` tuples and
+        updates ``self._near_pairs`` to match.
         """
         flips: List[Tuple[float, str, str, bool]] = []
         if not self._near_pairs:
@@ -739,19 +659,14 @@ class SemanticTriggerEngine:
                 if distance < threshold:
                     pairs.add(frozenset((a, b)))
         self._near_pairs[threshold] = pairs
-        if self.mode == MODE_INCREMENTAL:
-            assert self._kb is not None
-            for pair in pairs:
-                a, b = sorted(pair)
-                self._assert_near(self._kb, a, b, threshold)
+        for pair in pairs:
+            a, b = sorted(pair)
+            self._set_near(a, b, threshold, True)
 
     def _ensure_dwell_literal(self, duration: float, now: float) -> None:
         if duration in self._dwell_literals:
             return
         self._dwell_literals.add(duration)
-        if self.mode != MODE_INCREMENTAL:
-            return
-        assert self._kb is not None
         for (obj, region), entry in self._entries.items():
             deadline = entry + duration
             if deadline <= now:
@@ -759,7 +674,7 @@ class SemanticTriggerEngine:
                 if key not in self._asserted_dwell:
                     self._asserted_dwell.add(key)
                     self._kb.add_fact("dwell", obj, region,
-                                      self._near_literal_key(duration))
+                                      literal_text(duration))
             else:
                 heapq.heappush(
                     self._dwell_heap,
@@ -768,9 +683,6 @@ class SemanticTriggerEngine:
     def _settle_dwell(self, now: float) -> List[Tuple[str, str, float]]:
         """Assert dwell facts whose deadline has passed; returns the
         newly satisfied ``(object, region, duration)`` windows."""
-        if self.mode != MODE_INCREMENTAL:
-            return []
-        assert self._kb is not None
         crossed: List[Tuple[str, str, float]] = []
         while self._dwell_heap and self._dwell_heap[0][0] <= now:
             deadline, _, obj, region, literal = heapq.heappop(
@@ -782,8 +694,7 @@ class SemanticTriggerEngine:
             if key in self._asserted_dwell:
                 continue
             self._asserted_dwell.add(key)
-            self._kb.add_fact("dwell", obj, region,
-                              self._near_literal_key(literal))
+            self._kb.add_fact("dwell", obj, region, literal_text(literal))
             crossed.append((obj, region, literal))
         return crossed
 
@@ -791,104 +702,26 @@ class SemanticTriggerEngine:
     # Evaluation
     # ------------------------------------------------------------------
 
-    def _solutions(self, kb: KnowledgeBase,
-                   rule: SemanticRule) -> Set[Tuple[str, ...]]:
-        goal = Struct(rule.internal,
-                      tuple(Var(f"V{i}") for i in range(rule.arity)))
-        solutions: Set[Tuple[str, ...]] = set()
-        for answer in kb.query(goal):
-            solutions.add(tuple(answer[f"V{i}"]
-                                for i in range(rule.arity)))
-        return solutions
-
-    def _evaluate(self, rules: List[SemanticRule], now: float,
-                  kb: Optional[KnowledgeBase] = None,
-                  ) -> List[Dict[str, Any]]:
+    def _evaluate(self, rules: List[SemanticRule],
+                  now: float) -> List[Dict[str, Any]]:
         """Re-derive ``rules`` (registration order) and edge-detect.
 
         Solution sets are canonically sorted before diffing, so the
         emitted stream does not depend on SLD enumeration order —
-        this is what makes incremental and reference observably
+        this is what makes the engine and its oracle observably
         identical.
         """
-        kb = kb if kb is not None else self._kb
-        assert kb is not None
         events: List[Dict[str, Any]] = []
         for rule in rules:
-            current = self._solutions(kb, rule)
+            current = solutions(self._kb, rule)
             self.evaluated += 1
-            entered = sorted(current - rule.previous)
-            departed = sorted(rule.previous - current)
+            events.extend(transitions(rule, current, now))
             rule.previous = current
-            for solution in entered:
-                events.append(self._event(rule, TRANSITION_ENTER,
-                                          solution, now))
-            for solution in departed:
-                events.append(self._event(rule, TRANSITION_LEAVE,
-                                          solution, now))
         self.events_emitted += len(events)
         return events
 
-    def _event(self, rule: SemanticRule, transition: str,
-               solution: Tuple[str, ...], now: float) -> Dict[str, Any]:
-        return {
-            "subscription_id": rule.subscription_id,
-            "transition": transition,
-            "head": rule.head_functor,
-            "bindings": dict(zip(rule.head_vars, solution)),
-            "rule": rule.text,
-            "time": now,
-        }
-
-    # ------------------------------------------------------------------
-    # The naive oracle
-    # ------------------------------------------------------------------
-
-    def _reference_kb(self, now: float) -> KnowledgeBase:
-        """Re-assert *all* facts into a fresh knowledge base."""
-        kb = self._base_kb()
-        for object_id, region in self._regions.items():
-            if region is not None:
-                kb.add_fact("at", object_id, region)
-        for threshold, pairs in self._near_pairs.items():
-            for pair in pairs:
-                a, b = sorted(pair)
-                self._assert_near(kb, a, b, threshold)
-        for (obj, region), entry in self._entries.items():
-            for literal in self._dwell_literals:
-                if now - entry >= literal:
-                    kb.add_fact("dwell", obj, region,
-                                self._near_literal_key(literal))
-        for functor, tuples in self._facts.items():
-            for args in sorted(tuples):
-                kb.add_fact(functor, *args)
-        for rule in self.rules():
-            kb.add(self._rewrite_near_dwell_literals(rule))
-        return kb
-
-    def _evaluate_reference_epoch(self, now: float) -> List[Dict[str, Any]]:
-        """Full re-evaluation: every fact re-asserted, every rule
-        re-run (the bit-exact oracle)."""
-        kb = self._reference_kb(now)
-        return self._evaluate(self.rules(), now, kb=kb)
-
-    def evaluate_reference(self, now: Optional[float] = None,
-                           ) -> List[Dict[str, Any]]:
-        """Run one naive full re-evaluation epoch right now.
-
-        Available in both modes; in incremental mode it does *not*
-        touch the incremental state beyond the shared solution sets,
-        so it is only meant for reference-mode engines and debugging.
-        """
-        now = self._time if now is None else max(now, self._time)
-        self._time = now
-        return self._evaluate_reference_epoch(now)
-
-    # ------------------------------------------------------------------
-
     def stats(self) -> Dict[str, int]:
         return {
-            "mode": self.mode,  # type: ignore[dict-item]
             "subscriptions": len(self._rules),
             "epochs": self.epochs,
             "evaluated": self.evaluated,
@@ -898,3 +731,33 @@ class SemanticTriggerEngine:
             "near_thresholds": len(self._near_pairs),
             "dwell_pending": len(self._dwell_heap),
         }
+
+
+def solutions(kb: KnowledgeBase, rule: SemanticRule) -> Set[Tuple[str, ...]]:
+    """Every binding tuple of ``rule``'s head that ``kb`` derives."""
+    goal = Struct(rule.internal,
+                  tuple(Var(f"V{i}") for i in range(rule.arity)))
+    return {tuple(answer[f"V{i}"] for i in range(rule.arity))
+            for answer in kb.query(goal)}
+
+
+def transitions(rule: SemanticRule, current: Set[Tuple[str, ...]],
+                now: float) -> List[Dict[str, Any]]:
+    """The events taking ``rule`` from its standing solutions to
+    ``current``: entries, then departures, each sorted."""
+    return ([_event(rule, TRANSITION_ENTER, solution, now)
+             for solution in sorted(current - rule.previous)]
+            + [_event(rule, TRANSITION_LEAVE, solution, now)
+               for solution in sorted(rule.previous - current)])
+
+
+def _event(rule: SemanticRule, transition: str,
+           solution: Tuple[str, ...], now: float) -> Dict[str, Any]:
+    return {
+        "subscription_id": rule.subscription_id,
+        "transition": transition,
+        "head": rule.head_functor,
+        "bindings": dict(zip(rule.head_vars, solution)),
+        "rule": rule.text,
+        "time": now,
+    }

@@ -41,10 +41,11 @@ class Graph:
     (dist, prev) maps per (source, allow_restricted), invalidated by a
     version counter bumped on every mutation and capped LRU-style.
     ``shortest_path`` answers from the memo with results bit-identical
-    to the early-break Dijkstra kept as
-    :meth:`shortest_path_reference` — relaxations are deterministic,
-    and nodes on the target's shortest path are finalized before the
-    target, so their ``prev`` entries never change afterwards.
+    to an early-break Dijkstra (the oracle
+    :func:`repro.oracles.scans.shortest_path`): relaxations are
+    deterministic, and nodes on the target's shortest path are
+    finalized before the target, so their ``prev`` entries never
+    change afterwards.
     """
 
     _MEMO_CAPACITY = 256
@@ -134,7 +135,7 @@ class Graph:
                       ) -> Optional[Tuple[float, List[str]]]:
         """Dijkstra through the single-source memo.
 
-        Bit-identical to :meth:`shortest_path_reference`: the full run
+        Bit-identical to an early-break Dijkstra: the full run
         performs the same relaxations as the early-break run up to the
         target's finalization, and later pops cannot rewrite the
         finalized path.
@@ -147,43 +148,6 @@ class Graph:
             return 0.0, [source]
         dist, prev = self._single_source(source, allow_restricted)
         if target not in dist:
-            return None
-        path = [target]
-        while path[-1] != source:
-            path.append(prev[path[-1]])
-        path.reverse()
-        return dist[target], path
-
-    def shortest_path_reference(self, source: str, target: str,
-                                allow_restricted: bool = False
-                                ) -> Optional[Tuple[float, List[str]]]:
-        """Early-break Dijkstra: (distance, node path) or ``None``."""
-        if source not in self._adjacency:
-            raise ReasoningError(f"unknown source node {source!r}")
-        if target not in self._adjacency:
-            raise ReasoningError(f"unknown target node {target!r}")
-        if source == target:
-            return 0.0, [source]
-        dist: Dict[str, float] = {source: 0.0}
-        prev: Dict[str, str] = {}
-        heap: List[Tuple[float, str]] = [(0.0, source)]
-        visited: Set[str] = set()
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node in visited:
-                continue
-            visited.add(node)
-            if node == target:
-                break
-            for edge in self._adjacency[node]:
-                if edge.restricted and not allow_restricted:
-                    continue
-                candidate = d + edge.weight
-                if candidate < dist.get(edge.target, float("inf")):
-                    dist[edge.target] = candidate
-                    prev[edge.target] = node
-                    heapq.heappush(heap, (candidate, edge.target))
-        if target not in dist or target not in visited:
             return None
         path = [target]
         while path[-1] != source:
@@ -269,15 +233,6 @@ class NavigationGraph:
                       allow_restricted: bool = False) -> Optional[float]:
         """Center-to-center walking distance, or ``None`` if unreachable."""
         result = self.graph.shortest_path(str(a), str(b), allow_restricted)
-        return result[0] if result is not None else None
-
-    def path_distance_reference(self, a: Union[Glob, str],
-                                b: Union[Glob, str],
-                                allow_restricted: bool = False
-                                ) -> Optional[float]:
-        """Unmemoized early-break Dijkstra, for equivalence tests."""
-        result = self.graph.shortest_path_reference(
-            str(a), str(b), allow_restricted)
         return result[0] if result is not None else None
 
     def route(self, a: Union[Glob, str], b: Union[Glob, str],

@@ -34,7 +34,7 @@ from repro.reasoning import (
     SpatialRelations,
     build_knowledge_base,
 )
-from repro.reasoning.incremental import MODE_INCREMENTAL, LocationUpdate
+from repro.reasoning.incremental import LocationUpdate
 from repro.service.history import LocationHistory
 from repro.service.privacy import PrivacyPolicy
 from repro.service.regions import SymbolicRegionLattice
@@ -612,8 +612,7 @@ class LocationService:
                                                        None]] = None,
                            kind: str = KIND_BOTH,
                            remote_reference: Optional[str] = None,
-                           now: Optional[float] = None,
-                           mode: str = MODE_INCREMENTAL) -> str:
+                           now: Optional[float] = None) -> str:
         """Subscribe to a semantic rule over derived location facts.
 
         ``rule`` is a Horn clause like ``meeting(P, Q) :-
@@ -627,7 +626,7 @@ class LocationService:
         callbacks, they cannot travel through the WAL); re-register
         after crash recovery.
         """
-        manager = self.semantic_manager(mode)
+        manager = self.semantic_manager()
         subscription = SemanticSubscription(
             subscription_id=self.subscriptions.new_id(),
             rule=rule,
@@ -640,17 +639,10 @@ class LocationService:
         self._deliver_semantic(deliveries, None)
         return subscription.subscription_id
 
-    def semantic_manager(
-            self, mode: str = MODE_INCREMENTAL
-    ) -> SemanticSubscriptionManager:
+    def semantic_manager(self) -> SemanticSubscriptionManager:
         """The semantic subscription manager, created on first use."""
         if self.semantic is None:
-            self.semantic = SemanticSubscriptionManager(
-                self.db.world, mode=mode)
-        elif self.semantic.engine.mode != mode:
-            raise ServiceError(
-                f"semantic engine already running in "
-                f"{self.semantic.engine.mode!r} mode")
+            self.semantic = SemanticSubscriptionManager(self.db.world)
         return self.semantic
 
     def declare_semantic_fact(self, functor: str, *args: str,

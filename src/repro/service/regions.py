@@ -27,8 +27,8 @@ class SymbolicRegionLattice:
     Point/rect resolution is R-tree indexed: candidates come from an
     MBR index over the lattice's regions, the tie-break is (area,
     registration order) — exactly the strict ``<`` scan over the
-    insertion-ordered region dict that the ``*_reference`` methods
-    keep.  The index is lazily rebuilt whenever the world model's
+    insertion-ordered region dict that :mod:`repro.oracles.scans`
+    keeps.  The index is lazily rebuilt whenever the world model's
     version moves (frames or geometry may change canonical MBRs).
     """
 
@@ -146,18 +146,6 @@ class SymbolicRegionLattice:
                 best = meta[key]
         return best_key
 
-    def finest_region_containing_rect_reference(
-            self, rect: Rect) -> Optional[str]:
-        """The pre-index linear scan, kept for equivalence tests."""
-        best_key: Optional[str] = None
-        best_area = float("inf")
-        for key in self._regions:
-            mbr = self.world.canonical_mbr(key)
-            if mbr.contains_rect(rect) and mbr.area < best_area:
-                best_key = key
-                best_area = mbr.area
-        return best_key
-
     def coarsen(self, glob: Union[Glob, str], max_depth: int) -> str:
         """Coarsen a region to at most ``max_depth`` GLOB segments.
 
@@ -178,15 +166,6 @@ class SymbolicRegionLattice:
         hits = tree.search(rect)
         hits.sort(key=meta.__getitem__)
         return hits
-
-    def regions_overlapping_reference(self, rect: Rect) -> List[str]:
-        """The pre-index linear scan, kept for equivalence tests."""
-        overlapping = [
-            key for key in self._regions
-            if self.world.canonical_mbr(key).intersects(rect)
-        ]
-        return sorted(overlapping,
-                      key=lambda k: self.world.canonical_mbr(k).area)
 
     def define_region(self, glob: Union[Glob, str], polygon: Polygon,
                       frame: str = "") -> None:

@@ -8,9 +8,8 @@ Horn rule over the reasoning engine's derived facts::
                      team(P, blue), team(Q, red),
                      dwell(P, 'SC/3/ConferenceRoom', 120)
 
-The manager owns a :class:`SemanticTriggerEngine` (incremental by
-default; ``mode`` selects the naive reference oracle for differential
-tests), pairs every raw engine event with its subscription, applies
+The manager owns a :class:`SemanticTriggerEngine`, pairs every raw
+engine event with its subscription, applies
 the enter/leave ``kind`` filter, and leaves delivery to the caller —
 the :class:`~repro.service.location_service.LocationService` pushes
 through its usual ``_notify`` failure-isolation path.
@@ -24,11 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ServiceError
 from repro.model import WorldModel
-from repro.reasoning.incremental import (
-    MODE_INCREMENTAL,
-    LocationUpdate,
-    SemanticTriggerEngine,
-)
+from repro.reasoning.incremental import LocationUpdate, SemanticTriggerEngine
 from repro.service.subscriptions import (
     KIND_BOTH,
     KIND_ENTER,
@@ -72,9 +67,8 @@ class SemanticSubscriptionManager:
     fusion thread and the synchronous trigger path feed it.
     """
 
-    def __init__(self, world: WorldModel,
-                 mode: str = MODE_INCREMENTAL) -> None:
-        self.engine = SemanticTriggerEngine(world, mode=mode)
+    def __init__(self, world: WorldModel) -> None:
+        self.engine = SemanticTriggerEngine(world)
         self._subscriptions: Dict[str, SemanticSubscription] = {}
         self._lock = threading.Lock()
         self.delivered = 0
@@ -142,8 +136,8 @@ class SemanticSubscriptionManager:
     def _pair(self, events: List[Dict[str, Any]]) -> List[Delivery]:
         """Attach subscriptions; drop transitions the kind filters out.
 
-        The engine's raw stream stays mode-identical; the kind filter
-        is deterministic, so the delivered stream is too.
+        The kind filter is deterministic, so the delivered stream is
+        as reproducible as the engine's raw stream.
         """
         out: List[Delivery] = []
         for event in events:

@@ -136,8 +136,8 @@ class SubscriptionManager:
     """Holds subscriptions and turns fused confidences into events.
 
     Matching is index-driven: a per-object hash index (wildcard
-    subscriptions in the ``None`` bucket) replaces the full scan of
-    :meth:`matching_reference`, and an R-tree over subscription regions
+    subscriptions in the ``None`` bucket) replaces a full scan of the
+    subscriptions, and an R-tree over subscription regions
     plus an inside-state index lets :meth:`matching_for_result` hand
     the push path only the subscriptions whose outcome can differ from
     a no-op (region overlaps the fused support, currently inside, or
@@ -230,8 +230,8 @@ class SubscriptionManager:
         """Subscriptions that could apply to readings of ``object_id``.
 
         Index-backed: the wildcard bucket plus the object's bucket,
-        in registration order — exactly the filtered full scan of
-        :meth:`matching_reference`.
+        in registration order — exactly the filtered full scan
+        :func:`repro.oracles.scans.matching`.
         """
         with self._lock:
             ids = list(self._by_object.get(None, ()))
@@ -244,12 +244,6 @@ class SubscriptionManager:
         with self._lock:
             return (len(self._by_object.get(None, ()))
                     + len(self._by_object.get(object_id, ())))
-
-    def matching_reference(self, object_id: str) -> List[Subscription]:
-        """The pre-index full scan, kept for equivalence tests."""
-        with self._lock:
-            return [s for s in self._subscriptions.values()
-                    if s.object_id is None or s.object_id == object_id]
 
     def matching_for_result(self, object_id: str,
                             support: Optional[Rect]) -> List[Subscription]:

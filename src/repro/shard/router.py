@@ -40,7 +40,7 @@ from repro.geometry import Point, Rect
 from repro.model import Glob, WorldModel
 from repro.orb import Orb
 from repro.reasoning import NavigationGraph, SpatialRelations
-from repro.reasoning.incremental import MODE_INCREMENTAL, LocationUpdate
+from repro.reasoning.incremental import LocationUpdate
 from repro.service.semantic_subscriptions import (
     SemanticSubscription,
     SemanticSubscriptionManager,
@@ -397,16 +397,6 @@ class ShardRouter:
                                min_confidence)
         return merge_region_results(chunks)
 
-    def objects_in_region_reference(self, region: Union[Rect, Glob, str],
-                                    now: Optional[float] = None,
-                                    min_confidence: float = 0.5
-                                    ) -> List[Tuple[str, float]]:
-        self._count("fanout_queries")
-        rect = self._region_rect(region)
-        chunks = self._fan_out("objects_in_region_reference", rect, now,
-                               min_confidence)
-        return merge_region_results(chunks)
-
     def tracked_objects(self) -> List[str]:
         chunks = self._fan_out("tracked_objects")
         out: List[str] = []
@@ -497,9 +487,7 @@ class ShardRouter:
     # Semantic subscriptions: router-side engine over the merged feed
     # ------------------------------------------------------------------
 
-    def semantic_manager(
-            self, mode: str = MODE_INCREMENTAL
-    ) -> SemanticSubscriptionManager:
+    def semantic_manager(self) -> SemanticSubscriptionManager:
         """The router's semantic manager, created on first use.
 
         Semantic rules relate objects across shard boundaries
@@ -508,20 +496,14 @@ class ShardRouter:
         merged location feed through it.
         """
         if self.semantic is None:
-            self.semantic = SemanticSubscriptionManager(
-                self.world, mode=mode)
-        elif self.semantic.engine.mode != mode:
-            raise ServiceError(
-                f"semantic engine already running in "
-                f"{self.semantic.engine.mode!r} mode")
+            self.semantic = SemanticSubscriptionManager(self.world)
         return self.semantic
 
     def subscribe_semantic(self, rule: str,
                            consumer: Optional[
                                Callable[[Dict[str, Any]], None]] = None,
                            kind: str = KIND_BOTH,
-                           now: float = 0.0,
-                           mode: str = MODE_INCREMENTAL) -> str:
+                           now: float = 0.0) -> str:
         """Install a semantic rule fleet-wide.
 
         Shards are told (idempotently) to start mirroring fused
@@ -532,7 +514,7 @@ class ShardRouter:
         duplicate or lose semantic transitions — at worst a crashed
         shard's unfused readings never become location updates.
         """
-        manager = self.semantic_manager(mode)
+        manager = self.semantic_manager()
         with self._stats_lock:
             self._sub_seq += 1
             sid = f"rsem-{self._sub_seq}"

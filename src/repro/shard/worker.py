@@ -71,7 +71,6 @@ class ShardServant:
         "confidence_in_region",
         "probability_in_region",
         "objects_in_region",
-        "objects_in_region_reference",
         "tracked_objects",
         "subscribe",
         "unsubscribe",
@@ -213,14 +212,6 @@ class ShardServant:
     def objects_in_region(self, region: Rect, now: Optional[float] = None,
                           min_confidence: float = 0.5) -> List[List[Any]]:
         pairs = self.service.objects_in_region(region, now, min_confidence)
-        return [[object_id, confidence] for object_id, confidence in pairs]
-
-    def objects_in_region_reference(self, region: Rect,
-                                    now: Optional[float] = None,
-                                    min_confidence: float = 0.5
-                                    ) -> List[List[Any]]:
-        pairs = self.service.objects_in_region_reference(
-            region, now, min_confidence)
         return [[object_id, confidence] for object_id, confidence in pairs]
 
     def tracked_objects(self) -> List[str]:

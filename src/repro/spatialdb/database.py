@@ -606,15 +606,9 @@ class SpatialDatabase:
     def tracked_objects(self) -> List[str]:
         """All mobile-object ids that have at least one stored reading.
 
-        Reads the mobile-object hash index (O(objects)); the full-scan
-        form is kept as :meth:`tracked_objects_reference`.
+        Reads the mobile-object hash index (O(objects)).
         """
         return self.sensor_readings.index_keys("mobile_object_id")
-
-    def tracked_objects_reference(self) -> List[str]:
-        """The pre-index full scan, kept for equivalence tests."""
-        return sorted({row["mobile_object_id"]
-                       for row in self.sensor_readings.select()})
 
     def reading_support(self, mobile_object_id: str) -> Optional[Rect]:
         """MBR of every reading rect ever inserted for an object.

@@ -493,12 +493,12 @@ class Table:
             if isinstance(rect, Rect):
                 self._fire_indexed(row, rect)
                 return
-        self._fire_reference(event, row)
+        self._fire_scan(event, row)
 
     def _fire_indexed(self, row: Row, rect: Rect) -> None:
         """Insert-trigger dispatch through the region R-tree.
 
-        Produces exactly the firings of :meth:`_fire_reference`: the
+        Produces exactly the firings of :meth:`_fire_scan`: the
         R-tree returns every spatial trigger whose region intersects
         the row's rect (a pruned trigger's condition is False by the
         conservative-hint contract), conditions are still evaluated,
@@ -519,9 +519,10 @@ class Table:
             if trigger.enabled and trigger.condition(row):
                 trigger.action(dict(row))
 
-    def _fire_reference(self, event: str, row: Row) -> None:
-        """The linear scan over every trigger (pre-index behavior);
-        kept as the equivalence baseline for the indexed dispatch."""
+    def _fire_scan(self, event: str, row: Row) -> None:
+        """The linear scan over every trigger: the dispatch for
+        non-spatial triggers, and the baseline the indexed dispatch is
+        tested against (``use_spatial_dispatch = False``)."""
         for trigger in list(self._triggers.values()):
             if trigger.enabled and trigger.event == event:
                 if trigger.condition(row):

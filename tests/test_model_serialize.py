@@ -13,6 +13,7 @@ from repro.model import (
     world_to_json,
 )
 from repro.model.serialize import load_world, save_world
+from repro.oracles import scans
 from repro.sim import generate_office_floor, paper_floor, siebel_floor
 
 
@@ -154,7 +155,7 @@ class TestWorldVersionRoundTrip:
                   Point(200, 20)]
         for p in probes:
             indexed = rebuilt.smallest_region_containing(p)
-            reference = rebuilt.smallest_region_containing_reference(p)
+            reference = scans.smallest_region_containing(rebuilt, p)
             left = str(indexed.glob) if indexed else None
             right = str(reference.glob) if reference else None
             assert left == right, p

@@ -2,9 +2,10 @@
 
 :mod:`repro.oracles` holds the slow reference implementations the
 differential suites test against.  No module of :mod:`repro` outside
-that package may import it, so every production class carries one
-implementation.  Checked on the import statements themselves (parsed
-with :mod:`ast`), not by importing anything.
+that package may import it, and none may define a ``*_reference``
+function or a ``MODE_REFERENCE`` switch, so every production class
+carries one implementation.  Checked on the source itself (parsed with
+:mod:`ast`), not by importing anything.
 """
 
 import ast
@@ -39,6 +40,40 @@ def _imported_modules(source: str, package: str):
             yield base
             for alias in node.names:
                 yield f"{base}.{alias.name}"
+
+
+def _production_modules():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if ORACLES not in path.parents:
+            yield path, ast.parse(path.read_text())
+
+
+# ``LocationService.objects_in_region_reference`` is the production
+# path for ``min_confidence <= 0``, and perfbench's office workload
+# calls it by name; it moves with the next change to the benchmark.
+ALLOWED_REFERENCE_NAMES = {
+    "service/location_service.py::objects_in_region_reference"}
+
+
+def test_no_reference_twins_in_production():
+    offenders = sorted(
+        f"{path.relative_to(PACKAGE).as_posix()}::{node.name}"
+        for path, tree in _production_modules()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.endswith("_reference"))
+    assert set(offenders) <= ALLOWED_REFERENCE_NAMES, offenders
+
+
+def test_no_reference_mode_in_production():
+    offenders = sorted(
+        str(path.relative_to(PACKAGE))
+        for path, tree in _production_modules()
+        for node in ast.walk(tree)
+        if "MODE_REFERENCE" in (getattr(node, "id", None),
+                                getattr(node, "attr", None),
+                                getattr(node, "name", None)))
+    assert offenders == []
 
 
 def _is_oracle(name: str) -> bool:

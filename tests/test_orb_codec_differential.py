@@ -238,6 +238,26 @@ class TestFallbackRules:
         with pytest.raises(OrbError):
             wire.loads(b"\xfe")
 
+    @pytest.mark.parametrize("value", [
+        Point(10 ** 400, 0.0),
+        Rect(0.0, 0.0, 10 ** 400, 1.0),
+        Reading("s", "SC", "Ubisense", "o", Rect(0.0, 0.0, 1.0, 1.0),
+                10 ** 400),
+    ], ids=["point", "rect", "reading"])
+    def test_int_beyond_double_range_rejected(self, value):
+        with pytest.raises(OrbError):
+            wire.dumps(value)
+        with pytest.raises(OrbError):
+            wire.fast_marshal(value)
+
+    def test_frame_a_value_type_refuses_raises_orb_error(self):
+        """Well-formed bytes whose fields the value type's own checks
+        refuse (here, inverted rectangle bounds) still raise OrbError."""
+        good = wire.dumps(Rect(1.0, 0.0, 5.0, 1.0))
+        min_x, min_y, max_x, max_y = (good[i:i + 8] for i in (1, 9, 17, 25))
+        with pytest.raises(OrbError, match="undecodable"):
+            wire.loads(good[:1] + max_x + min_y + min_x + max_y)
+
 
 # ----------------------------------------------------------------------
 # In-process fast marshal

@@ -1,11 +1,14 @@
 """Indexed-vs-reference equivalence for the query-side indexes.
 
 PR 5 made trigger dispatch, subscription matching, region queries,
-symbolic point-location and path distances index-driven; every old
-linear scan survives as a ``*_reference`` method.  These properties
-assert the indexed paths return exactly — ordering included — what the
-references return on random worlds, mirroring
-``test_core_lattice_equivalence.py`` for the fusion hot path.
+symbolic point-location and path distances index-driven; the old
+linear scans live on as oracles in :mod:`repro.oracles.scans` (the
+trigger scan is the table's own ``_fire_scan``, still the dispatch for
+non-spatial triggers, and the service's unpruned
+``objects_in_region_reference``).  These properties assert the indexed
+paths return exactly — ordering included — what the scans return on
+random worlds, mirroring ``test_core_lattice_equivalence.py`` for the
+fusion hot path.
 """
 
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core import ProbabilityClassifier
 from repro.errors import UnknownObjectError
 from repro.geometry import Point, Polygon, Rect
+from repro.oracles import scans
 from repro.reasoning.navgraph import Graph
 from repro.sensors import UbisenseAdapter
 from repro.service import LocationService
@@ -43,7 +47,7 @@ def grid_points(draw):
 
 
 # ----------------------------------------------------------------------
-# Spatial trigger dispatch (Table._fire_indexed vs _fire_reference)
+# Spatial trigger dispatch (Table._fire_indexed vs _fire_scan)
 # ----------------------------------------------------------------------
 
 def _build_table(specs, log, tag):
@@ -146,7 +150,7 @@ class TestSubscriptionMatchingEquivalence:
             indexed = [s.subscription_id
                        for s in manager.matching(object_id)]
             reference = [s.subscription_id
-                         for s in manager.matching_reference(object_id)]
+                         for s in scans.matching(manager, object_id)]
             assert indexed == reference
 
     @settings(max_examples=60, deadline=None)
@@ -209,14 +213,13 @@ class TestLatticePointLocationEquivalence:
                                   Polygon.from_rect(rect), "")
         for p in points:
             indexed = world.smallest_region_containing(p)
-            reference = world.smallest_region_containing_reference(p)
+            reference = scans.smallest_region_containing(world, p)
             assert indexed is reference
         for rect in queries:
             assert (lattice.finest_region_containing_rect(rect)
-                    == lattice.finest_region_containing_rect_reference(
-                        rect))
+                    == scans.finest_region_containing_rect(lattice, rect))
             assert (lattice.regions_overlapping(rect)
-                    == lattice.regions_overlapping_reference(rect))
+                    == scans.regions_overlapping(lattice, rect))
 
 
 # ----------------------------------------------------------------------
@@ -240,15 +243,15 @@ class TestNavgraphMemoEquivalence:
             for source in nodes:
                 for target in nodes:
                     assert (graph.shortest_path(source, target, allow)
-                            == graph.shortest_path_reference(
-                                source, target, allow))
+                            == scans.shortest_path(
+                                graph, source, target, allow))
         # Mutation invalidates the memo: re-check after a new edge.
         a, b, w, restricted = late_edge
         graph.add_edge(f"n{a}", f"n{b}", float(w), restricted=restricted)
         for source in graph.nodes():
             for target in graph.nodes():
                 assert (graph.shortest_path(source, target)
-                        == graph.shortest_path_reference(source, target))
+                        == scans.shortest_path(graph, source, target))
 
 
 # ----------------------------------------------------------------------

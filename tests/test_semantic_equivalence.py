@@ -1,30 +1,41 @@
 """Incremental-vs-oracle equivalence for the semantic trigger engine.
 
-The incremental engine re-derives only the rules whose body atoms
-could have changed; :data:`MODE_REFERENCE` rebuilds the knowledge base
-and re-evaluates every rule on every epoch.  For ANY interleaving of
-location updates, subscribes, unsubscribes, fact declarations and
-clock ticks, the two must emit *identical* event streams — same
-events, same order, same payloads.  Hypothesis drives both engines
-through random programs and diffs the streams; the deterministic
-tests pin the edges randomness finds slowly (dwell windows crossing
-exactly at their boundary, mid-stream unsubscribe, near thresholds
-flipping both directions).
+:class:`SemanticTriggerEngine` re-derives only the rules whose body
+atoms could have changed; the oracle
+:class:`repro.oracles.semantic.ReferenceSemanticEngine` rebuilds the
+knowledge base and re-evaluates every rule on every epoch.  For ANY
+interleaving of location updates, subscribes, unsubscribes, fact
+declarations and retractions (no-op ones included) and clock ticks,
+the two must emit *identical* event streams — same events, same
+order, same payloads.  A hypothesis state machine drives both engines
+call by call and checks after every step; the deterministic tests pin
+the edges randomness finds slowly (dwell windows crossing exactly at
+their boundary, mid-stream unsubscribe, near thresholds flipping both
+directions, no-op fact changes that move the clock).
+
+Time advances only in calls that carry an instant (``now`` or an
+update's ``time``); ``unsubscribe`` carries none, and the oracle
+snapshot :func:`missed_transitions` is taken at the engine's own
+clock.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.model import Glob
-from repro.reasoning.incremental import (
-    MODE_INCREMENTAL,
-    MODE_REFERENCE,
-    LocationUpdate,
-    SemanticTriggerEngine,
-)
+from repro.oracles.semantic import ReferenceSemanticEngine, missed_transitions
+from repro.reasoning.incremental import LocationUpdate, SemanticTriggerEngine
 from repro.sim import siebel_floor
 
 WORLD = siebel_floor()
@@ -68,116 +79,109 @@ RULES = (
 
 TEAMS = ("blue", "red")
 
-# One program step: (dt, op).  Time advances monotonically; the dt
-# choices straddle the dwell durations above so windows open and close
-# at varied offsets (including 0.0 — several ops in one epoch).
-_ops = st.one_of(
-    st.tuples(st.just("move"),
-              st.integers(0, len(OBJECTS) - 1),
-              st.integers(0, len(SPOTS) - 1)),
-    st.tuples(st.just("sub"), st.integers(0, len(RULES) - 1)),
-    st.tuples(st.just("unsub"), st.integers(0, 7)),
-    st.tuples(st.just("fact"),
-              st.integers(0, len(OBJECTS) - 1),
-              st.integers(0, len(TEAMS) - 1)),
-    st.tuples(st.just("retract"),
-              st.integers(0, len(OBJECTS) - 1),
-              st.integers(0, len(TEAMS) - 1)),
-    st.tuples(st.just("tick")),
-)
-
-programs = st.lists(
-    st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 7.0]), _ops),
-    min_size=1, max_size=24)
+# Step sizes: 0.0 keeps several calls at one instant, 0.5 sums to the
+# 2 s dwell boundary, 2.0 lands on it and 7.0 crosses both windows in
+# one call.
+steps = st.sampled_from([0.0, 0.5, 2.0, 7.0])
+objects = st.integers(0, len(OBJECTS) - 1)
+teams = st.integers(0, len(TEAMS) - 1)
 
 
-def run_program(mode, program):
-    """Execute one generated program; return its full event stream."""
-    engine = SemanticTriggerEngine(WORLD, mode=mode)
-    events = []
-    active = []
-    now = 0.0
-    for step, (dt, op) in enumerate(program):
-        now += dt
-        kind = op[0]
-        if kind == "move":
-            _, obj, spot = op
-            region, center = SPOTS[spot]
-            events.extend(engine.on_update(LocationUpdate(
-                object_id=OBJECTS[obj], region=region, center=center,
-                time=now)))
-        elif kind == "sub":
-            sid = f"s{step}"
-            events.extend(engine.subscribe(sid, RULES[op[1]], now=now))
-            active.append(sid)
-        elif kind == "unsub":
-            if active:
-                sid = active.pop(op[1] % len(active))
-                engine.unsubscribe(sid)
-        elif kind == "fact":
-            events.extend(engine.declare_fact(
-                "team", OBJECTS[op[1]], TEAMS[op[2]], now=now))
-        elif kind == "retract":
-            events.extend(engine.retract_fact(
-                "team", OBJECTS[op[1]], TEAMS[op[2]], now=now))
-        else:
-            events.extend(engine.tick(now))
-    return events
+class SemanticDifferential(RuleBasedStateMachine):
+    """The incremental engine and the oracle, fed the same calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.engine = SemanticTriggerEngine(WORLD)
+        self.oracle = ReferenceSemanticEngine(WORLD)
+        self.now = 0.0
+        self.active: list = []
+        self.subscribed = 0
+        self.declared: set = set()
+
+    def _both(self, call):
+        assert call(self.engine) == call(self.oracle)
+
+    def _advance(self, dt: float) -> float:
+        self.now += dt
+        return self.now
+
+    @initialize()
+    def dwell_rules(self):
+        """Start with the dwell rules standing: their windows are
+        where the clock paths of every call meet."""
+        for index in (7, 8):
+            self.subscribe(index, 0.0)
+
+    @rule(obj=objects, spot=st.integers(0, len(SPOTS) - 1), dt=steps)
+    def move(self, obj, spot, dt):
+        region, center = SPOTS[spot]
+        update = LocationUpdate(object_id=OBJECTS[obj], region=region,
+                                center=center, time=self._advance(dt))
+        self._both(lambda engine: engine.on_update(update))
+
+    @rule(index=st.integers(0, len(RULES) - 1), dt=steps)
+    def subscribe(self, index, dt):
+        sid = f"s{self.subscribed}"
+        self.subscribed += 1
+        now = self._advance(dt)
+        self._both(lambda engine: engine.subscribe(sid, RULES[index],
+                                                   now=now))
+        self.active.append(sid)
+
+    @precondition(lambda self: self.active)
+    @rule(pick=st.integers(0, 7))
+    def unsubscribe(self, pick):
+        sid = self.active.pop(pick % len(self.active))
+        self._both(lambda engine: engine.unsubscribe(sid))
+
+    def _fact(self, method, fact, dt):
+        now = self._advance(dt)
+        self._both(lambda engine: getattr(engine, method)(
+            "team", *fact, now=now))
+
+    @rule(obj=objects, team=teams, dt=steps)
+    def declare(self, obj, team, dt):
+        fact = (OBJECTS[obj], TEAMS[team])
+        self._fact("declare_fact", fact, dt)
+        self.declared.add(fact)
+
+    @precondition(lambda self: self.declared)
+    @rule(pick=st.integers(0, 7), dt=steps)
+    def redeclare(self, pick, dt):
+        """A fact that already holds: only the clock moves."""
+        fact = sorted(self.declared)[pick % len(self.declared)]
+        self._fact("declare_fact", fact, dt)
+
+    @rule(obj=objects, team=teams, dt=steps)
+    def retract(self, obj, team, dt):
+        """Retracting a fact that does not hold only moves the clock."""
+        fact = (OBJECTS[obj], TEAMS[team])
+        self._fact("retract_fact", fact, dt)
+        self.declared.discard(fact)
+
+    @rule(dt=steps)
+    def tick(self, dt):
+        now = self._advance(dt)
+        self._both(lambda engine: engine.tick(now))
+
+    @invariant()
+    def nothing_missed(self):
+        assert missed_transitions(self.engine) == []
+        for sid in self.active:
+            assert (self.engine.active_solutions(sid)
+                    == self.oracle.active_solutions(sid))
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(program=programs)
-def test_incremental_matches_reference(program):
-    """The whole point: identical streams under any program."""
-    assert run_program(MODE_INCREMENTAL, program) \
-        == run_program(MODE_REFERENCE, program)
-
-
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(program=programs)
-# A retract of an unknown fact after a dwell window expired must still
-# settle that window.
-@example(program=[(0.0, ("move", 0, 0)), (0.0, ("sub", 7)),
-                  (2.0, ("retract", 0, 0))])
-def test_incremental_state_matches_oracle_snapshot(program):
-    """After any program, a naive full re-evaluation of the
-    incremental engine's final state finds no missed transition:
-    the standing solution sets are exactly what the oracle derives."""
-    engine = SemanticTriggerEngine(WORLD, mode=MODE_INCREMENTAL)
-    active = []
-    now = 0.0
-    for step, (dt, op) in enumerate(program):
-        now += dt
-        kind = op[0]
-        if kind == "move":
-            _, obj, spot = op
-            region, center = SPOTS[spot]
-            engine.on_update(LocationUpdate(
-                object_id=OBJECTS[obj], region=region, center=center,
-                time=now))
-        elif kind == "sub":
-            sid = f"s{step}"
-            engine.subscribe(sid, RULES[op[1]], now=now)
-            active.append(sid)
-        elif kind == "unsub":
-            if active:
-                engine.unsubscribe(active.pop(op[1] % len(active)))
-        elif kind == "fact":
-            engine.declare_fact("team", OBJECTS[op[1]], TEAMS[op[2]],
-                                now=now)
-        elif kind == "retract":
-            engine.retract_fact("team", OBJECTS[op[1]], TEAMS[op[2]],
-                                now=now)
-        else:
-            engine.tick(now)
-    assert engine.evaluate_reference(now) == []
+def test_incremental_matches_reference():
+    """The whole point: identical streams under any call sequence."""
+    run_state_machine_as_test(SemanticDifferential, settings=settings(
+        max_examples=40, stateful_step_count=25, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow]))
 
 
 def _pair():
-    return (SemanticTriggerEngine(WORLD, mode=MODE_INCREMENTAL),
-            SemanticTriggerEngine(WORLD, mode=MODE_REFERENCE))
+    return SemanticTriggerEngine(WORLD), ReferenceSemanticEngine(WORLD)
 
 
 def _both(results):
@@ -185,6 +189,63 @@ def _both(results):
     incremental, reference = results
     assert incremental == reference
     return incremental
+
+
+def test_incremental_state_matches_oracle_snapshot():
+    """An unsubscribe carries no instant, so a dwell window expiring
+    after the last timed call is not yet due: the snapshot at the
+    engine's clock finds nothing missed, a later instant reports the
+    window, and the next timed call fires it in both engines."""
+    engines = _pair()
+    region, center = SPOTS[0]
+    for engine in engines:
+        engine.subscribe("s0", RULES[0], now=0.0)
+        engine.on_update(LocationUpdate(
+            object_id="o0", region=region, center=center, time=0.0))
+        engine.subscribe("s2", RULES[7], now=0.0)
+        assert engine.unsubscribe("s0")
+    incremental = engines[0]
+    assert missed_transitions(incremental) == []
+    pending = missed_transitions(incremental, 2.0)
+    fired = _both([engine.tick(2.0) for engine in engines])
+    assert [(e["subscription_id"], e["transition"], e["bindings"])
+            for e in fired] == [("s2", "enter", {"P": "o0"})]
+    assert pending == fired
+    assert missed_transitions(incremental) == []
+
+
+@pytest.mark.parametrize("method, known", [
+    ("declare_fact", True), ("retract_fact", False)])
+def test_noop_fact_change_settles_expired_dwell(method, known):
+    """Declaring a fact that holds, or retracting one that does not,
+    still advances the clock past a dwell deadline and fires it."""
+    engines = _pair()
+    region, center = SPOTS[0]
+    for engine in engines:
+        engine.on_update(LocationUpdate(
+            object_id="o0", region=region, center=center, time=0.0))
+        engine.subscribe("s1", RULES[7], now=0.0)
+        if known:
+            engine.declare_fact("team", "o0", "blue", now=0.0)
+    fired = _both([getattr(engine, method)("team", "o0", "blue", now=2.0)
+                   for engine in engines])
+    assert [e["transition"] for e in fired] == ["enter"]
+    assert missed_transitions(engines[0]) == []
+
+
+def test_missed_transitions_reports_without_changing_the_engine():
+    engine = SemanticTriggerEngine(WORLD)
+    region, center = SPOTS[0]
+    engine.on_update(LocationUpdate(
+        object_id="o0", region=region, center=center, time=0.0))
+    engine.subscribe("s1", RULES[0], now=0.0)
+    assert engine.active_solutions("s1") == [{"P": "o0"}]
+    engine.rules()[0].previous = set()  # a lost activation
+    missed = missed_transitions(engine)
+    assert [(e["transition"], e["bindings"]) for e in missed] \
+        == [("enter", {"P": "o0"})]
+    assert missed_transitions(engine) == missed
+    assert engine.active_solutions("s1") == []
 
 
 class TestDwellBoundaries:
@@ -350,7 +411,7 @@ def test_incremental_prunes_while_reference_rebuilds():
 
 def test_invalid_rules_are_rejected():
     from repro.errors import ReasoningError
-    engine = SemanticTriggerEngine(WORLD, mode=MODE_INCREMENTAL)
+    engine = SemanticTriggerEngine(WORLD)
     for bad in (
         "just_a_fact(P)",                       # no body
         "r(P) :- near(P, Q, X)",                # non-numeric threshold

@@ -100,6 +100,15 @@ class TestCli:
         assert "Q: where is person-1" in out
         assert "A:" in out
 
+    def test_semantic_command_runs_the_one_engine(self, capsys):
+        from repro.cli import main
+        assert main(["semantic", "--people", "2", "--seconds", "30"]) == 0
+        stats = capsys.readouterr().out.splitlines()[-1]
+        assert stats.startswith("semantic: ")
+        assert "kb_rebuilds=1" in stats and "mode=" not in stats
+        with pytest.raises(SystemExit):
+            main(["semantic", "--mode", "reference"])
+
     def test_calibrate_command(self, capsys):
         from repro.cli import main
         assert main(["calibrate", "--seconds", "300",
