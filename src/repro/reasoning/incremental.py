@@ -47,7 +47,12 @@ from repro.reasoning.prolog import (
     Var,
     parse_clause,
 )
-from repro.reasoning.rules import SPATIAL_RULES, build_knowledge_base
+from repro.reasoning.rules import (
+    PASSAGE_FUNCTORS,
+    SPATIAL_RULES,
+    add_passage_facts,
+    hierarchy_knowledge_base,
+)
 from repro.spatialdb.rtree import RTree
 
 TRANSITION_ENTER = "enter"
@@ -103,7 +108,7 @@ def containment_chain(region: Optional[str]) -> Tuple[str, ...]:
     """The region plus its GLOB-prefix ancestors, finest first.
 
     Mirrors the ``parent``/``within`` facts that
-    :func:`build_knowledge_base` exports (textual prefix hierarchy),
+    :func:`hierarchy_knowledge_base` exports (textual prefix hierarchy),
     so dwell bookkeeping and ``located_within`` agree on what regions
     an object is in.
     """
@@ -223,8 +228,9 @@ class SemanticRule:
         body_functors = {atom.functor for atom in parsed.body}
         closure = _predicate_closure(set(body_functors))
         engine_vocab = (set(_DEPENDENCIES) | set(_DYNAMIC_PREDICATES)
+                        | PASSAGE_FUNCTORS
                         | {"distinct", "parent", "chain", "region",
-                           "room", "corridor", "ecfp", "ecrp", "ecnp"})
+                           "room", "corridor"})
         fact_functors = frozenset(
             functor for functor in body_functors
             if functor not in engine_vocab)
@@ -325,6 +331,9 @@ class SemanticTriggerEngine:
 
     One long-lived knowledge base is mutated by delta facts, and each
     epoch re-derives only the subscriptions those facts can touch.
+    The passage facts (``ecfp``/``ecrp``/``ecnp``) are the one costly
+    static export, so they load on the first subscription whose
+    dependency closure reaches them; no other rule can see them.
     """
 
     def __init__(self, world: WorldModel, max_depth: int = 256) -> None:
@@ -359,7 +368,8 @@ class SemanticTriggerEngine:
         self.evaluated = 0
         self.pruned = 0
         self.events_emitted = 0
-        self._kb = build_knowledge_base(world, max_depth=max_depth)
+        self._kb = hierarchy_knowledge_base(world, max_depth=max_depth)
+        self._passages_loaded = False
         for region, ancestor in self._containment_closure():
             self._kb.add_fact("chain", region, ancestor)
         for text in SEMANTIC_RULES:
@@ -421,6 +431,9 @@ class SemanticTriggerEngine:
                                     next(self._seq))
         self._rules[subscription_id] = rule
 
+        if not self._passages_loaded and rule.depends & PASSAGE_FUNCTORS:
+            add_passage_facts(self._kb, self.world)
+            self._passages_loaded = True
         for threshold, _ in rule.near_atoms:
             self._ensure_near_threshold(threshold)
         for duration, _, _ in rule.dwell_atoms:

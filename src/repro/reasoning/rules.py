@@ -11,8 +11,12 @@ from __future__ import annotations
 from typing import List, Union
 
 from repro.model import EntityType, Glob, WorldModel
-from repro.reasoning.passages import connected_pairs
+from repro.reasoning import passages
 from repro.reasoning.prolog import KnowledgeBase
+
+# The facts :func:`add_passage_facts` exports: the only ones that need
+# the O(regions^2) polygon RCC-8 sweep.
+PASSAGE_FUNCTORS = frozenset({"ecfp", "ecrp", "ecnp"})
 
 # The derived-relation rule set loaded on top of the world facts.
 SPATIAL_RULES = [
@@ -41,21 +45,24 @@ SPATIAL_RULES = [
 
 def build_knowledge_base(world: WorldModel,
                          max_depth: int = 256) -> KnowledgeBase:
-    """A knowledge base loaded with the world's spatial facts and rules.
+    """A knowledge base loaded with the world's spatial facts and rules:
+    :func:`hierarchy_knowledge_base` plus :func:`add_passage_facts`."""
+    kb = hierarchy_knowledge_base(world, max_depth)
+    add_passage_facts(kb, world)
+    return kb
+
+
+def hierarchy_knowledge_base(world: WorldModel,
+                             max_depth: int = 256) -> KnowledgeBase:
+    """The rules and every world fact but the passage relations.
 
     Facts exported:
-      * ``ecfp/2``, ``ecrp/2``, ``ecnp/2`` — passage relations between
-        externally connected regions (one direction; the rules add
-        symmetry).
       * ``parent/2`` — direct GLOB hierarchy (room -> floor -> building).
       * ``region/1``, ``room/1``, ``corridor/1`` — region typing.
     """
     kb = KnowledgeBase(max_depth=max_depth)
     for rule in SPATIAL_RULES:
         kb.add(rule)
-    for a, b, relation in connected_pairs(world):
-        functor = relation.value.lower()
-        kb.add_fact(functor, a, b)
     for entity in world.entities():
         glob = str(entity.glob)
         if entity.entity_type.is_enclosing:
@@ -73,6 +80,14 @@ def build_knowledge_base(world: WorldModel,
                 kb.add_fact("parent", "/".join(parts[: i + 1]),
                             "/".join(parts[:i]))
     return kb
+
+
+def add_passage_facts(kb: KnowledgeBase, world: WorldModel) -> None:
+    """Export ``ecfp/2``, ``ecrp/2`` and ``ecnp/2``: the passage
+    relations between externally connected regions (one direction; the
+    rules add symmetry)."""
+    for a, b, relation in passages.connected_pairs(world):
+        kb.add_fact(relation.value.lower(), a, b)
 
 
 def reachable_regions(kb: KnowledgeBase,

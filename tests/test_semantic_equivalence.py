@@ -4,7 +4,8 @@
 atoms could have changed; the oracle
 :class:`repro.oracles.semantic.ReferenceSemanticEngine` rebuilds the
 knowledge base and re-evaluates every rule on every epoch.  For ANY
-interleaving of location updates, subscribes, unsubscribes, fact
+interleaving of location updates, subscribes (of rules that need the
+passage facts the engine loads on demand, too), unsubscribes, fact
 declarations and retractions (no-op ones included) and clock ticks,
 the two must emit *identical* event streams — same events, same
 order, same payloads.  A hypothesis state machine drives both engines
@@ -77,6 +78,11 @@ RULES = (
     "team(P, 'blue'), distinct(P, Q)",
 )
 
+# Reaches the passage facts (adjacent -> opens -> ecfp/ecrp), which
+# the engine loads on the first such subscription; the oracle always
+# has them.
+PASSAGE_RULE = "near_exit(P) :- at(P, R), adjacent(R, 'SC/3/Corridor')"
+
 TEAMS = ("blue", "red")
 
 # Step sizes: 0.0 keeps several calls at one instant, 0.5 sums to the
@@ -111,7 +117,7 @@ class SemanticDifferential(RuleBasedStateMachine):
         """Start with the dwell rules standing: their windows are
         where the clock paths of every call meet."""
         for index in (7, 8):
-            self.subscribe(index, 0.0)
+            self._subscribe(RULES[index], 0.0)
 
     @rule(obj=objects, spot=st.integers(0, len(SPOTS) - 1), dt=steps)
     def move(self, obj, spot, dt):
@@ -120,14 +126,20 @@ class SemanticDifferential(RuleBasedStateMachine):
                                 center=center, time=self._advance(dt))
         self._both(lambda engine: engine.on_update(update))
 
-    @rule(index=st.integers(0, len(RULES) - 1), dt=steps)
-    def subscribe(self, index, dt):
+    def _subscribe(self, text, dt):
         sid = f"s{self.subscribed}"
         self.subscribed += 1
         now = self._advance(dt)
-        self._both(lambda engine: engine.subscribe(sid, RULES[index],
-                                                   now=now))
+        self._both(lambda engine: engine.subscribe(sid, text, now=now))
         self.active.append(sid)
+
+    @rule(index=st.integers(0, len(RULES) - 1), dt=steps)
+    def subscribe(self, index, dt):
+        self._subscribe(RULES[index], dt)
+
+    @rule(dt=steps)
+    def subscribe_passage_rule(self, dt):
+        self._subscribe(PASSAGE_RULE, dt)
 
     @precondition(lambda self: self.active)
     @rule(pick=st.integers(0, 7))
