@@ -5,11 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro._compat import SLOTS
 from repro.core.classify import ProbabilityBucket
 from repro.geometry import Point, Rect
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **SLOTS)
 class LocationEstimate:
     """A single-valued location answer (Section 4.2).
 

@@ -17,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro._compat import SLOTS
 from repro.core.sensorspec import SensorSpec
 from repro.errors import SensorError
 from repro.geometry import Point, Rect
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **SLOTS)
 class Reading:
     """One adapter emission: the spatial database's ``insert_reading``
     arguments, in their order.
@@ -41,7 +42,7 @@ class Reading:
     detection_radius: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **SLOTS)
 class NormalizedReading:
     """One sensor reading in the common format.
 

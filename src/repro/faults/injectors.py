@@ -23,7 +23,6 @@ cannot change them); transport injectors gate ORB invocations.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import heapq
 import random
 import threading
@@ -53,6 +52,9 @@ def stable_fraction(*parts: object) -> float:
     number) instead of drawing from a shared RNG whose draw order
     would race.
     """
+    # Imported here: OpenSSL's _hashlib would otherwise add ~3 MiB to
+    # every process that imports the package.
+    import hashlib
     key = "|".join(str(p) for p in parts).encode("utf-8")
     digest = hashlib.blake2b(key, digest_size=8).digest()
     return int.from_bytes(digest, "big") / 2.0 ** 64

@@ -11,8 +11,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
+from repro._compat import SLOTS
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, **SLOTS)
 class Point:
     """An immutable point with optional height.
 

@@ -14,11 +14,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
+from repro._compat import SLOTS
 from repro.errors import GeometryError
 from repro.geometry.point import Point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **SLOTS)
 class Rect:
     """An immutable axis-aligned rectangle ``[min_x, max_x] x [min_y, max_y]``.
 

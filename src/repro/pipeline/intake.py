@@ -26,6 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+from repro._compat import SLOTS
 from repro.core.reading import Reading
 from repro.errors import IntakeOverflowError, PipelineError
 
@@ -37,7 +38,7 @@ OVERFLOW_REJECT = "reject"
 OVERFLOW_POLICIES = (OVERFLOW_BLOCK, OVERFLOW_DROP_OLDEST, OVERFLOW_REJECT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **SLOTS)
 class QueuedReading:
     """A reading plus the wall-clock instant it entered the intake."""
 
@@ -155,8 +156,9 @@ class IntakeQueue:
         with self._lock:
             if self._closed:
                 raise PipelineError("intake is closed")
-            queue = self._queues.setdefault(reading.object_id,
-                                            _ObjectQueue())
+            queue = self._queues.get(reading.object_id)
+            if queue is None:
+                queue = self._queues[reading.object_id] = _ObjectQueue()
             dropped = 0
             if len(queue.entries) >= self.capacity:
                 if self.policy == OVERFLOW_REJECT:

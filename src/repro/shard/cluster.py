@@ -24,7 +24,6 @@ log already replayed would restart sequence numbers mid-file.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
@@ -50,8 +49,9 @@ _LAUNCH_LOCK = threading.Lock()
 def _forkserver_context() -> Any:
     """The forkserver context, its server running with the worker
     module preloaded."""
-    # Imported here: its dozen multiprocessing modules would otherwise
+    # Imported here: multiprocessing's dozen modules would otherwise
     # load into every process that imports the package.
+    import multiprocessing
     from multiprocessing import forkserver
     context = multiprocessing.get_context("forkserver")
     context.set_forkserver_preload([shard_worker_main.__module__])

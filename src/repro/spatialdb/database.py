@@ -357,6 +357,7 @@ class SpatialDatabase:
         """
         journal = self.journal
         prepare = journal.prepare_insert if journal is not None else None
+        validate_row = self.sensor_readings.schema.validate_row
         rows: List[Row] = []
         parts = []
         failure: Optional[BaseException] = None
@@ -384,6 +385,15 @@ class SpatialDatabase:
                     "detection_time": float(r.detection_time),
                     "moving": False,
                 }
+                # Refused here, not by the table after the ingest lock
+                # has moved ids, history and bounds for it.  Exact
+                # types skip the call; the rest take the schema's own
+                # check, which accepts subclasses and names the column.
+                if not (type(r.sensor_id) is type(r.glob_prefix)
+                        is type(r.sensor_type) is type(r.object_id) is str
+                        and type(rect) is Rect
+                        and (location is None or type(location) is Point)):
+                    validate_row(row)
                 if prepare is not None:
                     # Everything but the in-lock fields is encoded up
                     # front, keeping the ingest lock short for the

@@ -17,7 +17,6 @@ silently reordered history would be worse than a loud failure.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -152,6 +151,9 @@ def readings_fingerprint(db) -> str:
     rows (ids, geometry, flags — ``repr`` keeps float identity) —
     the chaos suite's survivor-vs-recovered oracle.
     """
+    # Imported here: OpenSSL's _hashlib would otherwise add ~3 MiB to
+    # every process that imports the package.
+    import hashlib
     lines = []
     for row in sorted(db.sensor_readings.select(),
                       key=lambda r: r["reading_id"]):

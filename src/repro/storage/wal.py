@@ -24,6 +24,10 @@ Fsync policies (all deterministic — no wall-clock batching):
   crash-exposure the stats report).
 * ``never``    — fsync only on :meth:`sync` / :meth:`close`.
 
+Under every policy an append call hands its bytes to the kernel before
+it returns, so a killed process loses no acknowledged record; the
+policy only decides what a power loss can cost.
+
 The log is thread-safe: the pipeline and synchronous writers append
 concurrently, and the append lock is what serializes WAL order.
 """
@@ -172,6 +176,10 @@ class WriteAheadLog:
                         self._written(index + 1)
                         self._die(chunks, index, exc)
             self._file.write(b"".join(chunks))
+            # Hand the bytes to the kernel before acknowledging: a
+            # killed process loses its user-space buffer, not the page
+            # cache, so after this only a power loss can cost them.
+            self._file.flush()
             self._written(len(payloads))
             if self._sync_interval and \
                     self._since_sync >= self._sync_interval:

@@ -167,6 +167,9 @@ class TestEndToEnd:
                      rect, 1.0), "unknown sensor"),
             (Reading("Legacy-9", "SC/3", "legacy", "alice",
                      rect, 1.0), "no calibrated spec"),
+            # The readings table's schema would refuse it too.
+            (Reading("Ubi-1", "SC/3", "ubisense", 42,
+                     rect, 1.0), "must be strings"),
         ]
         for reading, _ in malformed:
             assert pipeline.submit(reading) is False

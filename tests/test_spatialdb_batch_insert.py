@@ -14,8 +14,9 @@ per-reading path, only cheaper:
 * a transient failure after k readings landed retries only the rest;
 * ``reading_version`` never counts a row ``readings_for`` cannot
   return, even while a backlog is landing on another thread;
-* a reading that cannot be converted fails alone: the readings before
-  it land and only it is dead-lettered.
+* a reading that cannot be converted, or that the schema refuses,
+  fails alone: the readings before it land, nothing moves for the
+  rest, and only it is dead-lettered.
 """
 
 import os
@@ -23,7 +24,8 @@ import shutil
 import sys
 import tempfile
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,11 @@ def _database(wal_dir=None):
     for sensor_id in SENSORS:
         UbisenseAdapter(sensor_id, "SC/3", frame="").attach(db)
     return db, manager
+
+
+def _arguments(reading):
+    """``reading``'s fields in order: ``insert_reading``'s arguments."""
+    return [getattr(reading, field.name) for field in fields(reading)]
 
 
 # A small grid of rectangles, so the same (sensor, object) pair often
@@ -104,7 +111,7 @@ class TestBatchEquivalence:
             ids = []
             for lo, hi in zip(bounds, bounds[1:]):
                 ids += batched.insert_readings(readings[lo:hi])
-            reference = [looped.insert_reading(*vars(reading).values())
+            reference = [looped.insert_reading(*_arguments(reading))
                          for reading in readings]
             assert ids == reference
             assert _state(batched) == _state(looped)
@@ -135,15 +142,6 @@ class TestBatchEquivalence:
                                                    False]
         assert db.reading_version("alice") == 4
         assert db.reading_support("alice") == still.union_mbr(moved)
-
-    def test_bad_row_lands_nothing(self):
-        db, _ = _database()
-        good = Reading("Ubi-1", "SC/3", "Ubisense", "alice",
-                       Rect(149.0, 19.0, 151.0, 21.0), 1.0)
-        with pytest.raises(SchemaError):
-            db.insert_readings([good, replace(good, glob_prefix=3)])
-        assert len(db.sensor_readings) == 0
-        assert db.reading_version("alice") == 0
 
 
 def _backlog(count):
@@ -280,7 +278,7 @@ class TestVersionNeverOvercounts:
         try:
             for _ in range(60):
                 db.insert_readings(backlog)
-                db.insert_reading(*vars(backlog[0]).values())
+                db.insert_reading(*_arguments(backlog[0]))
         finally:
             done.set()
             thread.join()
@@ -308,14 +306,45 @@ class TestUnrecordableReading:
         assert readings_fingerprint(recover(manager.wal_dir).db) == \
             readings_fingerprint(db)
 
+    @pytest.mark.parametrize("refused", [
+        {"object_id": 42}, {"glob_prefix": 3},
+        {"location": SimpleNamespace(x=150.0, y=20.0, z=0.0)}],
+        ids=["object_id", "glob_prefix", "location"])
+    def test_schema_refusal_lands_only_the_prefix(self, refused):
+        """With durability off the table schema is the only check: a
+        reading it refuses fails alone, and the id allocator, movement
+        history, support MBRs and latest detection times move for the
+        readings before it only."""
+        db, _ = _database()
+        good = Reading("Ubi-1", "SC/3", "Ubisense", "alice",
+                       Rect(149.0, 19.0, 151.0, 21.0), 1.0)
+        bad = replace(good, **{"object_id": "bob", "detection_time": 5.0,
+                               "rect": Rect(120.0, 12.0, 121.5, 13.0),
+                               **refused})
+        moved = replace(good, detection_time=6.0,
+                        rect=Rect(150.0, 19.5, 152.5, 21.0))
+        with pytest.raises(SchemaError) as caught:
+            db.insert_readings([good, bad, moved])
+        assert caught.value.landed == 1
+        assert [row["reading_id"]
+                for row in db.sensor_readings.select()] == [1]
+        assert db.reading_support(bad.object_id) is None
+        assert db.latest_detection(bad.object_id) == float("-inf")
+        assert db.latest_detection("alice") == 1.0
+        # Its retry gets the next id and is compared against the
+        # reading that landed, not against its own refused attempt.
+        assert db.insert_readings([moved]) == [2]
+        assert [row["moving"] for row in db.sensor_readings.select(
+            order_by="reading_id")] == [False, True]
+
     def test_pipeline_dead_letters_only_the_bad_reading(self):
         db = SpatialDatabase(siebel_floor())
         service = LocationService(db)
         UbisenseAdapter("Ubi-1", "SC/3", frame="").attach(db)
         pipeline = LocationPipeline(service, PipelineConfig())
         readings = _backlog(6)
-        readings[2] = Reading(**dict(
-            readings[2].__dict__, detection_radius="wide"))
+        readings[2] = replace(readings[2],
+                              detection_radius="wide")
         stats = _run_backlog(pipeline, readings)
         assert stats.fused == 5
         assert stats.retries == 0

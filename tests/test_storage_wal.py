@@ -2,24 +2,37 @@
 
 Covers the framing contract (length-prefixed, checksummed,
 monotonically sequenced records), all three fsync policies, torn-tail
-tolerance versus interior-corruption loudness, and the logical
-operation codec the spatial-DB seam logs through.
+tolerance versus interior-corruption loudness, a real SIGKILL after
+a buffered append, and the logical operation codec the spatial-DB
+seam logs through.
 """
 
 import dataclasses
 import json
 import math
 import os
+import signal
 import struct
+import subprocess
+import sys
 import zlib
 
 import pytest
 
+import repro
 from repro.core import Reading, SensorSpec
 from repro.errors import SimulatedCrash, StorageError, WalCorruptionError
 from repro.geometry import Point, Rect
 from repro.orb import wire
-from repro.storage import WriteAheadLog, scan_wal
+from repro.sensors import UbisenseAdapter
+from repro.sim import siebel_floor
+from repro.spatialdb import SpatialDatabase
+from repro.storage import (
+    WriteAheadLog,
+    readings_fingerprint,
+    recover,
+    scan_wal,
+)
 from repro.storage import records as rec
 
 _HEADER = struct.Struct("<QII")
@@ -397,3 +410,51 @@ class TestInsertFastPath:
         payload = self._payload()
         with pytest.raises(StorageError):
             rec.decode_op(payload + b"\x00")
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+# Five readings through a buffered journal, then SIGKILL: no close, no
+# sync, no interpreter shutdown to flush anything on the way out.
+_KILLED_WRITER = f"""
+import os, signal, sys
+sys.path.insert(0, {SRC!r})
+from repro.core import Reading
+from repro.geometry import Rect
+from repro.sensors import UbisenseAdapter
+from repro.sim import siebel_floor
+from repro.spatialdb import SpatialDatabase
+from repro.storage import DurabilityManager, DurabilityMode
+db = SpatialDatabase(siebel_floor())
+DurabilityManager(db, sys.argv[1], mode=DurabilityMode.BUFFERED).attach()
+UbisenseAdapter("Ubi-1", "SC/3", frame="").attach(db)
+db.insert_readings(
+    [Reading("Ubi-1", "SC/3", "Ubisense", "alice",
+             Rect(149.0 + i, 19.0, 151.0 + i, 21.0), float(i))
+     for i in range(5)])
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+class TestKilledProcess:
+    def test_sigkill_keeps_every_acknowledged_buffered_record(
+            self, tmp_path):
+        """A kill loses nothing in buffered mode: every record an
+        ``append_many`` acknowledged reached the kernel, so recovery
+        rebuilds exactly the rows the killed process had inserted."""
+        wal_dir = str(tmp_path / "wal")
+        killed = subprocess.run(
+            [sys.executable, "-c", _KILLED_WRITER, wal_dir],
+            capture_output=True, text=True, timeout=120)
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        survivor = SpatialDatabase(siebel_floor())
+        UbisenseAdapter("Ubi-1", "SC/3", frame="").attach(survivor)
+        survivor.insert_readings(
+            [Reading("Ubi-1", "SC/3", "Ubisense", "alice",
+                     Rect(149.0 + i, 19.0, 151.0 + i, 21.0), float(i))
+             for i in range(5)])
+        recovered = recover(wal_dir)
+        assert recovered.torn_bytes == 0
+        assert len(recovered.db.sensor_readings) == 5
+        assert readings_fingerprint(recovered.db) == \
+            readings_fingerprint(survivor)
