@@ -153,13 +153,13 @@ def _dispatch_rig(n_triggers: int):
     return world, db, clock, adapter
 
 
-def _time_dispatch(table, row, rounds: int) -> float:
-    """Best-of-5 mean microseconds for one insert-trigger dispatch."""
+def _time_dispatch(fire, row, rounds: int) -> float:
+    """Best-of-5 mean microseconds for one ``fire("insert", row)``."""
     best = float("inf")
     for _ in range(5):
         start = time.perf_counter()
         for _ in range(rounds):
-            table._fire("insert", row)
+            fire("insert", row)
         best = min(best, (time.perf_counter() - start) / rounds)
     return best * 1e6
 
@@ -182,10 +182,8 @@ def test_query_index_scaling(benchmark, results_dir):
         clock.advance(1.0)
         table = db.sensor_readings
         row = _probe_row(db, clock, adapter)
-        indexed_us = _time_dispatch(table, row, 400)
-        table.use_spatial_dispatch = False
-        reference_us = _time_dispatch(table, row, 400)
-        table.use_spatial_dispatch = True
+        indexed_us = _time_dispatch(table._fire, row, 400)
+        reference_us = _time_dispatch(table._fire_scan, row, 400)
         speedups[count] = reference_us / indexed_us
         lines.append(f"{count:>4d} {indexed_us:>10.2f} "
                      f"{reference_us:>10.2f} {speedups[count]:>9.1f}x")
@@ -210,7 +208,7 @@ def test_perf_smoke_trigger_dispatch(results_dir):
     _, db, clock, adapter = _dispatch_rig(200)
     clock.advance(1.0)
     row = _probe_row(db, clock, adapter)
-    current_us = _time_dispatch(db.sensor_readings, row, 400)
+    current_us = _time_dispatch(db.sensor_readings._fire, row, 400)
     limit = max(2.0 * baseline_us, 50.0)
     assert current_us <= limit, (
         f"indexed dispatch at 200 triggers took {current_us:.2f} us; "

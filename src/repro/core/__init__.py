@@ -28,12 +28,7 @@ from repro.core.conflict import (
     HighestProbabilityRule,
     MovingRectangleRule,
 )
-from repro.core.engine import (
-    MODE_EQ7,
-    MODE_EXACT,
-    FusionEngine,
-    FusionResult,
-)
+from repro.core.engine import FusionEngine, FusionResult
 from repro.core.estimate import LocationEstimate
 from repro.core.fusion import (
     Cell,
@@ -93,8 +88,6 @@ __all__ = [
     "LatticeNode",
     "LinearTDF",
     "LocationEstimate",
-    "MODE_EQ7",
-    "MODE_EXACT",
     "MovingRectangleRule",
     "NormalizedReading",
     "ProbabilityBucket",

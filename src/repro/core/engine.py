@@ -1,7 +1,9 @@
 """The fusion engine: readings in, spatial probability distribution out.
 
-Ties together the lattice (Section 4.1.2), Equation (7), conflict
-resolution (case 3) and probability classification (Section 4.4).
+Ties together the lattice (Section 4.1.2), the Bayesian region
+posterior (the exact form of Equation (7), see :mod:`repro.core.fusion`),
+conflict resolution (case 3) and probability classification
+(Section 4.4).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from repro.core.estimate import LocationEstimate
 from repro.core.fusion import (
     WeightedRect,
     batch_region_probabilities,
-    eq7_region_probability,
     exact_region_probability,
     support_confidence,
 )
@@ -23,10 +24,6 @@ from repro.core.lattice import LatticeNode, RegionLattice
 from repro.core.reading import NormalizedReading
 from repro.errors import FusionError
 from repro.geometry import Rect
-
-MODE_EQ7 = "eq7"
-MODE_EXACT = "exact"
-
 
 @dataclass
 class FusionResult:
@@ -48,14 +45,6 @@ class FusionResult:
     # some reading rectangle, so any region disjoint from it has fused
     # confidence exactly 0.
     support: Rect
-    mode: str = MODE_EXACT
-
-    def _region_probability(self, region: Rect) -> float:
-        active = [self.weighted[i] for i in sorted(self.winning_component)]
-        if self.mode == MODE_EXACT:
-            return exact_region_probability(region, active,
-                                            self.universe.area)
-        return eq7_region_probability(region, active, self.universe.area)
 
     def probability_of_region(self, region: Rect) -> float:
         """P(object in ``region``) — the region-based query of
@@ -63,7 +52,8 @@ class FusionResult:
         clipped = region.clipped_to(self.universe)
         if clipped is None:
             return 0.0
-        return self._region_probability(clipped)
+        active = [self.weighted[i] for i in sorted(self.winning_component)]
+        return exact_region_probability(clipped, active, self.universe.area)
 
     def confidence_in_region(self, region: Rect) -> float:
         """Application-facing confidence that the object is in ``region``.
@@ -124,28 +114,22 @@ def _mbr(rects: Sequence[Rect]) -> Rect:
 
 
 class FusionEngine:
-    """Multi-sensor fusion with pluggable conflict rules and math mode.
+    """Multi-sensor fusion with pluggable conflict rules.
 
     Stateless: every :meth:`fuse` builds its lattice from the readings
-    alone.
+    alone.  Region probabilities are the exact Bayesian posterior,
+    derived the same way as the paper's Equations 1-4, which is what
+    the printed Equation 7 intends (the printed form stays available
+    as :func:`repro.core.fusion.eq7_region_probability` for
+    reproduction benches).
 
     Args:
         resolver: conflict-resolution rule chain (defaults to the
             paper's rules).
-        mode: ``"exact"`` (default — the Bayesian posterior derived the
-            same way as the paper's Equations 1-4, which is what the
-            paper's printed Equation 7 intends) or ``"eq7"`` (the
-            printed Equation 7 verbatim; dimensionally inconsistent for
-            two or more sensors, kept for reproduction benches — see
-            :mod:`repro.core.fusion`).
     """
 
-    def __init__(self, resolver: Optional[ConflictResolver] = None,
-                 mode: str = MODE_EXACT) -> None:
-        if mode not in (MODE_EQ7, MODE_EXACT):
-            raise FusionError(f"unknown fusion mode {mode!r}")
+    def __init__(self, resolver: Optional[ConflictResolver] = None) -> None:
         self.resolver = resolver if resolver is not None else ConflictResolver()
-        self.mode = mode
 
     # ------------------------------------------------------------------
     # Fusion
@@ -157,7 +141,7 @@ class FusionEngine:
 
         Expired readings are dropped; disjoint components are resolved
         with the conflict rules; every lattice node's probability is
-        computed with the configured formula over the winning
+        computed as the exact posterior over the winning
         component's readings.
         """
         fresh = [r for r in readings if not r.is_expired_at(now)]
@@ -192,13 +176,11 @@ class FusionEngine:
             winning_component=winning,
             discarded=discarded,
             support=_mbr([r.rect for r in fresh]),
-            mode=self.mode,
         )
         active = [weighted[i] for i in sorted(winning)]
         region_nodes = lattice.region_nodes()
         probabilities = batch_region_probabilities(
-            [node.rect for node in region_nodes], active, universe.area,
-            exact=(self.mode == MODE_EXACT))
+            [node.rect for node in region_nodes], active, universe.area)
         for node, probability in zip(region_nodes, probabilities):
             node.probability = probability
             supporters = [

@@ -2,17 +2,17 @@
 
 Two computations are provided:
 
-* :func:`eq7_region_probability` — the paper's general formula,
-  verbatim.  This is the canonical engine used by the Location
-  Service.
-* :func:`exact_region_probability` and :class:`CellDecomposition` —
-  the exact Bayesian posterior under the same model assumptions
+* :func:`exact_region_probability` (and its batched form
+  :func:`batch_region_probabilities`) and :class:`CellDecomposition` —
+  the exact Bayesian posterior under the paper's model assumptions
   (conditional sensor independence, uniform prior over the universe).
-  Equation (7) squares some area priors when more than one sensor
-  reports (its numerator and denominator are products of
+  This is what the fusion engine, and so the Location Service, uses.
+* :func:`eq7_region_probability` — the paper's general formula,
+  verbatim.  Equation (7) squares some area priors when more than one
+  sensor reports (its numerator and denominator are products of
   area-weighted terms), so the two disagree slightly for n >= 2; the
-  exact computation is the reference the ablation benches compare
-  against.
+  printed form is kept for the reproduction benches that compare the
+  two.
 """
 
 from __future__ import annotations
@@ -113,13 +113,11 @@ def exact_region_probability(region: Rect,
 
 def batch_region_probabilities(regions: Sequence[Rect],
                                readings: Sequence[WeightedRect],
-                               universe_area: float,
-                               exact: bool = True) -> List[float]:
-    """Region probabilities for many regions in one validated pass.
+                               universe_area: float) -> List[float]:
+    """Exact region probabilities for many regions in one validated pass.
 
     Bit-for-bit identical to calling :func:`exact_region_probability`
-    (or :func:`eq7_region_probability` with ``exact=False``) per
-    region — same expressions in the same order — but the input
+    per region — same expressions in the same order — but the input
     validation and per-reading areas are hoisted out of the loop.  The
     fusion engine uses this to evaluate every lattice node at once.
     """
@@ -127,56 +125,39 @@ def batch_region_probabilities(regions: Sequence[Rect],
     # Per-reading corners, (p, q) and areas unpacked once; the inner
     # loops below inline Rect.intersection_area (identical min/max
     # expressions, so results stay bit-for-bit equal to the scalar
-    # functions) to avoid a method call per (region, reading) pair.
+    # function) to avoid a method call per (region, reading) pair.
     unpacked = [(rect.min_x, rect.min_y, rect.max_x, rect.max_y,
                  p, q, rect.area) for rect, p, q in readings]
     out: List[float] = []
     for region in regions:
         area_r = region.area
+        if area_r <= 0.0:
+            out.append(0.0)
+            continue
+        area_r = min(area_r, universe_area)
+        prior = area_r / universe_area
         if not unpacked:
-            if exact:
-                out.append(0.0 if area_r <= 0.0
-                           else min(area_r, universe_area) / universe_area)
-            else:
-                out.append(min(1.0, area_r / universe_area))
+            out.append(prior)
             continue
         rx0, ry0, rx1, ry1 = (region.min_x, region.min_y,
                               region.max_x, region.max_y)
-        if exact:
-            if area_r <= 0.0:
-                out.append(0.0)
-                continue
-            area_r = min(area_r, universe_area)
-            prior = area_r / universe_area
-            outside = universe_area - area_r
-            like_in = 1.0
-            like_out = 1.0
-            for x0, y0, x1, y1, p, q, a_i in unpacked:
-                w = (x1 if x1 < rx1 else rx1) - (x0 if x0 > rx0 else rx0)
-                h = (y1 if y1 < ry1 else ry1) - (y0 if y0 > ry0 else ry0)
-                a_int = w * h if w > 0.0 and h > 0.0 else 0.0
-                f_in = min(1.0, a_int / area_r)
-                like_in *= p * f_in + q * (1.0 - f_in)
-                if outside <= 0.0:
-                    f_out = 0.0
-                else:
-                    f_out = min(1.0, max(0.0, (a_i - a_int) / outside))
-                like_out *= p * f_out + q * (1.0 - f_out)
-            numerator = like_in * prior
-            denominator = numerator + like_out * (1.0 - prior)
-            out.append(0.0 if denominator <= 0.0 else numerator / denominator)
-        else:
-            numerator = 1.0
-            denominator_term = 1.0
-            for x0, y0, x1, y1, p, q, a_i in unpacked:
-                w = (x1 if x1 < rx1 else rx1) - (x0 if x0 > rx0 else rx0)
-                h = (y1 if y1 < ry1 else ry1) - (y0 if y0 > ry0 else ry0)
-                a_int = w * h if w > 0.0 and h > 0.0 else 0.0
-                numerator *= p * a_int + q * (area_r - a_int)
-                denominator_term *= (p * (a_i - a_int)
-                                     + q * (universe_area - a_i + a_int))
-            denominator = numerator + denominator_term
-            out.append(0.0 if denominator <= 0.0 else numerator / denominator)
+        outside = universe_area - area_r
+        like_in = 1.0
+        like_out = 1.0
+        for x0, y0, x1, y1, p, q, a_i in unpacked:
+            w = (x1 if x1 < rx1 else rx1) - (x0 if x0 > rx0 else rx0)
+            h = (y1 if y1 < ry1 else ry1) - (y0 if y0 > ry0 else ry0)
+            a_int = w * h if w > 0.0 and h > 0.0 else 0.0
+            f_in = min(1.0, a_int / area_r)
+            like_in *= p * f_in + q * (1.0 - f_in)
+            if outside <= 0.0:
+                f_out = 0.0
+            else:
+                f_out = min(1.0, max(0.0, (a_i - a_int) / outside))
+            like_out *= p * f_out + q * (1.0 - f_out)
+        numerator = like_in * prior
+        denominator = numerator + like_out * (1.0 - prior)
+        out.append(0.0 if denominator <= 0.0 else numerator / denominator)
     return out
 
 

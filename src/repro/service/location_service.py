@@ -97,7 +97,7 @@ class LocationService:
 
     Args:
         db: the spatial database (world model loaded, adapters feeding).
-        engine: fusion engine override (mode, conflict rules).
+        engine: fusion engine override (its conflict rules).
         orb: broker used to push events to remote subscribers; local
             callbacks work without one.
         clock: time source (defaults to :func:`time.monotonic`); the

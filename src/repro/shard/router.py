@@ -9,17 +9,13 @@ different shards) fan out as pipelined requests — one frame written
 per shard on its multiplexed connection, responses merged as they
 land — with the order the single-process engine pins.
 
-Two ingest paths mirror the single-process engine's two:
-
-* :meth:`insert_reading` — synchronous, each insert dispatched to
-  subscriptions on the owning shard (the reference-equivalent path);
-* :meth:`submit` — the :class:`~repro.sensors.base.ReadingSink`
-  contract: readings queue per shard and a background sender thread
-  per shard ships its whole queue in one ``submit_batch`` RPC whenever
-  the previous one has returned, into the shard's ingestion pipeline.
-  A shard that dies mid-stream fails its in-flight batch; those
-  readings are counted ``router_dead_lettered`` so fleet accounting
-  still reconciles exactly.
+Ingest has one path, :meth:`submit` — the
+:class:`~repro.sensors.base.ReadingSink` contract: readings queue per
+shard and a background sender thread per shard ships its whole queue
+in one ``submit_batch`` RPC whenever the previous one has returned,
+into the shard's ingestion pipeline.  A shard that dies mid-stream
+fails its in-flight batch; those readings are counted
+``router_dead_lettered`` so fleet accounting still reconciles exactly.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from repro.errors import (
     TransportError,
     UnknownObjectError,
 )
-from repro.geometry import Point, Rect
+from repro.geometry import Rect
 from repro.model import Glob, WorldModel
 from repro.orb import Orb
 from repro.reasoning import NavigationGraph, SpatialRelations
@@ -262,20 +258,6 @@ class ShardRouter:
     def shard_of(self, object_id: str,
                  region_hint: Optional[str] = None) -> int:
         return self.partitioner.shard_for(object_id, region_hint)
-
-    def insert_reading(self, sensor_id: str, glob_prefix: str,
-                       sensor_type: str, mobile_object_id: str,
-                       rect: Rect, detection_time: float,
-                       location: Optional[Point] = None,
-                       detection_radius: float = 0.0) -> int:
-        """Synchronous insert on the owning shard (dispatched there)."""
-        shard = self.shard_of(mobile_object_id, glob_prefix)
-        try:
-            return self._proxies[shard].insert_reading(
-                sensor_id, glob_prefix, sensor_type, mobile_object_id,
-                rect, detection_time, location, detection_radius)
-        except RemoteInvocationError as exc:
-            raise _translate(exc) from exc
 
     def submit(self, reading: Reading) -> bool:
         """The adapters' sink contract: queue for asynchronous flush."""

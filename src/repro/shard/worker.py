@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core import ProbabilityBucket
 from repro.errors import ServiceError
-from repro.geometry import Point, Rect
+from repro.geometry import Rect
 from repro.model.serialize import world_from_json
 from repro.orb import Orb
 from repro.pipeline import LocationPipeline, PipelineConfig
@@ -65,7 +65,6 @@ class ShardServant:
     ORB_EXPOSED = (
         "ping",
         "register_sensor",
-        "insert_reading",
         "submit_batch",
         "locate",
         "confidence_in_region",
@@ -95,7 +94,6 @@ class ShardServant:
         self._event_lock = threading.Lock()
         self.durability = None
         self.recovered_rows = 0
-        self.sync_inserts = 0
         self._semantic_feed_enabled = False
         self._build()
 
@@ -160,23 +158,6 @@ class ShardServant:
         self.db.register_sensor(sensor_id, sensor_type, confidence,
                                 time_to_live, decode_spec(spec))
         return True
-
-    def insert_reading(self, sensor_id: str, glob_prefix: str,
-                       sensor_type: str, object_id: str, rect: Rect,
-                       detection_time: float,
-                       location: Optional[Point] = None,
-                       detection_radius: float = 0.0) -> int:
-        """Synchronous insert with triggers — the reference-equivalent
-        path (one insert, one dispatch, same as the single-process
-        engine's ``fire_triggers=True``)."""
-        with self._event_lock:
-            self.sync_inserts += 1
-        return self.db.insert_reading(
-            sensor_id=sensor_id, glob_prefix=glob_prefix,
-            sensor_type=sensor_type, mobile_object_id=object_id,
-            rect=rect, detection_time=detection_time,
-            location=location, detection_radius=detection_radius,
-            fire_triggers=True)
 
     def submit_batch(self, readings: List[Any]) -> int:
         """Asynchronous ingest through the shard's pipeline, in bulk.
@@ -306,7 +287,6 @@ class ShardServant:
             "readings": len(self.db.sensor_readings),
             "tracked": len(self.db.tracked_objects()),
             "recovered_rows": self.recovered_rows,
-            "sync_inserts": self.sync_inserts,
             "events_buffered": len(self._events),
             "durability": (self.durability.stats()
                            if self.durability is not None else None),
@@ -327,13 +307,13 @@ class ShardServant:
                 f"shard {self.shard_index}: enqueued={stats.enqueued} != "
                 f"fused={stats.fused} + dropped={stats.dropped} + "
                 f"dead_lettered={stats.dead_lettered}")
-        expected = self.recovered_rows + self.sync_inserts + stats.fused
+        expected = self.recovered_rows + stats.fused
         actual = len(self.db.sensor_readings)
         if actual != expected:
             errors.append(
                 f"shard {self.shard_index}: table has {actual} rows, "
                 f"expected recovered={self.recovered_rows} + "
-                f"sync={self.sync_inserts} + fused={stats.fused}")
+                f"fused={stats.fused}")
         return errors
 
     def fingerprint(self) -> str:
@@ -357,7 +337,6 @@ class ShardServant:
         with self._event_lock:
             self._events = []
             self._event_seq = 0
-            self.sync_inserts = 0
         self._build()
         return True
 

@@ -165,7 +165,6 @@ class Table:
         self._plain_insert_triggers: Dict[str, Trigger] = {}
         self._trigger_seq: Dict[str, int] = {}
         self._trigger_counter = itertools.count(1)
-        self.use_spatial_dispatch = True
         self.trigger_probes = 0
         self.trigger_candidates = 0
         self.trigger_skipped = 0
@@ -486,8 +485,7 @@ class Table:
             }
 
     def _fire(self, event: str, row: Row) -> None:
-        if (event == "insert" and self.use_spatial_dispatch
-                and self._spatial_trigger_ids
+        if (event == "insert" and self._spatial_trigger_ids
                 and self._spatial_column is not None):
             rect = row.get(self._spatial_column)
             if isinstance(rect, Rect):
@@ -521,8 +519,9 @@ class Table:
 
     def _fire_scan(self, event: str, row: Row) -> None:
         """The linear scan over every trigger: the dispatch for
-        non-spatial triggers, and the baseline the indexed dispatch is
-        tested against (``use_spatial_dispatch = False``)."""
+        non-spatial triggers and for tables without
+        :meth:`enable_spatial_triggers`, and the baseline the indexed
+        dispatch is tested and timed against."""
         for trigger in list(self._triggers.values()):
             if trigger.enabled and trigger.event == event:
                 if trigger.condition(row):

@@ -75,10 +75,10 @@ class DurabilityMode(str, Enum):
         if self is DurabilityMode.STRICT:
             return FSYNC_ALWAYS
         # BUFFERED's group commit is driven by the manager
-        # (:meth:`DurabilityManager.commit_if_due`), not by the WAL's
-        # own batch policy: the fsync (~0.2ms) then runs after the
-        # database has released its ingest lock, so it never stalls
-        # concurrent inserters (benchmarks/test_wal_overhead.py).
+        # (:meth:`DurabilityManager.commit_if_due`), not by the WAL:
+        # the fsync (~0.2ms) then runs after the database has released
+        # its ingest lock, so it never stalls concurrent inserters
+        # (benchmarks/test_wal_overhead.py).
         return FSYNC_NEVER
 
 

@@ -15,14 +15,13 @@ because silently dropping interior history would un-order replay.
 
 Fsync policies (all deterministic — no wall-clock batching):
 
-* ``always``   — fsync at the end of every append call (the STRICT
+* ``always`` — fsync at the end of every append call (the STRICT
   durability mode; an :meth:`~WriteAheadLog.append_many` batch is one
   call).
-* ``batch:N``  — fsync once N records are un-synced, plus on explicit
-  :meth:`sync`
-  (the BUFFERED mode's group commit; the un-synced window is the
-  crash-exposure the stats report).
-* ``never``    — fsync only on :meth:`sync` / :meth:`close`.
+* ``never``  — fsync only on :meth:`sync` / :meth:`close` (the
+  BUFFERED mode, whose manager drives the group commit through
+  :meth:`sync`; the un-synced window is the crash exposure the stats
+  report).
 
 Under every policy an append call hands its bytes to the kernel before
 it returns, so a killed process loses no acknowledged record; the
@@ -47,7 +46,6 @@ _HEADER = struct.Struct("<QII")  # seq, payload length, crc32
 
 FSYNC_ALWAYS = "always"
 FSYNC_NEVER = "never"
-_FSYNC_BATCH_PREFIX = "batch:"
 
 # Fault-hook kill points (see repro.faults.WalCrashInjector).
 POINT_APPEND = "append"
@@ -56,22 +54,14 @@ POINT_FSYNC = "fsync"
 FaultHook = Callable[[str, int], None]
 
 
-def _parse_policy(policy: str) -> int:
-    """Policy string to a sync interval: 1=always, 0=never, N=batch."""
+def _parse_policy(policy: str) -> bool:
+    """Policy string to whether every append call fsyncs."""
     if policy == FSYNC_ALWAYS:
-        return 1
+        return True
     if policy == FSYNC_NEVER:
-        return 0
-    if policy.startswith(_FSYNC_BATCH_PREFIX):
-        try:
-            interval = int(policy[len(_FSYNC_BATCH_PREFIX):])
-        except ValueError:
-            interval = 0
-        if interval > 0:
-            return interval
+        return False
     raise StorageError(
-        f"unknown fsync policy {policy!r}; expected 'always', 'never' "
-        f"or 'batch:N'")
+        f"unknown fsync policy {policy!r}; expected 'always' or 'never'")
 
 
 class WriteAheadLog:
@@ -79,7 +69,7 @@ class WriteAheadLog:
 
     Args:
         path: the segment file (created if missing, appended if not).
-        fsync_policy: ``always`` / ``never`` / ``batch:N``.
+        fsync_policy: ``always`` / ``never``.
         start_seq: first sequence number to assign when the file is
             empty (compaction hands the successor segment the old
             log's next seq so numbering never restarts).
@@ -93,7 +83,7 @@ class WriteAheadLog:
                  start_seq: int = 1,
                  fault_hook: Optional[FaultHook] = None) -> None:
         self.path = str(path)
-        self._sync_interval = _parse_policy(fsync_policy)
+        self._sync_each_append = _parse_policy(fsync_policy)
         self.fsync_policy = fsync_policy
         self.fault_hook = fault_hook
         self._lock = threading.Lock()
@@ -110,7 +100,6 @@ class WriteAheadLog:
             self._next_seq = start_seq
         self._file = open(self.path, "ab")
         self._appended = 0
-        self._since_sync = 0
         self._synced_seq = self._next_seq - 1
         self._last_seq = self._next_seq - 1
         self._closed = False
@@ -122,9 +111,9 @@ class WriteAheadLog:
     def append(self, payload: bytes) -> int:
         """Durably append one record; returns its sequence number.
 
-        Under a ``batch:N`` policy the record may sit in the un-synced
-        window until the Nth append or an explicit :meth:`sync`; the
-        window size is what :meth:`unsynced_count` reports.
+        Under ``never`` the record sits in the un-synced window until
+        an explicit :meth:`sync`; the window size is what
+        :meth:`unsynced_count` reports.
         """
         return self.append_many((payload,))
 
@@ -138,7 +127,7 @@ class WriteAheadLog:
         (``append``) or whole but unacknowledged (``fsync``), nothing
         after it, and the raised crash carries ``landed = k``.  Under
         ``always`` the whole call is fsynced once, after its last
-        record; under ``batch:N`` once the window reaches N.
+        record.
         """
         for payload in payloads:
             if not isinstance(payload, (bytes, bytearray)):
@@ -181,8 +170,7 @@ class WriteAheadLog:
             # cache, so after this only a power loss can cost them.
             self._file.flush()
             self._written(len(payloads))
-            if self._sync_interval and \
-                    self._since_sync >= self._sync_interval:
+            if self._sync_each_append:
                 self._sync_locked()
             return first
 
@@ -190,13 +178,16 @@ class WriteAheadLog:
         self._next_seq += count
         self._last_seq = self._next_seq - 1
         self._appended += count
-        self._since_sync += count
 
     def _die(self, chunks: List[bytes], landed: int,
              exc: SimulatedCrash) -> NoReturn:
-        """Leave what a killed call wrote on disk, close, re-raise."""
+        """Leave what a killed call wrote on disk, close, re-raise.
+
+        The handle is closed without an fsync: a kill drops nothing
+        from the page cache, but it does not group-commit either."""
         self._file.write(b"".join(chunks))
         self._file.flush()
+        self._file.close()
         self._closed = True
         exc.landed = landed
         raise exc
@@ -205,7 +196,6 @@ class WriteAheadLog:
         self._file.flush()
         os.fsync(self._file.fileno())
         self._synced_seq = self._last_seq
-        self._since_sync = 0
 
     def sync(self) -> None:
         """Force a group commit of every appended record."""

@@ -16,7 +16,7 @@ The scenario each run plays (all draws from the seeded
 Invariants asserted fleet-wide after recovery: router accounting
 (``submitted == forwarded + dead_lettered + pending``), pipeline
 accounting (``enqueued == fused + dropped + dead_lettered``), and
-per-shard table-vs-fused parity (``rows == recovered + sync + fused``)
+per-shard table-vs-fused parity (``rows == recovered + fused``)
 — the same books the single-process chaos suites keep.
 
 Seeds: the fixed CI seeds plus any extras from ``CHAOS_SEED``
@@ -120,11 +120,10 @@ def _run_kill_recover(tmp_path, seed: int, stream_len: int = 90):
         victim_objects = [oid for oid in OBJECTS
                           if router.shard_of(oid) == victim]
         probe = victim_objects[0] if victim_objects else OBJECTS[0]
-        router.insert_reading(
-            sensor_id="Ubi-1", glob_prefix="SC/3",
-            sensor_type="Ubisense", mobile_object_id=probe,
-            rect=Rect(100.0, 50.0, 104.0, 53.0),
-            detection_time=float(stream_len))
+        assert router.submit(Reading(
+            "Ubi-1", "SC/3", "Ubisense", probe,
+            Rect(100.0, 50.0, 104.0, 53.0), float(stream_len)))
+        assert router.drain(timeout=30.0)
         estimate = router.locate(probe, float(stream_len) + 1.0)
         assert estimate.probability > 0.0
 
@@ -240,16 +239,17 @@ class TestSemanticKillRecover:
             assert router.drain(timeout=30.0)
             router.pump_events()
 
-            # Heal every object's location with a synchronous insert on
-            # its (now live) owner; afterwards all ten stand on_floor.
+            # Heal every object's location with one insert on its (now
+            # live) owner, drained one at a time; afterwards all ten
+            # stand on_floor.
             base = float(stream_len + 30)
             for offset, object_id in enumerate(OBJECTS):
-                router.insert_reading(
-                    sensor_id="Ubi-1", glob_prefix="SC/3",
-                    sensor_type="Ubisense", mobile_object_id=object_id,
-                    rect=Rect(20.0 + 12.0 * offset, 50.0,
-                              24.0 + 12.0 * offset, 53.0),
-                    detection_time=base + offset)
+                assert router.submit(Reading(
+                    "Ubi-1", "SC/3", "Ubisense", object_id,
+                    Rect(20.0 + 12.0 * offset, 50.0,
+                         24.0 + 12.0 * offset, 53.0),
+                    base + offset))
+                assert router.drain(timeout=30.0)
             router.pump_events()
 
             assert events, "no semantic events at all — vacuous run"

@@ -4,11 +4,10 @@ import pytest
 
 from repro.core import (
     FusionEngine,
-    MODE_EQ7,
-    MODE_EXACT,
     NormalizedReading,
     ProbabilityClassifier,
     SensorSpec,
+    eq7_region_probability,
     reading_from_coordinate,
     reading_from_region,
 )
@@ -152,14 +151,12 @@ class TestRegionQueries:
     def test_probability_of_region_modes_agree_on_single_sensor(self):
         reading = room_reading()
         region = Rect(90, 40, 140, 90)
-        exact = FusionEngine(mode=MODE_EXACT).fuse(
-            "tom", [reading], UNIVERSE, 0.0)
+        exact = FusionEngine().fuse("tom", [reading], UNIVERSE, 0.0)
         # Eq. (7) and exact differ only by aU vs (aU - aR) in the
         # denominator for one sensor; both must be sane and close.
-        eq7 = FusionEngine(mode=MODE_EQ7).fuse(
-            "tom", [reading], UNIVERSE, 0.0)
         p_exact = exact.probability_of_region(region)
-        p_eq7 = eq7.probability_of_region(region)
+        p_eq7 = eq7_region_probability(region, exact.weighted,
+                                       UNIVERSE.area)
         assert 0.0 < p_eq7 <= p_exact <= 1.0
 
     def test_region_outside_universe_is_zero(self, engine):
@@ -174,12 +171,3 @@ class TestRegionQueries:
             UNIVERSE, 0.0)
         distribution = result.normalized_minimal_distribution()
         assert sum(distribution.values()) == pytest.approx(1.0)
-
-
-class TestModes:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(FusionError):
-            FusionEngine(mode="magic")
-
-    def test_exact_is_default(self, engine):
-        assert engine.mode == MODE_EXACT

@@ -17,7 +17,6 @@ from repro.core import (
     CellDecomposition,
     RegionLattice,
     batch_region_probabilities,
-    eq7_region_probability,
     exact_region_probability,
 )
 from repro.geometry import Rect
@@ -109,12 +108,10 @@ class TestProbabilityEquivalence:
     def test_batch_bitwise_equal_to_scalar(self, rects, pqs, regions):
         readings = [(r, p, q)
                     for r, (p, q) in zip(rects, pqs)]
-        for exact, scalar in ((True, exact_region_probability),
-                              (False, eq7_region_probability)):
-            batch = batch_region_probabilities(
-                regions, readings, UNIVERSE.area, exact=exact)
-            for region, got in zip(regions, batch):
-                assert got == scalar(region, readings, UNIVERSE.area)
+        batch = batch_region_probabilities(regions, readings, UNIVERSE.area)
+        for region, got in zip(regions, batch):
+            assert got == exact_region_probability(region, readings,
+                                                   UNIVERSE.area)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(grid_rects(),

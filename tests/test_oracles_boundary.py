@@ -3,8 +3,8 @@
 :mod:`repro.oracles` holds the slow reference implementations the
 differential suites test against.  No module of :mod:`repro` outside
 that package may import it, and none may define a ``*_reference``
-function or a ``MODE_REFERENCE`` switch, so every production class
-carries one implementation.  Checked on the source itself (parsed with
+function or a ``MODE_*`` switch, so every production class carries
+one implementation.  Checked on the source itself (parsed with
 :mod:`ast`), not by importing anything.
 """
 
@@ -65,14 +65,21 @@ def test_no_reference_twins_in_production():
     assert set(offenders) <= ALLOWED_REFERENCE_NAMES, offenders
 
 
+def _mode_names(tree):
+    """Every ``MODE_*`` name ``tree`` binds, imports or reads."""
+    for node in ast.walk(tree):
+        for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None),
+                     getattr(node, "asname", None)):
+            if isinstance(name, str) and name.startswith("MODE_"):
+                yield name
+
+
 def test_no_reference_mode_in_production():
     offenders = sorted(
-        str(path.relative_to(PACKAGE))
+        f"{path.relative_to(PACKAGE).as_posix()}::{name}"
         for path, tree in _production_modules()
-        for node in ast.walk(tree)
-        if "MODE_REFERENCE" in (getattr(node, "id", None),
-                                getattr(node, "attr", None),
-                                getattr(node, "name", None)))
+        for name in _mode_names(tree))
     assert offenders == []
 
 

@@ -50,16 +50,19 @@ def grid_points(draw):
 # Spatial trigger dispatch (Table._fire_indexed vs _fire_scan)
 # ----------------------------------------------------------------------
 
-def _build_table(specs, log, tag):
+def _build_table(specs, log, tag, spatial):
     """A rect table with one trigger per spec.
 
     A spec is (region_or_None, enabled).  Region triggers use the
     honest enter-style condition (region intersects the row rect), so
     the hint contract holds; region-less triggers match every row.
+    Without ``spatial`` the table never enables spatial triggers, so
+    every insert takes the linear scan.
     """
     schema = Schema([Column("name", str), Column("rect", Rect)])
     table = Table("readings", schema)
-    table.enable_spatial_triggers("rect")
+    if spatial:
+        table.enable_spatial_triggers("rect")
     for i, (region, enabled) in enumerate(specs):
         trigger_id = f"t{i}"
         if region is None:
@@ -89,9 +92,8 @@ class TestTriggerDispatchEquivalence:
                     min_size=0, max_size=3))
     def test_indexed_firings_match_reference(self, specs, rows, drops):
         log = []
-        indexed = _build_table(specs, log, "indexed")
-        reference = _build_table(specs, log, "reference")
-        reference.use_spatial_dispatch = False
+        indexed = _build_table(specs, log, "indexed", spatial=True)
+        reference = _build_table(specs, log, "reference", spatial=False)
         for drop in drops:
             indexed.drop_trigger(f"t{drop}")
             reference.drop_trigger(f"t{drop}")

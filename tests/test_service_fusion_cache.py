@@ -150,7 +150,7 @@ def _signature(result):
                    for node in result.lattice.nodes())
     return (result.object_id, result.now, tuple(result.readings),
             tuple(result.weighted), tuple(sorted(result.winning_component)),
-            tuple(sorted(result.discarded)), result.mode, tuple(nodes))
+            tuple(sorted(result.discarded)), tuple(nodes))
 
 
 # Query times: a coarse grid plus jitter well inside one ttl/8 bucket

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import SensorSpec
+from repro.core import Reading, SensorSpec
 from repro.errors import UnknownObjectError
 from repro.geometry import Rect
 from repro.service import LocationService
@@ -101,8 +101,18 @@ def _reference_service():
     return LocationService(db)
 
 
+def _submit_one(router, reading: Reading) -> None:
+    """Ingest one reading on the fleet's only path and wait for it.
+
+    Draining after every reading keeps each shard batch to one
+    reading, so event streams compare one insert at a time.
+    """
+    assert router.submit(reading)
+    assert router.drain()
+
+
 def _play_stream(stream, reference, router):
-    """Insert one stream into both sides, synchronously, in order."""
+    """Insert one stream into both sides, one reading at a time."""
     for t, (obj_idx, sensor_idx, rect) in enumerate(stream):
         object_id = OBJECTS[obj_idx]
         sensor_id, spec, _ = SENSORS[sensor_idx]
@@ -110,10 +120,8 @@ def _play_stream(stream, reference, router):
             sensor_id=sensor_id, glob_prefix="SC/3",
             sensor_type=spec.sensor_type, mobile_object_id=object_id,
             rect=rect, detection_time=float(t))
-        router.insert_reading(
-            sensor_id=sensor_id, glob_prefix="SC/3",
-            sensor_type=spec.sensor_type, mobile_object_id=object_id,
-            rect=rect, detection_time=float(t))
+        _submit_one(router, Reading(sensor_id, "SC/3", spec.sensor_type,
+                                    object_id, rect, float(t)))
     return float(len(stream))
 
 
@@ -296,9 +304,9 @@ class TestSemanticEquivalence:
                         sensor_type=spec.sensor_type,
                         mobile_object_id=OBJECTS[obj_idx], rect=rect,
                         detection_time=float(t))
-                router.insert_reading(
+                _submit_one(router, Reading(
                     sensor_id, "SC/3", spec.sensor_type,
-                    OBJECTS[obj_idx], rect, float(t))
+                    OBJECTS[obj_idx], rect, float(t)))
                 router.pump_events()
             router.pump_events()
             assert router_events == reference_events, (
@@ -335,10 +343,8 @@ class TestPartitionerProperties:
                     sensor_id="Ubi-1", glob_prefix="SC/3",
                     sensor_type="Ubisense", mobile_object_id=object_id,
                     rect=rect, detection_time=float(t))
-            router.insert_reading(
-                sensor_id="Ubi-1", glob_prefix="SC/3",
-                sensor_type="Ubisense", mobile_object_id=object_id,
-                rect=rect, detection_time=float(t))
+            _submit_one(router, Reading("Ubi-1", "SC/3", "Ubisense",
+                                        object_id, rect, float(t)))
         shards = {router.shard_of(oid) for oid, _ in placements}
         now = 2.0
         for path in (False, True):

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.core import FusionEngine, MODE_EQ7
+from repro.core import eq7_region_probability
 from repro.errors import SimulationError
 from repro.service import LocationService
 from repro.sim import (
@@ -92,20 +92,25 @@ class TestReplay:
         copy_sensor_registrations(scenario.db, target)
         stream.seek(0)
         replay_trace(target, read_trace(stream))
-        eq7_service = LocationService(
-            target, engine=FusionEngine(mode=MODE_EQ7),
-            clock=scenario.clock)
+        replay_service = LocationService(target, clock=scenario.clock)
         compared = 0
         for person in target.tracked_objects():
             try:
                 exact = scenario.service.locate(person)
-                printed = eq7_service.locate(person)
+                result = replay_service.fusion_result(person)
             except Exception:
                 continue
             compared += 1
+            # The printed Eq. (7) over the replayed readings that won
+            # the fusion, on the region the exact engine chose.
+            node = result.best_minimal_region()
+            active = [result.weighted[i]
+                      for i in sorted(result.winning_component)]
+            printed = eq7_region_probability(node.rect, active,
+                                             result.universe.area)
             # Same winning regions, different posterior math.
-            assert printed.rect.almost_equals(exact.rect, 1e-9)
-            assert printed.posterior <= exact.posterior + 1e-12
+            assert node.rect.almost_equals(exact.rect, 1e-9)
+            assert min(1.0, max(0.0, printed)) <= exact.posterior + 1e-12
         assert compared >= 1
 
     def test_time_offset(self):

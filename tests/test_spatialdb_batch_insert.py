@@ -302,7 +302,7 @@ class TestUnrecordableReading:
         assert caught.value.landed == 2
         assert len(db.sensor_readings) == 2
         assert db.reading_version("alice") == 2
-        manager.sync()
+        manager.close()
         assert readings_fingerprint(recover(manager.wal_dir).db) == \
             readings_fingerprint(db)
 
